@@ -195,7 +195,7 @@ def _cmd_oracle(args) -> int:
     report = oracle_good_decomposition(d, budget=args.budget)
     print(f"outcome: {report.outcome}")
     print(f"nodes: {report.nodes_explored}")
-    print(f"elapsed: {report.elapsed:.3f}s")
+    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     if report.decomposition is not None:
         sys.stdout.write(render_decomposition(report.decomposition))
     return OK
@@ -287,3 +287,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -37,6 +37,7 @@ from .digraph import (
     is_strong,
     path,
     s4,
+    _reach_from,
 )
 from .flows import CycleCover, cycle_cover, cover_network, infeasibility_cut
 from .structure import (
@@ -98,29 +99,12 @@ def verify(host: Digraph, a1: frozenset[Arc], a2: frozenset[Arc]) -> VerifyResul
 
 
 def _unreachable_pair(d: Digraph) -> tuple[int, int]:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in d.out_neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    for v in range(d.n):
-        if v not in seen:
-            return (0, v)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in d.in_neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    for v in range(d.n):
-        if v not in seen:
-            return (v, 0)
-    raise AssertionError("digraph is strong")
+    """The first pair (0, v) or else (v, 0) with no path, for a non-strong d."""
+    everyone = set(range(d.n))
+    unreached = everyone - _reach_from(d, 0)
+    if unreached:
+        return (0, min(unreached))
+    return (min(everyone - _reach_from(d, 0, reverse=True)), 0)
 
 
 def verify_decomposition(d: Decomposition) -> VerifyResult:

@@ -2,9 +2,8 @@
 
 The general decision problem is NP-complete, so this module is the ground
 truth at desk scale: exception certification and cross-validation of every
-constructive decomposer.  The hot search loop lives in a compiled kernel
-(gooddecomp._kernel) with a pure-Python twin selected at import when the
-extension is unavailable.
+constructive decomposer.  The search loop itself lives in the kernel
+module gooddecomp._kernel_py.
 """
 
 from __future__ import annotations
@@ -17,14 +16,10 @@ from typing import Iterator, Optional
 from .decomp import Decomposition, verify
 from .digraph import Digraph, arc_connectivity, is_isomorphic_small, is_strong
 
-from . import _kernel_py
+from . import _kernel_py as _impl
 
-try:
-    from . import _kernel as _impl  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    _impl = _kernel_py
-
-BACKEND: str = _impl.BACKEND
+#: the kernel implementation, recorded with benchmark runs
+BACKEND = "python"
 
 #: arcs up to this count are guaranteed to be exhausted quickly at desk scale;
 #: larger inputs are allowed and may end in an "aborted" outcome when budgeted
@@ -41,9 +36,7 @@ class OracleReport:
     elapsed: float
 
 
-def oracle_good_decomposition(
-    d: Digraph, budget: int = 0, kernel=None
-) -> OracleReport:
+def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     """Backtracking search over arc assignments to (A1, A2, unused).
 
     budget limits explored nodes (<= 0 means unlimited).  A found outcome is
@@ -61,19 +54,16 @@ def oracle_good_decomposition(
     ):
         return OracleReport("none", None, 0, time.perf_counter() - start)
     arcs = d.sorted_arcs()
-    impl = kernel if kernel is not None else _impl
-    if impl.BACKEND == "c" and d.n > 64:
-        impl = _kernel_py
-    status, i1, i2, nodes = impl.search(d.n, arcs, budget)
+    status, i1, i2, nodes = _impl.search(d.n, arcs, budget)
     elapsed = time.perf_counter() - start
-    if status == impl.FOUND:
+    if status == _impl.FOUND:
         a1 = frozenset(arcs[i] for i in i1)
         a2 = frozenset(arcs[i] for i in i2)
         dec = Decomposition(d, a1, a2)
         check = verify(d, a1, a2)
         assert check.ok, f"kernel returned invalid decomposition: {check.reason}"
         return OracleReport("found", dec, nodes, elapsed)
-    if status == 2:
+    if status == _impl.ABORTED:
         return OracleReport("aborted", None, nodes, elapsed)
     return OracleReport("none", None, nodes, elapsed)
 

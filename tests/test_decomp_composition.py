@@ -59,7 +59,9 @@ class TestVerify:
     def test_non_strong_diagnostic(self):
         d = complete(3)
         res = verify(d, frozenset({(0, 1), (1, 0)}), frozenset())
-        assert not res.ok and "not strong" in res.reason
+        assert not res.ok and res.reason == "A1 not strong: no path 0->2"
+        res = verify(d, frozenset({(0, 1), (0, 2), (1, 0)}), frozenset())
+        assert not res.ok and res.reason == "A1 not strong: no path 2->0"
 
 
 class TestEqSides:

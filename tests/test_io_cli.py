@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gooddecomp import (
@@ -17,6 +22,8 @@ from gooddecomp.cli import run_command
 from gooddecomp.io import ParseError
 
 from conftest import random_strong_digraph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestEdgeList:
@@ -116,13 +123,33 @@ class TestCli:
         assert run_command(["ham-cartesian", "2", "3"]) == 0
         assert capsys.readouterr().out.strip() == "non-hamiltonian"
 
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gooddecomp.cli", "ham-cartesian", "2", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "non-hamiltonian\n"
+
+    def test_benchmark_self_check(self):
+        # the benchmark reads oracle.BACKEND, oracle._impl and pinned CLI digests
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-check"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
     def test_compose_then_oracle_none(self, workdir, capsys, tmp_path):
         args = ["compose"] + [str(workdir / f) for f in ("c3.el", "k2bar.el", "k2bar.el", "k2bar.el")]
         assert run_command(args) == 0
         q = tmp_path / "q.el"
         q.write_text(capsys.readouterr().out)
-        assert run_command(["oracle", str(q)]) == 0
-        assert "outcome: none" in capsys.readouterr().out  # exception
+        outs = []
+        for _ in range(2):
+            assert run_command(["oracle", str(q)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "outcome: none" in outs[0]  # exception
+        assert "elapsed" not in outs[0] and outs[0] == outs[1]
 
     def test_decompose_composition_exception(self, workdir, capsys, tmp_path):
         args = ["compose"] + [str(workdir / f) for f in ("c3.el", "k2bar.el", "k2bar.el", "k2bar.el")]
