@@ -43,6 +43,7 @@ from .digraph import (
     empty,
     find_isomorphism,
     is_isomorphic_small,
+    is_k_arc_strong,
     is_semicomplete,
     is_strong,
     path,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 reasoned refusal (first output line is a
 machine-readable reason such as "exception:S4", "not-covered" or
-"infeasible:no-cycle-cover"), 2 usage error.
+"infeasible:no-cycle-cover"), 2 usage error or failure, reported on stderr
+as one "error: ..." line without a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 from .builders import CompositionSpec, cartesian_power, cartesian_product, compose, \
     lexicographic_product, strong_product
 from .decomp import (
+    ConstructionError,
     CycleCoverInfeasible,
     Decomposition,
     characterize_semicomplete_composition,
@@ -280,7 +282,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         if ref.detail:
             print(ref.detail)
         return REFUSED
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, ConstructionError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

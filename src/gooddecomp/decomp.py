@@ -12,6 +12,7 @@ twin-extension of extend_by_twins.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,11 +29,11 @@ from .builders import (
 from .digraph import (
     Arc,
     Digraph,
-    arc_connectivity,
     cycle,
     empty,
     find_isomorphism,
     is_isomorphic_small,
+    is_k_arc_strong,
     is_semicomplete,
     is_strong,
     path,
@@ -432,7 +433,7 @@ def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
-    if T.n >= 2 and is_semicomplete(T) and is_strong(T) and arc_connectivity(T) >= 2:
+    if T.n >= 2 and is_semicomplete(T) and is_k_arc_strong(T, 2):
         q, _ = compose(spec)
         if not (q.n == 4 and q.m == 8 and is_isomorphic_small(q, s4())):
             return _decompose_part_a(spec)
@@ -453,6 +454,7 @@ def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
 EXCEPTION_TAGS = ("S4", "C3_K2_K2_K2", "C3_P2_K2_K2", "C3_K2_K2_K3")
 
 
+@functools.cache
 def exception_digraph(tag: str) -> Digraph:
     c3 = cycle(3)
     if tag == "S4":
@@ -504,7 +506,7 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
         tag, witness = matched
         return CharacterizationResult(exception_tag=tag, witness=witness)
 
-    if arc_connectivity(T) >= 2:
+    if is_k_arc_strong(T, 2):
         return CharacterizationResult(decomposition=_decompose_part_a(spec))
 
     hc = hamiltonian_cycle_semicomplete(T)

@@ -157,57 +157,69 @@ def is_semicomplete(d: Digraph) -> bool:
     )
 
 
-def _max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> int:
-    """Unit-capacity max-flow from s to t by BFS augmentation."""
-    # residual adjacency: cap 1 forward per arc, 0 backward
-    cap: dict[Arc, int] = {}
-    adj: list[set[int]] = [set() for _ in range(d.n)]
-    for u, v in d.arcs:
-        cap[(u, v)] = 1
-        cap.setdefault((v, u), 0)
-        adj[u].add(v)
-        adj[v].add(u)
+def _arc_disjoint_paths(d: Digraph, s: int, t: int, cap: int) -> int:
+    """min(cap, max number of arc-disjoint s->t paths), by BFS augmentation.
+
+    The flow is the set of arcs it uses; the residual digraph has u->w for
+    every free arc (u,w) and w->u for every used arc (u,w).
+    """
+    out_adj, in_adj = d.out_neighbors, d.in_neighbors
+    used: set[Arc] = set()
     flow = 0
-    while True:
-        prev = {s: s}
+    while flow < cap:
+        prev: dict[int, Optional[Arc]] = {s: None}  # residual arc that reached each vertex
         queue = [s]
-        while queue and t not in prev:
-            nxt = []
-            for u in queue:
-                for v in sorted(adj[u]):
-                    if v not in prev and cap.get((u, v), 0) > 0:
-                        prev[v] = u
-                        nxt.append(v)
-            queue = nxt
-        if t not in prev:
+        for u in queue:
+            for w in out_adj[u]:
+                if w not in prev and (u, w) not in used:
+                    prev[w] = (u, w)
+                    queue.append(w)
+            for w in in_adj[u]:
+                if w not in prev and (w, u) in used:
+                    prev[w] = (w, u)
+                    queue.append(w)
+            if t in prev:
+                break
+        else:  # t is unreachable: the flow is maximum
             return flow
         v = t
         while v != s:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
+            arc = prev[v]
+            if arc in used:  # reached backwards: cancel the flow on it
+                used.remove(arc)
+                v = arc[1]
+            else:
+                used.add(arc)
+                v = arc[0]
         flow += 1
+    return flow
+
+
+def is_k_arc_strong(d: Digraph, k: int) -> bool:
+    """d stays strong after deleting any k-1 arcs.
+
+    By Schnorr's lemma, k arc-disjoint paths from each vertex to the next in
+    one cyclic order suffice: every cut separates some consecutive pair.
+    """
+    if d.n < 2:
+        raise ValueError("undefined for trivial digraph")
+    return k <= 0 or all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k) == k for v in range(d.n))
 
 
 def arc_connectivity(d: Digraph) -> int:
     """Largest k such that d stays strong after deleting any k-1 arcs.
 
-    Minimum over all ordered pairs of the max number of arc-disjoint paths.
+    The minimum of the flows from each vertex to the next in one cyclic order
+    (see is_k_arc_strong), each capped at the minimum so far, which starts at
+    the minimum in- or out-degree.
     """
     if d.n < 2:
         raise ValueError("undefined for trivial digraph")
-    best = None
-    for s in range(d.n):
-        for t in range(d.n):
-            if s == t:
-                continue
-            k = _max_arc_disjoint_paths(d, s, t)
-            if best is None or k < best:
-                best = k
-            if best == 0:
-                return 0
-    assert best is not None
+    best = min(min(len(o), len(i)) for o, i in zip(d.out_neighbors, d.in_neighbors))
+    for v in range(d.n):
+        if best == 0:
+            break
+        best = _arc_disjoint_paths(d, v, (v + 1) % d.n, best)
     return best
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .decomp import Decomposition, verify
-from .digraph import Digraph, arc_connectivity, is_isomorphic_small, is_strong
+from .digraph import Digraph, is_isomorphic_small, is_k_arc_strong
 
 from . import _kernel_py as _impl
 
@@ -34,6 +34,7 @@ class OracleReport:
     decomposition: Optional[Decomposition]
     nodes_explored: int
     elapsed: float
+    reason: Optional[str] = None  # for "none": "degree" | "arc-connectivity" | "exhausted"
 
 
 def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
@@ -48,11 +49,10 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         dec = Decomposition(d, frozenset(), frozenset())
         return OracleReport("found", dec, 0, time.perf_counter() - start)
     # every digraph with a good decomposition is 2-arc-strong
-    if (
-        any(min(d.in_degree(v), d.out_degree(v)) < 2 for v in range(d.n))
-        or arc_connectivity(d) < 2
-    ):
-        return OracleReport("none", None, 0, time.perf_counter() - start)
+    if any(min(d.in_degree(v), d.out_degree(v)) < 2 for v in range(d.n)):
+        return OracleReport("none", None, 0, time.perf_counter() - start, "degree")
+    if not is_k_arc_strong(d, 2):
+        return OracleReport("none", None, 0, time.perf_counter() - start, "arc-connectivity")
     arcs = d.sorted_arcs()
     status, i1, i2, nodes = _impl.search(d.n, arcs, budget)
     elapsed = time.perf_counter() - start
@@ -65,7 +65,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         return OracleReport("found", dec, nodes, elapsed)
     if status == _impl.ABORTED:
         return OracleReport("aborted", None, nodes, elapsed)
-    return OracleReport("none", None, nodes, elapsed)
+    return OracleReport("none", None, nodes, elapsed, "exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +109,8 @@ def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]
         ):
             continue
         d = Digraph(n, arcs)
-        if min_arc_strong > 0:
-            if not is_strong(d) or arc_connectivity(d) < min_arc_strong:
-                continue
+        if min_arc_strong > 0 and not is_k_arc_strong(d, min_arc_strong):
+            continue
         key = _iso_key(d)
         bucket = seen.setdefault(key, [])
         if any(is_isomorphic_small(d, rep) for rep in bucket):

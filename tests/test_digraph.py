@@ -11,6 +11,7 @@ from gooddecomp import (
     empty,
     find_isomorphism,
     is_isomorphic_small,
+    is_k_arc_strong,
     is_semicomplete,
     is_strong,
     path,
@@ -96,17 +97,24 @@ class TestArcConnectivity:
     def test_trivial_order_rejected(self):
         with pytest.raises(ValueError):
             arc_connectivity(Digraph(1, []))
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                is_k_arc_strong(Digraph(n, []), 2)
 
     def test_matches_bruteforce_small(self, rng):
         checked = 0
         for d in all_digraphs_on_arcs(3, 6):
-            assert arc_connectivity(d) == arc_connectivity_bruteforce(d)
+            expected = arc_connectivity_bruteforce(d)
+            assert arc_connectivity(d) == expected
+            assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
             checked += 1
         assert checked > 50
         for _ in range(25):
             d = random_strong_digraph(rng, 4)
             if d.m <= 10:
-                assert arc_connectivity(d) == arc_connectivity_bruteforce(d)
+                expected = arc_connectivity_bruteforce(d)
+                assert arc_connectivity(d) == expected
+                assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
 
 
 class TestIsomorphism:

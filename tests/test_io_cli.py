@@ -18,7 +18,9 @@ from gooddecomp import (
     render_edge_list,
     s4,
 )
+from gooddecomp import cli
 from gooddecomp.cli import run_command
+from gooddecomp.decomp import ConstructionError
 from gooddecomp.io import ParseError
 
 from conftest import random_strong_digraph
@@ -122,6 +124,16 @@ class TestCli:
     def test_ham_cartesian(self, capsys):
         assert run_command(["ham-cartesian", "2", "3"]) == 0
         assert capsys.readouterr().out.strip() == "non-hamiltonian"
+
+    @pytest.mark.parametrize("exc", [ConstructionError("bad side"), RecursionError("too deep")])
+    def test_internal_errors_without_traceback(self, monkeypatch, capsys, exc):
+        def broken(p, q):
+            raise exc
+
+        monkeypatch.setattr(cli, "trotter_erdos_hamiltonian", broken)
+        assert run_command(["ham-cartesian", "2", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -89,7 +89,8 @@ def _signature(d: Digraph) -> tuple:
 
 class TestOracle:
     def test_s4_none(self):
-        assert oracle_good_decomposition(s4()).outcome == "none"
+        rep = oracle_good_decomposition(s4())
+        assert (rep.outcome, rep.reason) == ("none", "exhausted")
 
     def test_exceptions_none(self):
         for tag in ("C3_K2_K2_K2", "C3_P2_K2_K2", "C3_K2_K2_K3"):
@@ -97,7 +98,7 @@ class TestOracle:
 
     def test_complete4_found_and_verified(self):
         rep = oracle_good_decomposition(complete(4))
-        assert rep.outcome == "found"
+        assert rep.outcome == "found" and rep.reason is None
         assert verify(complete(4), rep.decomposition.a1, rep.decomposition.a2)
 
     def test_trivial_order(self):
@@ -106,7 +107,14 @@ class TestOracle:
 
     def test_degree_precheck(self):
         rep = oracle_good_decomposition(cycle(5))
-        assert rep.outcome == "none" and rep.nodes_explored == 0
+        assert rep.outcome == "none" and rep.nodes_explored == 0 and rep.reason == "degree"
+
+    def test_arc_connectivity_precheck(self):
+        # two complete triangles joined by one arc each way: degrees >= 2, lambda = 1
+        k3 = complete(3).arcs
+        d = Digraph(6, k3 | {(u + 3, v + 3) for u, v in k3} | {(0, 3), (3, 0)})
+        rep = oracle_good_decomposition(d)
+        assert (rep.outcome, rep.reason, rep.nodes_explored) == ("none", "arc-connectivity", 0)
 
     def test_budget_abort(self):
         rep = oracle_good_decomposition(exception_digraph("C3_K2_K2_K3"), budget=10)

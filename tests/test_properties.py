@@ -7,6 +7,7 @@ from gooddecomp import (
     Digraph,
     arc_connectivity,
     cartesian_product,
+    is_k_arc_strong,
     is_strong,
     lexicographic_product,
     oracle_good_decomposition,
@@ -59,6 +60,7 @@ def test_relabel_preserves_everything(d, perm):
     assert is_strong(r) == is_strong(d)
     assert is_isomorphic_small(d, r)
     assert arc_connectivity(r) == arc_connectivity(d)
+    assert is_k_arc_strong(r, 2) == is_k_arc_strong(d, 2)
 
 
 @settings(max_examples=25, deadline=None)
