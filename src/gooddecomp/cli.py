@@ -21,7 +21,6 @@ from .decomp import (
     Decomposition,
     characterize_semicomplete_composition,
     decompose_cartesian_power,
-    decompose_cartesian_square,
     decompose_composition,
     decompose_lexicographic,
     decompose_strong_product,
@@ -30,7 +29,6 @@ from .decomp import (
     verify_decomposition,
 )
 from .digraph import Digraph, arc_connectivity, is_semicomplete, is_strong
-from .flows import cover_network, cycle_cover, infeasibility_cut
 from .io import ParseError, parse_decomposition, parse_edge_list, render_decomposition, \
     render_edge_list
 from .oracle import oracle_good_decomposition
@@ -83,7 +81,8 @@ def _cmd_product(args) -> int:
     g = _load_digraph(args.a)
     if args.power is not None:
         if args.op != "cartesian":
-            raise Refusal("usage", "--power applies to the cartesian product only")
+            print("product: --power applies to the cartesian product only", file=sys.stderr)
+            return USAGE
         built = cartesian_power(g, args.power)
     else:
         if args.b is None:
@@ -113,14 +112,11 @@ def _emit(dec: Decomposition) -> int:
     return OK
 
 
-def _decompose_auto(d: Digraph, budget: int) -> int:
-    matched = match_exception(d)
-    if matched is not None:
-        raise Refusal(f"exception:{matched[0]}")
-    report = oracle_good_decomposition(d, budget=budget)
-    if report.outcome == "found":
-        return _emit(report.decomposition)
-    raise Refusal(report.outcome)
+def _decompose_power(d: Digraph, k: int) -> int:
+    try:
+        return _emit(decompose_cartesian_power(d, k))
+    except CycleCoverInfeasible as exc:
+        raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(exc.cut)}")
 
 
 def _cmd_decompose(args) -> int:
@@ -149,12 +145,11 @@ def _cmd_decompose(args) -> int:
             raise Refusal("not-covered")
         return _emit(dec)
     if strategy == "cartesian-square":
-        return _emit(_square_or_refuse(d))
+        if d.n < 2 or not is_strong(d):
+            raise Refusal("not-covered", "digraph is not strong of order >= 2")
+        return _decompose_power(d, 2)
     if strategy == "cartesian-power":
-        try:
-            return _emit(decompose_cartesian_power(d, args.power or 2))
-        except CycleCoverInfeasible as exc:
-            raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(exc.cut)}")
+        return _decompose_power(d, 2 if args.power is None else args.power)
     if strategy in ("strong-product", "lex"):
         if args.factor is None:
             print(f"decompose: --strategy {strategy} needs --factor", file=sys.stderr)
@@ -162,25 +157,15 @@ def _cmd_decompose(args) -> int:
         h = _load_digraph(args.factor)
         if strategy == "strong-product":
             return _emit(decompose_strong_product(d, h))
-        parts = decompose_lexicographic(d, h)
-        host = lexicographic_product(d, h).digraph
-        return _emit(Decomposition(host, parts[0], parts[1]))
-    if strategy == "oracle":
-        report = oracle_good_decomposition(d, budget=args.budget)
-        if report.outcome == "found":
-            return _emit(report.decomposition)
-        raise Refusal(report.outcome)
-    return _decompose_auto(d, args.budget)
-
-
-def _square_or_refuse(d: Digraph) -> Decomposition:
-    if d.n < 2 or not is_strong(d):
-        raise Refusal("not-covered", "digraph is not strong of order >= 2")
-    cover = cycle_cover(d)
-    if cover is None:
-        cut = infeasibility_cut(cover_network(d))
-        raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(cut)}")
-    return decompose_cartesian_square(d, cover)
+        return _emit(decompose_lexicographic(d, h))
+    if strategy == "auto":
+        matched = match_exception(d)
+        if matched is not None:
+            raise Refusal(f"exception:{matched[0]}")
+    report = oracle_good_decomposition(d, budget=args.budget)
+    if report.outcome == "found":
+        return _emit(report.decomposition)
+    raise Refusal(report.outcome)
 
 
 def _cmd_verify(args) -> int:

@@ -2,8 +2,10 @@
 
 A good decomposition of a digraph is a pair of disjoint arc sets A1, A2 such
 that both (V, A1) and (V, A2) are strong spanning subdigraphs; arcs may stay
-unused.  Every decomposer here is fail-closed: results are verified before
-they are returned and a ConstructionError signals an internal bug.
+unused.  A Decomposition generalizes this to k >= 2 pairwise disjoint parts
+A1..Ak (the lexicographic product packs ell+1 of them).  Every decomposer here
+is fail-closed: results are verified before they are returned and a
+ConstructionError signals an internal bug.
 
 Composition constructions work on the two-vertices-per-block skeleton (plus
 explicitly consumed inner arcs) and are lifted to the full composition by the
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .builders import (
+    Built,
     CompositionSpec,
     cartesian_product,
     compose,
@@ -68,9 +71,23 @@ class CycleCoverInfeasible(ValueError):
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Pairwise disjoint arc sets parts[0..k-1] (sections A1..Ak) of host,
+    k >= 2, each meant to span a strong subdigraph; verify checks that."""
+
     host: Digraph
-    a1: frozenset[Arc]
-    a2: frozenset[Arc]
+    parts: tuple[frozenset[Arc], ...]
+
+    def __post_init__(self):
+        if len(self.parts) < 2:
+            raise ValueError("a decomposition needs at least two parts")
+
+    @property
+    def a1(self) -> frozenset[Arc]:
+        return self.parts[0]
+
+    @property
+    def a2(self) -> frozenset[Arc]:
+        return self.parts[1]
 
 
 @dataclass(frozen=True)
@@ -82,16 +99,22 @@ class VerifyResult:
         return self.ok
 
 
-def verify(host: Digraph, a1: frozenset[Arc], a2: frozenset[Arc]) -> VerifyResult:
-    """Check the good-decomposition invariants, naming the first violation."""
-    for name, side in (("A1", a1), ("A2", a2)):
-        stray = sorted(set(side) - host.arcs)
+def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
+    """Check that parts A1..Ak (k >= 2) are pairwise disjoint arc sets of
+    host spanning strong subdigraphs, naming the first violation."""
+    if len(parts) < 2:
+        return VerifyResult(False, f"needs at least two parts, got {len(parts)}")
+    named = [(f"A{k}", set(side)) for k, side in enumerate(parts, start=1)]
+    for name, side in named:
+        stray = sorted(side - host.arcs)
         if stray:
             return VerifyResult(False, f"{name} arc {stray[0]} not in host")
-    overlap = sorted(set(a1) & set(a2))
-    if overlap:
-        return VerifyResult(False, f"sides overlap on arc {overlap[0]}")
-    for name, side in (("A1", a1), ("A2", a2)):
+    for (n1, s1), (n2, s2) in itertools.combinations(named, 2):
+        overlap = sorted(s1 & s2)
+        if overlap:
+            which = "" if len(parts) == 2 else f" {n1} and {n2}"
+            return VerifyResult(False, f"sides{which} overlap on arc {overlap[0]}")
+    for name, side in named:
         sub = Digraph(host.n, side)
         if not is_strong(sub):
             pair = _unreachable_pair(sub)
@@ -109,15 +132,15 @@ def _unreachable_pair(d: Digraph) -> tuple[int, int]:
 
 
 def verify_decomposition(d: Decomposition) -> VerifyResult:
-    return verify(d.host, d.a1, d.a2)
+    return verify(d.host, *d.parts)
 
 
-def _checked(host: Digraph, a1, a2) -> Decomposition:
-    a1, a2 = frozenset(a1), frozenset(a2)
-    res = verify(host, a1, a2)
+def _checked(host: Digraph, *parts) -> Decomposition:
+    parts = tuple(frozenset(p) for p in parts)
+    res = verify(host, *parts)
     if not res:
         raise ConstructionError(f"construction failed verification: {res.reason}")
-    return Decomposition(host, a1, a2)
+    return Decomposition(host, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +173,14 @@ def _coords_to_arcs(side: set[CoordArc], cmap) -> set[Arc]:
 
 def _finish_composition(
     spec: CompositionSpec,
+    built: Built,
     side1: set[CoordArc],
     side2: set[CoordArc],
     kept: dict[int, Sequence[int]],
 ) -> Decomposition:
-    q, cmap = compose(spec)
+    """Lift skeleton sides on the kept vertices to the composition built
+    from spec."""
+    q, cmap = built
     sizes = spec.sizes
     a1 = _coords_to_arcs(_expand_twins(side1, kept, sizes), cmap)
     a2 = _coords_to_arcs(_expand_twins(side2, kept, sizes), cmap)
@@ -190,11 +216,14 @@ def extend_by_twins(
         return out
 
     kept_dict = {i: list(k) for i, k in enumerate(kept)}
-    return _finish_composition(spec, to_coords(d.a1), to_coords(d.a2), kept_dict)
+    return _finish_composition(spec, compose(spec), to_coords(d.a1), to_coords(d.a2), kept_dict)
 
 
 # ---------------------------------------------------------------------------
-# skeleton constructions for compositions
+# skeleton constructions for compositions: each returns (side1, side2, kept)
+# in coordinate space for _finish_composition to lift
+
+Skeleton = tuple[set[CoordArc], set[CoordArc], dict[int, Sequence[int]]]
 
 def _eq_sides(t: int) -> tuple[set, set]:
     """Side arc sets on the 2-per-block skeleton, in (position, slot) space.
@@ -273,13 +302,13 @@ def _repair_odd_t(
     order: Sequence[int],
     kept: dict[int, Sequence[int]],
     extra_side2: set[CoordArc],
-) -> Decomposition:
+) -> Skeleton:
     """Eq-sides skeleton for odd t with extra arcs stitching side 2's two
     cycles together."""
     side1, side2 = _eq_sides(spec.t)
     c1 = _pos_to_coords(order, kept, side1)
     c2 = _pos_to_coords(order, kept, side2) | extra_side2
-    return _finish_composition(spec, c1, c2, kept)
+    return c1, c2, kept
 
 
 def _case2_arc_pair(spec: CompositionSpec):
@@ -303,6 +332,11 @@ def decompose_comp_hamiltonian(
 
     Returns None when none of the three case preconditions applies.
     """
+    sides = _hamiltonian_sides(spec, hcycle)
+    return None if sides is None else _finish_composition(spec, compose(spec), *sides)
+
+
+def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleton]:
     t = spec.t
     hcycle = tuple(hcycle)
     if len(hcycle) != t or not is_cycle_of(spec.outer, hcycle):
@@ -315,9 +349,7 @@ def decompose_comp_hamiltonian(
     if t % 2 == 0:
         kept = {i: [0, 1] for i in range(t)}
         side1, side2 = _eq_sides(t)
-        return _finish_composition(
-            spec, _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
-        )
+        return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
 
     pair = _case2_arc_pair(spec)
     if pair is not None:
@@ -343,12 +375,7 @@ def decompose_comp_hamiltonian(
             for b in order[1:]:
                 kept[b] = [0, 1, 2]
             side1, side2 = _case3_sides(t)
-            return _finish_composition(
-                spec,
-                _pos_to_coords(order, kept, side1),
-                _pos_to_coords(order, kept, side2),
-                kept,
-            )
+            return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
     return None
 
 
@@ -382,7 +409,7 @@ def _s4_role_map(outer: Digraph, first_role_block: int) -> dict[int, int]:
     raise ConstructionError("outer digraph is not isomorphic to S_4")
 
 
-def _decompose_part_a(spec: CompositionSpec) -> Decomposition:
+def _part_a_sides(spec: CompositionSpec) -> Skeleton:
     """Outer is 2-arc-strong semicomplete (and the composition is not S_4)."""
     from .oracle import oracle_good_decomposition  # local: avoids module cycle
 
@@ -397,7 +424,7 @@ def _decompose_part_a(spec: CompositionSpec) -> Decomposition:
         dec = report.decomposition
         side1 = {((u, 0), (v, 0)) for u, v in dec.a1}
         side2 = {((u, 0), (v, 0)) for u, v in dec.a2}
-        return _finish_composition(spec, side1, side2, kept)
+        return side1, side2, kept
     # outer is S_4 itself: some block has >= 2 vertices, use the explicit
     # five-vertex skeleton with that block doubled
     big = min(i for i in range(spec.t) if spec.sizes[i] >= 2)
@@ -413,7 +440,7 @@ def _decompose_part_a(spec: CompositionSpec) -> Decomposition:
         ((r2, 0), (r1, 0)), ((r1, 0), (r4, 0)), ((r4, 0), (r2, 0)),
         ((r2, 0), (r3, 0)), ((r3, 0), (r1, 1)), ((r1, 1), (r2, 0)),
     }
-    return _finish_composition(spec, side1, side2, kept)
+    return side1, side2, kept
 
 
 def _outer_hamiltonian_cycle(T: Digraph) -> Optional[Cycle]:
@@ -434,9 +461,10 @@ def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
     if T.n >= 2 and is_semicomplete(T) and is_k_arc_strong(T, 2):
-        q, _ = compose(spec)
-        if not (q.n == 4 and q.m == 8 and is_isomorphic_small(q, s4())):
-            return _decompose_part_a(spec)
+        # t >= 3 here, so the composition is S_4 only when T is and every
+        # block is trivial
+        if not (all(n == 1 for n in spec.sizes) and is_isomorphic_small(T, s4())):
+            return _finish_composition(spec, compose(spec), *_part_a_sides(spec))
     hc = _outer_hamiltonian_cycle(T)
     if hc is not None:
         dec = decompose_comp_hamiltonian(spec, hc)
@@ -500,19 +528,26 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
         raise ValueError("requires strong semicomplete outer and nontrivial inners")
     if any(n < 2 for n in spec.sizes):
         raise ValueError("requires strong semicomplete outer and nontrivial inners")
-    q, _ = compose(spec)
-    matched = match_exception(q)
+    built = compose(spec)
+    matched = match_exception(built.digraph)
     if matched is not None:
         tag, witness = matched
         return CharacterizationResult(exception_tag=tag, witness=witness)
+    sides = _characterization_sides(spec)
+    return CharacterizationResult(decomposition=_finish_composition(spec, built, *sides))
 
+
+def _characterization_sides(spec: CompositionSpec) -> Skeleton:
+    """Skeleton for a strong semicomplete outer with nontrivial inners whose
+    composition is not an exception."""
+    T = spec.outer
     if is_k_arc_strong(T, 2):
-        return CharacterizationResult(decomposition=_decompose_part_a(spec))
+        return _part_a_sides(spec)
 
     hc = hamiltonian_cycle_semicomplete(T)
-    dec = decompose_comp_hamiltonian(spec, hc)
-    if dec is not None:
-        return CharacterizationResult(decomposition=dec)
+    sides = _hamiltonian_sides(spec, hc)
+    if sides is not None:
+        return sides
 
     # remaining: odd t, at least two blocks of size 2, at most one inner with
     # arcs (and no digon in it)
@@ -535,9 +570,7 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
                 ((b2, kept[b2][0]), (b0, kept[b0][1])),
                 ((b2, kept[b2][1]), (b0, kept[b0][0])),
             }
-        return CharacterizationResult(
-            decomposition=_repair_odd_t(spec, order, kept, extras)
-        )
+        return _repair_odd_t(spec, order, kept, extras)
 
     # t == 3 from here on
     off_cycle = sorted(T.arcs - set(cycle_arcs(hc)))
@@ -557,9 +590,7 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
             for k in (0, 1)
             if not in_c(a, j) and in_c(b, k)
         )
-        return CharacterizationResult(
-            decomposition=_repair_odd_t(spec, order, kept, {c_to_z, z_to_c})
-        )
+        return _repair_odd_t(spec, order, kept, {c_to_z, z_to_c})
 
     # outer is exactly the directed triangle; rotate the big block to the end
     sizes = spec.sizes
@@ -580,14 +611,7 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
             ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
             ((1, 0), (2, 2)), ((2, 2), (0, 0)), ((1, 1), (2, 3)), ((2, 3), (0, 1)),
         }
-        return CharacterizationResult(
-            decomposition=_finish_composition(
-                spec,
-                _pos_to_coords(order, kept, side1),
-                _pos_to_coords(order, kept, side2),
-                kept,
-            )
-        )
+        return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
 
     arc_blocks = [i for i in range(3) if spec.inners[i].arcs]
     if not arc_blocks:
@@ -619,9 +643,7 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
         }
         c1 = _pos_to_coords(order, kept, side1)
         c2 = _pos_to_coords(order, kept, side2) | {((blk, ax), (blk, ay))}
-        return CharacterizationResult(
-            decomposition=_finish_composition(spec, c1, c2, kept)
-        )
+        return c1, c2, kept
 
     # all blocks of size 2: the single arc-carrying inner must be a digon
     # (one lone arc would have matched the second exception)
@@ -633,9 +655,7 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     else:
         kept[blk] = [ay, ax]
     extras = {((blk, ax), (blk, ay)), ((blk, ay), (blk, ax))}
-    return CharacterizationResult(
-        decomposition=_repair_odd_t(spec, order, kept, extras)
-    )
+    return _repair_odd_t(spec, order, kept, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +734,10 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
     first = ordered[0]
     d1, d2 = _cycle_square_sides(first, emb)
     vset = set(first)
-    arcs_so_far = {(first[i], first[(i + 1) % len(first)]) for i in range(len(first))}
+    arcs_so_far = set(cycle_arcs(first))
 
     for cyc in ordered[1:]:
-        cyc_arcs = {(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
+        cyc_arcs = set(cycle_arcs(cyc))
         cset = set(cyc)
         if vset <= cset:
             d1, d2 = _cycle_square_sides(cyc, emb)
@@ -835,9 +855,9 @@ def decompose_strong_product(g: Digraph, h: Digraph) -> Decomposition:
 
 def decompose_lexicographic(
     g: Digraph, h: Digraph, ell_parts: Optional[Sequence[frozenset[Arc]]] = None
-) -> list[frozenset[Arc]]:
-    """ell+1 pairwise arc-disjoint strong spanning arc sets of the
-    lexicographic product, given ell such arc sets of h (default: h itself).
+) -> Decomposition:
+    """Decomposition of the lexicographic product into ell+1 parts, given ell
+    pairwise arc-disjoint strong spanning arc sets of h (default: h itself).
 
     Two parts come from the strong product of g with h's first part; each
     further part is its own block copies threaded through the composition
@@ -863,7 +883,7 @@ def decompose_lexicographic(
     host, cmap = lexicographic_product(g, h)
     emb = cmap.vid
     base = decompose_strong_product(g, Digraph(h.n, parts_h[0]))
-    out = [base.a1, base.a2]
+    out = list(base.parts)
     for part in parts_h[1:]:
         arcs: set[Arc] = set()
         for x in range(g.n):
@@ -872,16 +892,8 @@ def decompose_lexicographic(
         for x, y in g.arcs:
             for z, w in part:
                 arcs.add((emb(x, z), emb(y, w)))
-        out.append(frozenset(arcs))
-
-    used: set[Arc] = set()
-    for k, part in enumerate(out):
-        if not part <= host.arcs or used & part:
-            raise ConstructionError("lexicographic parts overlap or escape the host")
-        if not is_strong(Digraph(host.n, part)):
-            raise ConstructionError(f"lexicographic part {k} is not strong")
-        used |= part
-    return out
+        out.append(arcs)
+    return _checked(host, *out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ vertex splitting) and every arc bounds [0, 1] has a feasible circulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from .digraph import Digraph, is_strong
+from .structure import cycle_arcs
 
 Node = Hashable
 
@@ -41,16 +42,9 @@ class FlowNetwork:
                 raise ValueError(f"arc {a} uses unknown node")
 
 
-class Infeasible(Exception):
-    """Raised where a certificate is needed; carries the unsatisfiable cut side."""
-
-    def __init__(self, message: str, cut: frozenset):
-        super().__init__(message)
-        self.cut = cut
-
-
-def _max_flow(n_ids: int, cap: list[dict[int, int]], s: int, t: int) -> tuple[int, list[dict[int, int]]]:
-    """BFS-augmenting max flow on an adjacency-dict capacity matrix (mutated)."""
+def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> int:
+    """BFS-augmenting max flow on an adjacency-dict capacity matrix (mutated
+    into the residual capacities)."""
     total = 0
     while True:
         prev: dict[int, int] = {s: s}
@@ -64,7 +58,7 @@ def _max_flow(n_ids: int, cap: list[dict[int, int]], s: int, t: int) -> tuple[in
                         nxt.append(v)
             queue = nxt
         if t not in prev:
-            return total, cap
+            return total
         # bottleneck along the path
         path = []
         v = t
@@ -79,73 +73,64 @@ def _max_flow(n_ids: int, cap: list[dict[int, int]], s: int, t: int) -> tuple[in
         total += aug
 
 
+def _lower_bound_reduction(net: FlowNetwork) -> tuple[list[dict[int, int]], list[tuple[int, int]], int]:
+    """Standard lower-bound reduction to a max-flow problem.
+
+    Node i is net.nodes[i]; every arc keeps capacity upper - lower, and the
+    lower bounds are shipped from a super source n to a super sink n + 1.
+    Returns the capacities, each arc's (tail, head) ids and the total the
+    source must ship: the circulation is feasible iff the max flow reaches it.
+    """
+    index = {node: i for i, node in enumerate(net.nodes)}
+    n = len(net.nodes)
+    cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
+    excess = [0] * n
+    arc_pairs = []
+    for a in net.arcs:
+        u, v = index[a.tail], index[a.head]
+        cap[u][v] = cap[u].get(v, 0) + a.upper - a.lower
+        excess[v] += a.lower
+        excess[u] -= a.lower
+        arc_pairs.append((u, v))
+    for v in range(n):
+        if excess[v] > 0:
+            cap[n][v] = excess[v]
+        elif excess[v] < 0:
+            cap[v][n + 1] = -excess[v]
+    return cap, arc_pairs, sum(e for e in excess if e > 0)
+
+
 def feasible_circulation(net: FlowNetwork) -> Optional[dict[int, int]]:
     """Integral circulation meeting all bounds, or None if infeasible.
 
     Returns flow values indexed by position in net.arcs.
     """
-    index = {node: i for i, node in enumerate(net.nodes)}
+    cap, arc_pairs, need = _lower_bound_reduction(net)
+    # parallel arcs between the same node pair share a capacity entry, so
+    # record the initial capacities
+    initial = {(u, v): cap[u][v] for u, v in set(arc_pairs)}
     n = len(net.nodes)
-    s, t = n, n + 1
-    cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
-
-    def add(u: int, v: int, c: int):
-        cap[u][v] = cap[u].get(v, 0) + c
-
-    # standard lower-bound reduction: ship lower bounds via super source/sink
-    excess = [0] * n
-    # remember where each original arc's residual capacity lives; parallel arcs
-    # between the same node pair share a capacity entry, so record initial caps
-    arc_pairs = []
-    for a in net.arcs:
-        u, v = index[a.tail], index[a.head]
-        add(u, v, a.upper - a.lower)
-        excess[v] += a.lower
-        excess[u] -= a.lower
-        arc_pairs.append((u, v))
-    need = 0
-    for v in range(n):
-        if excess[v] > 0:
-            add(s, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            add(v, t, -excess[v])
-    initial = {(u, v): cap[u].get(v, 0) for u, v in set(arc_pairs)}
-    total, cap = _max_flow(n + 2, cap, s, t)
-    if total < need:
+    if _max_flow(cap, n, n + 1) < need:
         return None
     # flow on the reduced arc (u,v) = initial - residual, split greedily over
     # the parallel originals within their individual spans
-    used = {(u, v): initial[(u, v)] - cap[u].get(v, 0) for u, v in set(arc_pairs)}
+    used = {(u, v): initial[(u, v)] - cap[u][v] for u, v in initial}
     flows = {}
     for i, a in enumerate(net.arcs):
         u, v = arc_pairs[i]
-        span = min(a.upper - a.lower, used.get((u, v), 0))
-        used[(u, v)] = used.get((u, v), 0) - span
+        span = min(a.upper - a.lower, used[(u, v)])
+        used[(u, v)] -= span
         flows[i] = a.lower + span
     return flows
 
 
 def infeasibility_cut(net: FlowNetwork) -> frozenset:
     """Source-side node set of the saturating min cut (for infeasible nets)."""
-    index = {node: i for i, node in enumerate(net.nodes)}
+    cap, _, _ = _lower_bound_reduction(net)
     n = len(net.nodes)
-    s, t = n, n + 1
-    cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
-    excess = [0] * n
-    for a in net.arcs:
-        u, v = index[a.tail], index[a.head]
-        cap[u][v] = cap[u].get(v, 0) + a.upper - a.lower
-        excess[v] += a.lower
-        excess[u] -= a.lower
-    for v in range(n):
-        if excess[v] > 0:
-            cap[s][v] = cap[s].get(v, 0) + excess[v]
-        elif excess[v] < 0:
-            cap[v][t] = cap[v].get(t, 0) - excess[v]
-    _max_flow(n + 2, cap, s, t)
-    seen = {s}
-    stack = [s]
+    _max_flow(cap, n, n + 1)
+    seen = {n}
+    stack = [n]
     while stack:
         u = stack.pop()
         for v, c in cap[u].items():
@@ -165,11 +150,7 @@ class CycleCover:
     cycles: tuple[tuple[int, ...], ...]
 
     def arcs_of(self, k: int) -> list[tuple[int, int]]:
-        cyc = self.cycles[k]
-        return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-
-    def all_arcs(self) -> list[tuple[int, int]]:
-        return [a for k in range(len(self.cycles)) for a in self.arcs_of(k)]
+        return cycle_arcs(self.cycles[k])
 
 
 def cover_network(d: Digraph) -> FlowNetwork:

@@ -1,12 +1,14 @@
 """Edge-list and decomposition file formats plus DOT export.
 
 Edge list: a header line "n m" followed by m lines "u v"; '#' starts a
-comment line; blank lines are ignored.  Decomposition documents carry three
-sections HOST (an edge list), A1 and A2 (arc lines).
+comment line; blank lines are ignored.  Decomposition documents carry a
+section HOST (an edge list) and sections A1, ..., Ak (arc lines, k >= 2).
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from typing import Optional
 
 from .decomp import Decomposition
@@ -77,14 +79,14 @@ def render_edge_list(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-SECTION_NAMES = ("HOST", "A1", "A2")
+SECTION_NAME = re.compile(r"HOST|A[1-9][0-9]*")
 
 
 def parse_decomposition(text: str) -> Decomposition:
     sections: dict[str, list[tuple[int, str]]] = {}
     current: Optional[str] = None
     for lineno, line in _content_lines(text):
-        if line in SECTION_NAMES:
+        if SECTION_NAME.fullmatch(line):
             if line in sections:
                 raise ParseError(f"duplicate section {line}", lineno)
             current = line
@@ -93,7 +95,9 @@ def parse_decomposition(text: str) -> Decomposition:
             raise ParseError(f"content before any section: {line!r}", lineno)
         else:
             sections[current].append((lineno, line))
-    for name in SECTION_NAMES:
+    k = max(2, len(sections) - 1)
+    names = [f"A{i}" for i in range(1, k + 1)]
+    for name in ["HOST"] + names:
         if name not in sections:
             raise ParseError(f"missing section {name}", 1)
     host = _parse_edge_lines(sections["HOST"])
@@ -107,17 +111,18 @@ def parse_decomposition(text: str) -> Decomposition:
             arcs.add(a)
         return frozenset(arcs)
 
-    a1, a2 = arc_set("A1"), arc_set("A2")
-    shared = sorted(a1 & a2)
-    if shared:
-        raise ParseError(f"A1 and A2 share arc {shared[0]}", 1)
-    return Decomposition(host, a1, a2)
+    parts = [arc_set(name) for name in names]
+    for (n1, p1), (n2, p2) in itertools.combinations(zip(names, parts), 2):
+        shared = sorted(p1 & p2)
+        if shared:
+            raise ParseError(f"{n1} and {n2} share arc {shared[0]}", 1)
+    return Decomposition(host, tuple(parts))
 
 
 def render_decomposition(dec: Decomposition) -> str:
     lines = ["HOST", render_edge_list(dec.host).rstrip("\n")]
-    for name, side in (("A1", dec.a1), ("A2", dec.a2)):
-        lines.append(name)
+    for k, side in enumerate(dec.parts, start=1):
+        lines.append(f"A{k}")
         lines += [f"{u} {v}" for u, v in sorted(side)]
     return "\n".join(lines) + "\n"
 

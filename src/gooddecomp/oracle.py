@@ -46,7 +46,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     """
     start = time.perf_counter()
     if d.n <= 1:
-        dec = Decomposition(d, frozenset(), frozenset())
+        dec = Decomposition(d, (frozenset(), frozenset()))
         return OracleReport("found", dec, 0, time.perf_counter() - start)
     # every digraph with a good decomposition is 2-arc-strong
     if any(min(d.in_degree(v), d.out_degree(v)) < 2 for v in range(d.n)):
@@ -59,7 +59,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     if status == _impl.FOUND:
         a1 = frozenset(arcs[i] for i in i1)
         a2 = frozenset(arcs[i] for i in i2)
-        dec = Decomposition(d, a1, a2)
+        dec = Decomposition(d, (a1, a2))
         check = verify(d, a1, a2)
         assert check.ok, f"kernel returned invalid decomposition: {check.reason}"
         return OracleReport("found", dec, nodes, elapsed)

@@ -40,11 +40,9 @@ class Ear:
     closed: bool
 
     def arcs(self) -> list[Arc]:
-        vs = self.vertices
-        pairs = list(zip(vs, vs[1:]))
         if self.closed:
-            pairs.append((vs[-1], vs[0]))
-        return pairs
+            return cycle_arcs(self.vertices)
+        return list(zip(self.vertices, self.vertices[1:]))
 
 
 @dataclass(frozen=True)

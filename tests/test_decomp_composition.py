@@ -11,6 +11,7 @@ from gooddecomp import (
     decompose_comp_hamiltonian,
     decompose_comp_strong_parts,
     decompose_composition,
+    decompose_lexicographic,
     empty,
     exception_digraph,
     extend_by_twins,
@@ -63,6 +64,27 @@ class TestVerify:
         res = verify(d, frozenset({(0, 1), (0, 2), (1, 0)}), frozenset())
         assert not res.ok and res.reason == "A1 not strong: no path 2->0"
 
+    def test_k_parts_name_the_failing_part(self):
+        halves = [frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})]
+        dec = decompose_lexicographic(cycle(3), complete(3), halves)
+        p1, p2, p3 = dec.parts
+        assert verify(dec.host, p1, p2, p3).ok
+        shared = min(p1)
+        res = verify(dec.host, p1, p2, p3 | {shared})
+        assert res.reason == f"sides A1 and A3 overlap on arc {shared}"
+        res = verify(dec.host, p1, p2, frozenset())
+        assert res.reason == "A3 not strong: no path 0->1"
+        res = verify(dec.host, p1, p2, p3 | {(3, 0)})  # block 1 to block 0
+        assert res.reason == "A3 arc (3, 0) not in host"
+
+    def test_fewer_than_two_parts(self):
+        d = complete(3)
+        assert not verify(d).ok
+        res = verify(d, d.arcs)
+        assert not res.ok and res.reason == "needs at least two parts, got 1"
+        with pytest.raises(ValueError):
+            Decomposition(d, (frozenset(d.arcs),))
+
 
 class TestEqSides:
     @pytest.mark.parametrize("t", [2, 4, 6])
@@ -94,7 +116,7 @@ class TestExtendByTwins:
               (u(3, 0), u(2, 0)), (u(2, 0), u(0, 0))}
         a2 = {(u(1, 0), u(0, 0)), (u(0, 0), u(3, 0)), (u(3, 0), u(1, 0)),
               (u(1, 0), u(2, 0)), (u(2, 0), u(0, 1)), (u(0, 1), u(1, 0))}
-        dec = Decomposition(qstar, frozenset(a1), frozenset(a2))
+        dec = Decomposition(qstar, (frozenset(a1), frozenset(a2)))
         assert verify_decomposition(dec).ok
         big = extend_by_twins(qstar, dec, spec, [[0, 1], [0], [0], [0]])
         assert big.host.n == 6 and verify_decomposition(big).ok

@@ -99,7 +99,7 @@ class TestGoodFactor:
         from gooddecomp import Decomposition
 
         dk = Decomposition(
-            g, frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})
+            g, (frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)}))
         )
         dec = decompose_cartesian_with_good_factor(g, dk, cycle(5))
         assert dec.host.n == 15 and verify_decomposition(dec).ok
@@ -109,7 +109,7 @@ class TestGoodFactor:
 
         g = complete(3)
         dk = Decomposition(
-            g, frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})
+            g, (frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)}))
         )
         with pytest.raises(ValueError):
             decompose_cartesian_with_good_factor(g, dk, Digraph(1, []))
@@ -181,11 +181,11 @@ class TestStrongProductGeneral:
 
 class TestLexicographic:
     def test_default_two_parts(self):
-        parts = decompose_lexicographic(cycle(3), cycle(2))
+        dec = decompose_lexicographic(cycle(3), cycle(2))
         host = lexicographic_product(cycle(3), cycle(2)).digraph
-        assert len(parts) == 2
-        assert not (parts[0] & parts[1])
-        for p in parts:
+        assert dec.host == host and len(dec.parts) == 2
+        assert not (dec.parts[0] & dec.parts[1])
+        for p in dec.parts:
             assert p <= host.arcs and is_strong(Digraph(host.n, p))
 
     def test_three_parts_from_split_k3(self):
@@ -193,13 +193,14 @@ class TestLexicographic:
             frozenset({(0, 1), (1, 2), (2, 0)}),
             frozenset({(0, 2), (2, 1), (1, 0)}),
         ]
-        parts = decompose_lexicographic(cycle(3), complete(3), halves)
+        dec = decompose_lexicographic(cycle(3), complete(3), halves)
         host = lexicographic_product(cycle(3), complete(3)).digraph
-        assert len(parts) == 3  # ell+1
+        assert dec.host == host and len(dec.parts) == 3  # ell+1
         claimed = set()
-        for p in parts:
+        for p in dec.parts:
             assert not (claimed & p) and is_strong(Digraph(host.n, p))
             claimed |= p
+        assert verify_decomposition(dec).ok
 
     def test_overlapping_parts_rejected(self):
         half = frozenset({(0, 1), (1, 2), (2, 0)})
@@ -214,10 +215,11 @@ class TestLexicographic:
         for _ in range(15):
             g = random_strong_digraph(rng, 4)
             h = random_strong_digraph(rng, 4)
-            parts = decompose_lexicographic(g, h)
+            dec = decompose_lexicographic(g, h)
             host = lexicographic_product(g, h).digraph
-            assert len(parts) == 2 and not (parts[0] & parts[1])
-            assert all(is_strong(Digraph(host.n, p)) for p in parts)
+            assert dec.host == host and len(dec.parts) == 2
+            assert not (dec.parts[0] & dec.parts[1])
+            assert all(is_strong(Digraph(host.n, p)) for p in dec.parts)
 
 
 class TestTrotterErdos:

@@ -39,6 +39,14 @@ def _check_flow(net: FlowNetwork, flows: dict[int, int]) -> None:
     assert all(b == 0 for b in balance.values())
 
 
+def _violates_hoffman(net: FlowNetwork, cut: frozenset) -> bool:
+    """Hoffman's certificate: the lower bounds on arcs entering the node set
+    exceed the upper bounds on arcs leaving it, so no circulation exists."""
+    entering = sum(a.lower for a in net.arcs if a.tail not in cut and a.head in cut)
+    leaving = sum(a.upper for a in net.arcs if a.tail in cut and a.head not in cut)
+    return entering > leaving
+
+
 class TestFeasibleCirculation:
     def test_triangle_all_ones(self):
         net = cover_network(cycle(3))
@@ -50,8 +58,7 @@ class TestFeasibleCirculation:
     def test_two_triangles_shared_arc_infeasible(self):
         net = cover_network(TWO_TRIANGLES_SHARED_ARC)
         assert feasible_circulation(net) is None
-        cut = infeasibility_cut(net)
-        assert cut  # a nonempty certificate
+        assert _violates_hoffman(net, infeasibility_cut(net))
 
     def test_conservation_on_random_covers(self, rng):
         for _ in range(40):
@@ -60,6 +67,8 @@ class TestFeasibleCirculation:
             flows = feasible_circulation(net)
             if flows is not None:
                 _check_flow(net, flows)
+            else:
+                assert _violates_hoffman(net, infeasibility_cut(net))
 
 
 class TestCycleCover:

@@ -10,6 +10,7 @@ from gooddecomp import (
     complete,
     cycle,
     decompose_cn_square,
+    decompose_lexicographic,
     empty,
     export_dot,
     parse_decomposition,
@@ -77,6 +78,23 @@ class TestDecompositionDocument:
         with pytest.raises(ParseError, match="not in HOST"):
             parse_decomposition(text)
 
+    def test_missing_middle_section_rejected(self):
+        text = "HOST\n2 2\n0 1\n1 0\nA1\n0 1\nA3\n1 0\n"
+        with pytest.raises(ParseError, match="missing section A2"):
+            parse_decomposition(text)
+
+    def test_three_part_round_trip(self, tmp_path, capsys):
+        halves = [frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})]
+        dec = decompose_lexicographic(cycle(3), complete(3), halves)
+        text = render_decomposition(dec)
+        assert text.splitlines().count("A3") == 1
+        again = parse_decomposition(text)
+        assert (again.host, again.parts) == (dec.host, dec.parts)
+        doc = tmp_path / "lex3.decomp"
+        doc.write_text(text)
+        assert run_command(["verify", str(doc)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
 
 class TestDot:
     def test_plain(self):
@@ -91,7 +109,7 @@ class TestDot:
     def test_unused_arcs_gray(self):
         d = complete(3)
         dec = Decomposition(
-            d, frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1)})
+            d, (frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1)}))
         )
         assert export_dot(d, dec).count("color=gray") == 1
 
@@ -194,8 +212,18 @@ class TestCli:
         bad = Digraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
         f = tmp_path / "bad.el"
         f.write_text(render_edge_list(bad))
-        assert run_command(["decompose", str(f), "--strategy", "cartesian-power"]) == 1
-        assert capsys.readouterr().out.startswith("infeasible:no-cycle-cover")
+        outs = []
+        for strategy in ("cartesian-power", "cartesian-square"):
+            assert run_command(["decompose", str(f), "--strategy", strategy]) == 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("infeasible:no-cycle-cover") and outs[1] == outs[0]
+
+    @pytest.mark.parametrize("power", ["0", "1", "-3"])
+    def test_cartesian_power_below_two_is_usage_error(self, workdir, capsys, power):
+        args = ["decompose", str(workdir / "c3.el"), "--strategy", "cartesian-power"]
+        assert run_command(args + ["--power", power]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: needs k >= 2\n"
 
     def test_strong_product_strategy(self, workdir, capsys, tmp_path):
         code = run_command(
@@ -216,6 +244,12 @@ class TestCli:
     def test_product_command(self, workdir, capsys):
         assert run_command(["product", "--op", "lex", str(workdir / "c3.el"), str(workdir / "c2.el")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "6 18"
+
+    @pytest.mark.parametrize("op", ["strong", "lex"])
+    def test_product_power_needs_cartesian(self, workdir, capsys, op):
+        assert run_command(["product", "--op", op, str(workdir / "c3.el"), "--power", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("product: --power")
 
     def test_usage_errors(self, workdir, capsys):
         assert run_command(["bogus"]) == 2
