@@ -112,16 +112,12 @@ def _emit(dec: Decomposition) -> int:
     return OK
 
 
-def _decompose_power(d: Digraph, k: int) -> int:
-    try:
-        return _emit(decompose_cartesian_power(d, k))
-    except CycleCoverInfeasible as exc:
-        raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(exc.cut)}")
-
-
 def _cmd_decompose(args) -> int:
-    d = _load_digraph(args.file)
     strategy = args.strategy
+    if args.power is not None and strategy != "cartesian-power":
+        print("decompose: --power applies to --strategy cartesian-power only", file=sys.stderr)
+        return USAGE
+    d = _load_digraph(args.file)
     if strategy == "composition":
         if args.spec is None:
             print("decompose: --strategy composition needs --spec", file=sys.stderr)
@@ -144,12 +140,16 @@ def _cmd_decompose(args) -> int:
         if dec is None:
             raise Refusal("not-covered")
         return _emit(dec)
-    if strategy == "cartesian-square":
+    if strategy in ("cartesian-square", "cartesian-power"):
+        k = 2 if args.power is None else args.power
+        if k < 2:
+            raise ValueError("needs k >= 2")
         if d.n < 2 or not is_strong(d):
             raise Refusal("not-covered", "digraph is not strong of order >= 2")
-        return _decompose_power(d, 2)
-    if strategy == "cartesian-power":
-        return _decompose_power(d, 2 if args.power is None else args.power)
+        try:
+            return _emit(decompose_cartesian_power(d, k))
+        except CycleCoverInfeasible as exc:
+            raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(exc.cut)}")
     if strategy in ("strong-product", "lex"):
         if args.factor is None:
             print(f"decompose: --strategy {strategy} needs --factor", file=sys.stderr)

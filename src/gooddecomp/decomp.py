@@ -41,7 +41,7 @@ from .digraph import (
     is_strong,
     path,
     s4,
-    _reach_from,
+    _bfs,
 )
 from .flows import CycleCover, cycle_cover, cover_network, infeasibility_cut
 from .structure import (
@@ -125,10 +125,10 @@ def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
 def _unreachable_pair(d: Digraph) -> tuple[int, int]:
     """The first pair (0, v) or else (v, 0) with no path, for a non-strong d."""
     everyone = set(range(d.n))
-    unreached = everyone - _reach_from(d, 0)
+    unreached = everyone.difference(_bfs(d, 0))
     if unreached:
         return (0, min(unreached))
-    return (min(everyone - _reach_from(d, 0, reverse=True)), 0)
+    return (min(everyone.difference(_bfs(d, 0, reverse=True))), 0)
 
 
 def verify_decomposition(d: Decomposition) -> VerifyResult:
@@ -249,19 +249,6 @@ def _pos_to_coords(order: Sequence[int], kept: dict[int, Sequence[int]], side) -
 
 def _case3_sides(t: int) -> tuple[set, set]:
     """Explicit skeleton sides for odd t with block sizes (2, 3, ..., 3)."""
-    if t == 3:
-        side1 = {
-            ((0, 0), (1, 0)), ((2, 0), (0, 0)), ((0, 1), (1, 1)),
-            ((0, 1), (1, 2)), ((2, 1), (0, 1)), ((2, 2), (0, 1)),
-            ((1, 0), (2, 1)), ((1, 1), (2, 0)), ((1, 2), (2, 2)),
-        }
-        side2 = {
-            ((0, 0), (1, 1)), ((0, 0), (1, 2)), ((2, 1), (0, 0)),
-            ((2, 2), (0, 0)), ((0, 1), (1, 0)), ((2, 0), (0, 1)),
-            ((1, 0), (2, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 0)),
-        }
-        return side1, side2
-
     def chain(rows_slots: list[Coord]) -> set:
         return set(zip(rows_slots, rows_slots[1:]))
 
@@ -365,7 +352,7 @@ def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleto
         return _repair_odd_t(spec, order, kept, extras)
 
     small = [i for i in range(t) if sizes[i] == 2]
-    if len(small) <= 1 and all(n >= 2 for n in sizes):
+    if len(small) <= 1:
         # rotate the cycle so the (unique) smallest block sits at position 0
         anchor = small[0] if small else min(range(t), key=lambda i: (sizes[i], i))
         k = order.index(anchor)
@@ -614,48 +601,36 @@ def _characterization_sides(spec: CompositionSpec) -> Skeleton:
         return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
 
     arc_blocks = [i for i in range(3) if spec.inners[i].arcs]
-    if not arc_blocks:
-        raise ConstructionError("arcless (2,2,<=3) case should have matched an exception")
+    if m != 3 or not arc_blocks:
+        # an arcless (2,2,<=3) composition or (2,2,2) with one lone inner arc
+        # is an exception; an inner digon was repaired by _hamiltonian_sides
+        raise ConstructionError("(2,2,<=3) case should have matched an exception")
     blk = arc_blocks[0]
     ax, ay = min(spec.inners[blk].arcs)
     p = order.index(blk)
-
-    if m == 3:
-        # single inner arc a placed per its block's position; side 2 needs it
-        # to get from the second skeleton cycle back to the first
-        kept = {order[0]: [0, 1], order[1]: [0, 1], order[2]: [0, 1, 2]}
-        if p == 0:
-            kept[blk] = [ay, ax]
-        elif p == 1:
-            kept[blk] = [ax, ay]
-        else:
-            rest = [j for j in range(3) if j not in (ax, ay)]
-            kept[blk] = [ay, ax] + rest
-        side1 = {
-            ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 1)),
-            ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (0, 0)),
-            ((1, 0), (2, 2)), ((2, 2), (0, 0)),
-        }
-        side2 = {
-            ((0, 0), (1, 1)), ((1, 1), (2, 0)), ((2, 0), (0, 0)),
-            ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
-            ((1, 1), (2, 2)), ((2, 2), (0, 1)),
-        }
-        c1 = _pos_to_coords(order, kept, side1)
-        c2 = _pos_to_coords(order, kept, side2) | {((blk, ax), (blk, ay))}
-        return c1, c2, kept
-
-    # all blocks of size 2: the single arc-carrying inner must be a digon
-    # (one lone arc would have matched the second exception)
-    if (ay, ax) not in spec.inners[blk].arcs:
-        raise ConstructionError("(2,2,2) with one lone inner arc should be an exception")
-    kept = {i: [0, 1] for i in range(3)}
-    if _skeleton_slot_on_c(pos[blk]) == 0:
+    # single inner arc a placed per its block's position; side 2 needs it
+    # to get from the second skeleton cycle back to the first
+    kept = {order[0]: [0, 1], order[1]: [0, 1], order[2]: [0, 1, 2]}
+    if p == 0:
+        kept[blk] = [ay, ax]
+    elif p == 1:
         kept[blk] = [ax, ay]
     else:
-        kept[blk] = [ay, ax]
-    extras = {((blk, ax), (blk, ay)), ((blk, ay), (blk, ax))}
-    return _repair_odd_t(spec, order, kept, extras)
+        rest = [j for j in range(3) if j not in (ax, ay)]
+        kept[blk] = [ay, ax] + rest
+    side1 = {
+        ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 1)),
+        ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (0, 0)),
+        ((1, 0), (2, 2)), ((2, 2), (0, 0)),
+    }
+    side2 = {
+        ((0, 0), (1, 1)), ((1, 1), (2, 0)), ((2, 0), (0, 0)),
+        ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
+        ((1, 1), (2, 2)), ((2, 2), (0, 1)),
+    }
+    c1 = _pos_to_coords(order, kept, side1)
+    c2 = _pos_to_coords(order, kept, side2) | {((blk, ax), (blk, ay))}
+    return c1, c2, kept
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 Arc = tuple[int, int]
 
@@ -124,17 +124,36 @@ def s4() -> Digraph:
 # ---------------------------------------------------------------------------
 # predicates
 
-def _reach_from(d: Digraph, start: int, reverse: bool = False) -> set[int]:
+def _bfs(
+    d: Digraph, start: int, reverse: bool = False, stop: Container[int] = ()
+) -> dict[int, int]:
+    """Parent map of the vertices reached from start (against the arcs if
+    reverse), in discovery order, with start mapped to itself.
+
+    Returns as soon as it discovers a vertex of stop, which is then the last
+    key.  Neighbours are scanned in sorted order, so the map is deterministic
+    and its tree paths are shortest paths.
+    """
     adj = d.in_neighbors if reverse else d.out_neighbors
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
+    prev = {start: start}
+    queue = [start]
+    for v in queue:
         for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+            if w not in prev:
+                prev[w] = v
+                if w in stop:
+                    return prev
+                queue.append(w)
+    return prev
+
+
+def _tree_path(prev: dict[int, int], v: int) -> list[int]:
+    """The path from the start of a _bfs parent map to v."""
+    path = [v]
+    while prev[path[-1]] != path[-1]:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
 
 
 def is_strong(d: Digraph) -> bool:
@@ -144,8 +163,7 @@ def is_strong(d: Digraph) -> bool:
     """
     if d.n <= 1:
         return True
-    full = set(range(d.n))
-    return _reach_from(d, 0) == full and _reach_from(d, 0, reverse=True) == full
+    return len(_bfs(d, 0)) == d.n and len(_bfs(d, 0, reverse=True)) == d.n
 
 
 def is_semicomplete(d: Digraph) -> bool:

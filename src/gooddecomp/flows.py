@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from .digraph import Digraph, is_strong
+from .digraph import Digraph, _bfs, is_strong
 from .structure import cycle_arcs
 
 Node = Hashable
@@ -129,15 +129,11 @@ def infeasibility_cut(net: FlowNetwork) -> frozenset:
     cap, _, _ = _lower_bound_reduction(net)
     n = len(net.nodes)
     _max_flow(cap, n, n + 1)
-    seen = {n}
-    stack = [n]
-    while stack:
-        u = stack.pop()
-        for v, c in cap[u].items():
-            if c > 0 and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return frozenset(net.nodes[v] for v in seen if v < n)
+    # a loop arc never changes reachability, and a Digraph has none
+    residual = Digraph(
+        n + 2, [(u, v) for u in range(n + 2) for v, c in cap[u].items() if c > 0 and u != v]
+    )
+    return frozenset(net.nodes[v] for v in _bfs(residual, n) if v < n)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +168,6 @@ def cycle_cover(d: Digraph) -> Optional[CycleCover]:
     """Arc-disjoint cycles covering all vertices, via circulation, or None."""
     if d.n < 2 or not is_strong(d):
         raise ValueError("requires strong digraph of order >= 2")
-    if any(min(d.in_degree(v), d.out_degree(v)) < 1 for v in range(d.n)):
-        return None
     net = cover_network(d)
     flows = feasible_circulation(net)
     if flows is None:

@@ -127,8 +127,15 @@ def render_decomposition(dec: Decomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
+# DOT colours of the parts A1, A2, ...; a part past the last reuses them
+# from the start, and arcs in no part are gray
+_PART_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cyan", "magenta")
+
+
 def export_dot(d: Digraph, highlight: Optional[Decomposition] = None) -> str:
-    """DOT text; with a decomposition, A1 arcs are red, A2 blue, unused gray."""
+    """DOT text; with a decomposition, A1 arcs are red, A2 blue, A3 darkgreen,
+    further parts orange, purple, brown, cyan and magenta (then repeating),
+    unused arcs gray."""
     if highlight is not None and highlight.host != d:
         raise ValueError("highlight decomposition host does not match digraph")
     lines = ["digraph {"]
@@ -137,11 +144,12 @@ def export_dot(d: Digraph, highlight: Optional[Decomposition] = None) -> str:
     for u, v in d.sorted_arcs():
         if highlight is None:
             lines.append(f"  {u} -> {v};")
-        elif (u, v) in highlight.a1:
-            lines.append(f"  {u} -> {v} [color=red];")
-        elif (u, v) in highlight.a2:
-            lines.append(f"  {u} -> {v} [color=blue];")
-        else:
-            lines.append(f"  {u} -> {v} [color=gray];")
+            continue
+        color = next(
+            (_PART_COLORS[k % len(_PART_COLORS)]
+             for k, part in enumerate(highlight.parts) if (u, v) in part),
+            "gray",
+        )
+        lines.append(f"  {u} -> {v} [color={color}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Arc, Digraph, is_semicomplete, is_strong
+from .digraph import Arc, Digraph, _bfs, _tree_path, is_semicomplete, is_strong
 
 Cycle = tuple[int, ...]
 
@@ -90,26 +90,10 @@ def validate_ear_decomposition(d: Digraph, dec: EarDecomposition) -> None:
 def _some_cycle(d: Digraph) -> Cycle:
     """Deterministic cycle: smallest arc plus a shortest return path."""
     u, v = min(d.arcs)
-    if (v, u) in d.arcs:
-        return (u, v)
-    # BFS shortest path v -> u
-    prev = {v: v}
-    queue = [v]
-    while queue and u not in prev:
-        nxt = []
-        for x in queue:
-            for y in d.out_neighbors[x]:
-                if y not in prev:
-                    prev[y] = x
-                    nxt.append(y)
-        queue = nxt
+    prev = _bfs(d, v, stop={u})
     if u not in prev:
         raise ValueError("requires strong digraph")
-    back = [u]
-    while back[-1] != v:
-        back.append(prev[back[-1]])
-    back.reverse()  # v .. u
-    return (u,) + tuple(back[:-1])
+    return (u,) + tuple(_tree_path(prev, u)[:-1])
 
 
 def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDecomposition:
@@ -132,29 +116,10 @@ def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDec
         if frontier:
             u, v = frontier[0]
             # shortest path from v back to the current vertex set over new vertices
-            prev = {v: v}
-            queue = [v]
-            hit = None
-            while queue and hit is None:
-                nxt = []
-                for x in queue:
-                    for y in d.out_neighbors[x]:
-                        if y in vertices:
-                            prev[y] = x
-                            hit = y
-                            break
-                        if y not in prev:
-                            prev[y] = x
-                            nxt.append(y)
-                    if hit is not None:
-                        break
-                queue = nxt
-            assert hit is not None, "strong digraph must reach the covered part"
-            chain = [hit]
-            while chain[-1] != v:
-                chain.append(prev[chain[-1]])
-            chain.append(u)
-            chain.reverse()  # u, v, ..., hit
+            prev = _bfs(d, v, stop=vertices)
+            hit = next(reversed(prev))
+            assert hit in vertices, "strong digraph must reach the covered part"
+            chain = [u] + _tree_path(prev, hit)  # u, v, ..., hit
             if hit == u:
                 ears.append(Ear(tuple(chain[:-1]), closed=True))
             else:

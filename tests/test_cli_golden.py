@@ -21,6 +21,7 @@ SQUARE_HUB6 = "cb6a1ed094305a6fc32c0ba9452e9acc30bc2b5a3f1ca3615bc0aea9114397c1"
 SQUARE_C3K = "00e8ee81c5de094ed44ada755240055b48c0efa570ff64df8bdf309f69ef2110"
 ORACLE_COMP = "4cd00b026e7fc3cd281c3e61b1e20a3a0a5bd2265340690c36edd93576af0918"
 NONE = "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"
+EMPTY = hashlib.sha256(b"").hexdigest()  # usage errors write to stderr only
 
 GOLDEN = [
     # auto: exception check, then the oracle
@@ -39,6 +40,9 @@ GOLDEN = [
     (["c3_k2_k2_k3.txt", "--strategy", "cartesian-square"], 0, SQUARE_C3K),
     (["comp_inner0.txt", "--strategy", "cartesian-square"], 1,  # not strong
      "4f65ea44ffd998ee20b59e938ca23c2e11f43706870055811a7f242c3827c8f0"),
+    (["comp_inner0.txt", "--strategy", "cartesian-power"], 1,  # not strong
+     "4f65ea44ffd998ee20b59e938ca23c2e11f43706870055811a7f242c3827c8f0"),
+    (["hub5.txt", "--strategy", "cartesian-square", "--power", "3"], 2, EMPTY),
     (["hub5.txt", "--strategy", "cartesian-power"], 0, SQUARE_HUB5),
     (["hub5.txt", "--strategy", "cartesian-power", "--power", "2"], 0, SQUARE_HUB5),
     (["hub6.txt", "--strategy", "cartesian-power", "--power", "2"], 0, SQUARE_HUB6),

@@ -212,6 +212,13 @@ class TestDispatcher:
         # composing S_4 from trivial blocks is S_4: no route applies
         assert decompose_composition(spec_of(s4(), *[empty(1)] * 4)) is None
 
+    @pytest.mark.parametrize("big", range(4))
+    def test_part_a_s4_outer_with_one_doubled_block(self, big):
+        inners = [empty(1)] * 4
+        inners[big] = empty(2)
+        dec = decompose_composition(spec_of(s4(), *inners))
+        assert dec is not None and verify_decomposition(dec).ok
+
     def test_t_below_two_rejected(self):
         with pytest.raises(ValueError):
             decompose_composition(spec_of(empty(1), cycle(3)))
@@ -273,6 +280,21 @@ class TestCharacterize:
         outer = Digraph(t, arcs + [(t - 1, 0)])
         res = characterize_semicomplete_composition(spec_of(outer, *[empty(2)] * t))
         assert res.decomposition is not None  # no exception beyond t=3
+        assert verify_decomposition(res.decomposition).ok
+
+    def test_odd_t_reversed_distance_two_repair(self):
+        # Hamiltonian cycle 0,1,4,2,3: the blocks 0 and 4 at cycle distance
+        # two are joined by 4->0, against the cycle's direction
+        outer = Digraph(
+            5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (3, 0), (3, 4), (4, 0), (4, 2)]
+        )
+        res = characterize_semicomplete_composition(spec_of(outer, *[empty(2)] * 5))
+        assert res.decomposition is not None
+        assert verify_decomposition(res.decomposition).ok
+
+    def test_s4_outer_all_blocks_doubled(self):
+        res = characterize_semicomplete_composition(spec_of(s4(), *[empty(2)] * 4))
+        assert res.decomposition is not None
         assert verify_decomposition(res.decomposition).ok
 
     def test_two_arc_strong_outer(self):

@@ -109,12 +109,19 @@ class TestArcConnectivity:
             assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
             checked += 1
         assert checked > 50
-        for _ in range(25):
-            d = random_strong_digraph(rng, 4)
-            if d.m <= 10:
-                expected = arc_connectivity_bruteforce(d)
-                assert arc_connectivity(d) == expected
-                assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
+        drawn = [random_strong_digraph(rng, 4) for _ in range(25)]
+        # order-6 inputs; on the first an augmenting path cancels flow on a used arc
+        cancelling = [
+            Digraph(6, [(0, 2), (0, 3), (1, 3), (1, 5), (2, 0), (2, 4), (2, 5),
+                        (3, 0), (3, 4), (4, 0), (4, 1), (5, 1), (5, 2)]),
+            Digraph(6, [(0, 3), (0, 5), (1, 0), (1, 4), (2, 0), (3, 1), (3, 2),
+                        (4, 3), (5, 2), (5, 4)]),
+        ]
+        assert [arc_connectivity_bruteforce(d) for d in cancelling] == [2, 1]
+        for d in [d for d in drawn if d.m <= 10] + cancelling:
+            expected = arc_connectivity_bruteforce(d)
+            assert arc_connectivity(d) == expected
+            assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
 
 
 class TestIsomorphism:

@@ -70,6 +70,17 @@ class TestFeasibleCirculation:
             else:
                 assert _violates_hoffman(net, infeasibility_cut(net))
 
+    def test_cut_with_loop_arcs(self):
+        # b must take one unit from a and cannot pass it on; the loops carry
+        # flow around without changing which nodes are reachable
+        net = FlowNetwork(
+            ("a", "b"),
+            (BoundedArc("a", "a", 0, 5), BoundedArc("a", "b", 1, 1), BoundedArc("b", "b", 0, 5)),
+        )
+        assert feasible_circulation(net) is None
+        cut = infeasibility_cut(net)
+        assert cut == frozenset({"b"}) and _violates_hoffman(net, cut)
+
 
 class TestCycleCover:
     def test_cycle_covers_itself(self):

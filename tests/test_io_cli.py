@@ -113,6 +113,14 @@ class TestDot:
         )
         assert export_dot(d, dec).count("color=gray") == 1
 
+    def test_every_part_colored(self):
+        halves = [frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})]
+        dec = decompose_lexicographic(cycle(3), complete(3), halves)
+        dot = export_dot(dec.host, dec)
+        assert "color=gray" not in dot
+        colors = ("red", "blue", "darkgreen")
+        assert [dot.count(f"color={c}]") for c in colors] == [len(p) for p in dec.parts]
+
     def test_host_mismatch(self):
         with pytest.raises(ValueError):
             export_dot(cycle(3), decompose_cn_square(2))
@@ -192,6 +200,32 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().out.splitlines()[0] == "exception:C3_K2_K2_K2"
 
+    @pytest.mark.parametrize(
+        "outer,inners,code",
+        [
+            (cycle(4), [empty(2)] * 4, 0),  # not semicomplete: Hamiltonian outer, even t
+            (cycle(3), [empty(1), empty(2), empty(2)], 1),  # a trivial block: no route
+        ],
+        ids=["covered", "not-covered"],
+    )
+    def test_decompose_composition_fallback(self, capsys, tmp_path, outer, inners, code):
+        names = [f"b{i}.el" for i in range(len(inners) + 1)]
+        for name, d in zip(names, [outer] + inners):
+            (tmp_path / name).write_text(render_edge_list(d))
+        (tmp_path / "spec.txt").write_text("\n".join(names) + "\n")
+        assert run_command(["compose"] + [str(tmp_path / name) for name in names]) == 0
+        q = tmp_path / "q.el"
+        q.write_text(capsys.readouterr().out)
+        spec = str(tmp_path / "spec.txt")
+        assert run_command(["decompose", str(q), "--strategy", "composition", "--spec", spec]) == code
+        out = capsys.readouterr().out
+        if code == 1:
+            assert out == "not-covered\n"
+        else:
+            doc = tmp_path / "q.decomp"
+            doc.write_text(out)
+            assert run_command(["verify", str(doc)]) == 0
+
     def test_decompose_verify_pipeline(self, workdir, capsys, tmp_path):
         assert run_command(["decompose", str(workdir / "k4.el"), "--strategy", "oracle"]) == 0
         doc = tmp_path / "k4.decomp"
@@ -244,6 +278,9 @@ class TestCli:
     def test_product_command(self, workdir, capsys):
         assert run_command(["product", "--op", "lex", str(workdir / "c3.el"), str(workdir / "c2.el")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "6 18"
+        cube = ["product", "--op", "cartesian", str(workdir / "c3.el"), "--power", "3"]
+        assert run_command(cube) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "27 81"
 
     @pytest.mark.parametrize("op", ["strong", "lex"])
     def test_product_power_needs_cartesian(self, workdir, capsys, op):

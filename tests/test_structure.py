@@ -1,13 +1,18 @@
+import hashlib
+import random
+
 import pytest
 
 from gooddecomp import (
     Digraph,
     cartesian_product,
     complete,
+    cover_network,
     cycle,
     ear_decomposition,
     hamiltonian_cycle_bruteforce,
     hamiltonian_cycle_semicomplete,
+    infeasibility_cut,
     is_semicomplete,
     is_strong,
     path,
@@ -17,7 +22,24 @@ from gooddecomp import (
 from gooddecomp.oracle import enumerate_semicomplete
 from gooddecomp.structure import cycle_arcs, is_cycle_of
 
-from conftest import random_strong_digraph
+from conftest import random_sparse_strong_digraph, random_strong_digraph
+
+#: SHA-256 of the ear decompositions, cover-network cuts and Hamiltonian
+#: cycles drawn in test_pinned_search_outputs; any change means a search
+#: order changed
+PINNED_SEARCH_OUTPUTS = "371fe6037919f87c7d74aed06774a1127aea4bac991a4147708d90ac0523c847"
+
+
+def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
+    arcs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            state = rng.randint(0, 2)
+            if state != 1:
+                arcs.add((u, v))
+            if state != 0:
+                arcs.add((v, u))
+    return Digraph(n, arcs)
 
 
 class TestEarDecomposition:
@@ -67,6 +89,14 @@ class TestHamiltonianSemicomplete:
         with pytest.raises(ValueError):
             hamiltonian_cycle_semicomplete(d)
 
+    def test_bridge_from_dominated_to_dominating(self):
+        # neither 3 (dominated by the triangle) nor 4 (dominating it) fits
+        # between two cycle vertices, so the arc 3->4 extends the cycle
+        d = Digraph(
+            5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (4, 0), (4, 1), (4, 2), (3, 4)]
+        )
+        assert hamiltonian_cycle_semicomplete(d) == (0, 3, 4, 1, 2)
+
     def test_exhaustive_small_orders(self):
         # every strong semicomplete digraph of order <= 5, up to isomorphism
         for n in range(2, 6):
@@ -80,15 +110,7 @@ class TestHamiltonianSemicomplete:
         found = 0
         while found < 60:
             n = rng.choice((6, 7))
-            arcs = set()
-            for u in range(n):
-                for v in range(u + 1, n):
-                    state = rng.randint(0, 2)
-                    if state != 1:
-                        arcs.add((u, v))
-                    if state != 0:
-                        arcs.add((v, u))
-            d = Digraph(n, arcs)
+            d = _random_semicomplete(rng, n)
             if not is_strong(d):
                 continue
             assert is_semicomplete(d)
@@ -116,3 +138,21 @@ class TestHamiltonianBruteforce:
 
     def test_cycle_arcs_helper(self):
         assert cycle_arcs((0, 1, 2)) == [(0, 1), (1, 2), (2, 0)]
+
+
+def test_pinned_search_outputs():
+    rng = random.Random(0x5EA4)
+    digest = hashlib.sha256()
+    strong = [random_strong_digraph(rng, 9, density=rng.uniform(0.25, 0.6)) for _ in range(150)]
+    strong += [random_sparse_strong_digraph(rng, rng.randint(3, 9), 14) for _ in range(150)]
+    for d in strong:
+        ears = [(ear.vertices, ear.closed) for ear in ear_decomposition(d).ears]
+        digest.update(repr(ears).encode())
+        digest.update(repr(sorted(infeasibility_cut(cover_network(d)))).encode())
+    semicomplete = 0
+    while semicomplete < 150:
+        d = _random_semicomplete(rng, rng.randint(2, 9))
+        if is_strong(d):
+            digest.update(repr(hamiltonian_cycle_semicomplete(d)).encode())
+            semicomplete += 1
+    assert digest.hexdigest() == PINNED_SEARCH_OUTPUTS
