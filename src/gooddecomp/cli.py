@@ -117,6 +117,9 @@ def _cmd_decompose(args) -> int:
     if args.power is not None and strategy != "cartesian-power":
         print("decompose: --power applies to --strategy cartesian-power only", file=sys.stderr)
         return USAGE
+    if args.budget is not None and strategy not in ("auto", "oracle"):
+        print("decompose: --budget applies to --strategy auto and oracle only", file=sys.stderr)
+        return USAGE
     d = _load_digraph(args.file)
     if strategy == "composition":
         if args.spec is None:
@@ -162,7 +165,7 @@ def _cmd_decompose(args) -> int:
         matched = match_exception(d)
         if matched is not None:
             raise Refusal(f"exception:{matched[0]}")
-    report = oracle_good_decomposition(d, budget=args.budget)
+    report = oracle_good_decomposition(d, budget=args.budget or 0)
     if report.outcome == "found":
         return _emit(report.decomposition)
     raise Refusal(report.outcome)
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="composition spec file (outer + inner files)")
     p.add_argument("--factor", help="second factor for product strategies")
     p.add_argument("--power", type=int, help="exponent for cartesian-power")
-    p.add_argument("--budget", type=int, default=0, help="oracle node budget")
+    p.add_argument("--budget", type=int, help="oracle node budget (auto and oracle only)")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", help="validate a decomposition document")

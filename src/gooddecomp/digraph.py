@@ -8,7 +8,6 @@ are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence
 
@@ -301,11 +300,3 @@ def relabel(d: Digraph, perm: Sequence[int]) -> Digraph:
     if sorted(perm) != list(range(d.n)):
         raise ValueError("not a permutation")
     return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
-
-
-def all_digraphs_on_arcs(n: int, max_arcs: int) -> Iterable[Digraph]:
-    """All labeled digraphs of order n with at most max_arcs arcs (test helper)."""
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    for k in range(max_arcs + 1):
-        for combo in itertools.combinations(pairs, k):
-            yield Digraph(n, combo)

@@ -9,21 +9,19 @@ module gooddecomp._kernel_py.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .decomp import Decomposition, verify
-from .digraph import Digraph, is_isomorphic_small, is_k_arc_strong
+from .digraph import Digraph, is_k_arc_strong
 
 from . import _kernel_py as _impl
 
 #: the kernel implementation, recorded with benchmark runs
 BACKEND = "python"
-
-#: arcs up to this count are guaranteed to be exhausted quickly at desk scale;
-#: larger inputs are allowed and may end in an "aborted" outcome when budgeted
-EXHAUSTIVE_ARC_BOUND = 26
 
 ENUMERATION_ORDER_BOUND = 6
 
@@ -70,11 +68,40 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
 
 # ---------------------------------------------------------------------------
 # enumeration of semicomplete digraphs up to isomorphism
+#
+# A labelled semicomplete digraph of order n is a base-3 code over the pairs
+# u < v (0: u->v, 1: v->u, 2: digon), the first pair most significant, so
+# codes ascend in lexicographic order of the pair states.  The enumerator
+# visits the smallest unmarked code, marks the codes of all n! relabellings,
+# and only then filters.  Both filters are invariant under isomorphism, so
+# each class is represented by its first labelled member.
 
-def _iso_key(d: Digraph) -> tuple:
-    digons = sum(1 for u, v in d.arcs if u < v and (v, u) in d.arcs)
-    degs = tuple(sorted((d.out_degree(v), d.in_degree(v)) for v in range(d.n)))
-    return (d.n, d.m, digons, degs)
+#: base-3 digits per orbit lookup table (3**5 = 243 rows of n! images)
+_CHUNK = 5
+
+
+def _orbit_tables(n: int, pairs: list) -> list[list[array]]:
+    """tables[c][x][i]: the contribution of the digits 5c..5c+4 (counted from
+    the least significant), read as x, to the code of the i-th relabelling."""
+    P = len(pairs)
+    weight = [[0] * n for _ in range(n)]  # place value of the pair {u, v}
+    for i, (u, v) in enumerate(pairs):
+        weight[u][v] = weight[v][u] = 3 ** (P - 1 - i)
+    perms = list(itertools.permutations(range(n)))
+    columns = []  # per digit, least significant first: one column per state
+    for u, v in reversed(pairs):
+        columns.append((
+            [weight[p[u]][p[v]] if p[u] > p[v] else 0 for p in perms],
+            [weight[p[u]][p[v]] if p[u] < p[v] else 0 for p in perms],
+            [2 * weight[p[u]][p[v]] for p in perms],
+        ))
+    tables = []
+    for lo in range(0, P, _CHUNK):
+        rows = [array("q", bytes(8 * len(perms)))]
+        for cols in columns[lo:lo + _CHUNK]:
+            rows = [array("q", map(operator.add, row, col)) for col in cols for row in rows]
+        tables.append(rows)
+    return tables
 
 
 def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]:
@@ -89,9 +116,22 @@ def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]
             yield Digraph(1, [])
         return
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    seen: dict[tuple, list[Digraph]] = {}
-    # per unordered pair: forward arc only, backward only, or digon
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+    tables = _orbit_tables(n, pairs)
+    seen = bytearray(3 ** len(pairs))
+    code = 0
+    while code >= 0:
+        images = None
+        rest = code
+        for rows in tables:
+            rest, x = divmod(rest, 3 ** _CHUNK)
+            images = rows[x] if images is None else map(operator.add, images, rows[x])
+        for image in images:
+            seen[image] = 1
+        states = [0] * len(pairs)
+        rest = code
+        for i in reversed(range(len(pairs))):
+            rest, states[i] = divmod(rest, 3)
+        code = seen.find(0, code + 1)
         outdeg = [0] * n
         indeg = [0] * n
         arcs = []
@@ -111,9 +151,4 @@ def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]
         d = Digraph(n, arcs)
         if min_arc_strong > 0 and not is_k_arc_strong(d, min_arc_strong):
             continue
-        key = _iso_key(d)
-        bucket = seen.setdefault(key, [])
-        if any(is_isomorphic_small(d, rep) for rep in bucket):
-            continue
-        bucket.append(d)
         yield d

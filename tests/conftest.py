@@ -8,6 +8,7 @@ exhaustive cycle-subset search, decompositions by subset/complement scanning.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -100,6 +101,45 @@ def good_decomposition_exists_bruteforce(d: Digraph) -> bool:
             ):
                 return True
     return False
+
+
+def all_digraphs_on_arcs(n: int, max_arcs: int):
+    """All labelled digraphs of order n with at most max_arcs arcs."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for k in range(max_arcs + 1):
+        for combo in itertools.combinations(pairs, k):
+            yield Digraph(n, combo)
+
+
+def canonical_form(d: Digraph) -> tuple:
+    """Isomorphism invariant by brute force: the least sorted arc list over
+    all n! relabellings."""
+    return min(
+        tuple(sorted((p[u], p[v]) for u, v in d.arcs))
+        for p in itertools.permutations(range(d.n))
+    )
+
+
+def semicomplete_class_count(n: int) -> int:
+    """Burnside's lemma over S_n.  A permutation with cycle lengths l_i fixes
+    3^e labelled semicomplete digraphs, with e = sum floor((l_i - 1) / 2) +
+    sum_{i<j} gcd(l_i, l_j): each pair orbit is free (three states) unless a
+    permutation power reverses the pair, which leaves the digon only."""
+    total = 0
+    for p in itertools.permutations(range(n)):
+        lengths, todo = [], set(range(n))
+        while todo:
+            v = start = todo.pop()
+            length = 1
+            while p[v] != start:
+                v = p[v]
+                todo.discard(v)
+                length += 1
+            lengths.append(length)
+        e = sum((l - 1) // 2 for l in lengths)
+        e += sum(math.gcd(a, b) for a, b in itertools.combinations(lengths, 2))
+        total += 3 ** e
+    return total // math.factorial(n)
 
 
 def random_strong_digraph(rng: random.Random, max_order: int, density: float = 0.5) -> Digraph:

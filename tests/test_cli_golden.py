@@ -22,6 +22,7 @@ SQUARE_C3K = "00e8ee81c5de094ed44ada755240055b48c0efa570ff64df8bdf309f69ef2110"
 ORACLE_COMP = "4cd00b026e7fc3cd281c3e61b1e20a3a0a5bd2265340690c36edd93576af0918"
 NONE = "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"
 EMPTY = hashlib.sha256(b"").hexdigest()  # usage errors write to stderr only
+ABORTED = hashlib.sha256(b"aborted\n").hexdigest()
 
 GOLDEN = [
     # auto: exception check, then the oracle
@@ -59,6 +60,17 @@ GOLDEN = [
      "b85c1753198ce2c89f347178291b6f22fd4d23f882b3a9727ca25542667c3f85"),
     (["hub5.txt", "--strategy", "lex", "--factor", "comp_inner2.txt"], 0,
      "67049e5164d07132c7f7874eb492b088a8293281a69cb1a1bd276bcf4169bed2"),
+    # --budget bounds the oracle and is a usage error for every other strategy
+    (["comp_host.txt", "--budget", "1"], 1, ABORTED),
+    (["comp_host.txt", "--strategy", "oracle", "--budget", "1"], 1, ABORTED),
+    (["comp_host.txt", "--strategy", "oracle", "--budget", "0"], 0, ORACLE_COMP),
+    (["comp_host.txt", "--strategy", "composition", "--spec", "comp.spec", "--budget", "5"], 2,
+     EMPTY),
+    (["hub5.txt", "--strategy", "cartesian-square", "--budget", "5"], 2, EMPTY),
+    (["hub5.txt", "--strategy", "cartesian-power", "--budget", "5"], 2, EMPTY),
+    (["hub8.txt", "--strategy", "strong-product", "--factor", "hub6.txt", "--budget", "5"], 2,
+     EMPTY),
+    (["hub6.txt", "--strategy", "lex", "--factor", "hub5.txt", "--budget", "5"], 2, EMPTY),
 ]
 
 

@@ -18,9 +18,12 @@ from gooddecomp import (
     relabel,
     s4,
 )
-from gooddecomp.digraph import all_digraphs_on_arcs
-
-from conftest import arc_connectivity_bruteforce, random_strong_digraph, strong_by_closure
+from conftest import (
+    all_digraphs_on_arcs,
+    arc_connectivity_bruteforce,
+    random_strong_digraph,
+    strong_by_closure,
+)
 
 
 class TestConstruction:

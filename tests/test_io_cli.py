@@ -293,6 +293,12 @@ class TestCli:
         capsys.readouterr()
         assert run_command(["decompose", str(workdir / "c3.el"), "--strategy", "lex"]) == 2
 
+    def test_budget_needs_oracle_strategy(self, workdir, capsys):
+        args = ["decompose", str(workdir / "c3.el"), "--strategy", "cartesian-square"]
+        assert run_command(args + ["--budget", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("decompose: --budget")
+
     def test_determinism(self, workdir, capsys):
         run_command(["decompose", str(workdir / "k4.el"), "--strategy", "oracle"])
         first = capsys.readouterr().out

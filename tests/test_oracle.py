@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,7 +20,12 @@ from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
 from gooddecomp.oracle import enumerate_semicomplete
 
-from conftest import good_decomposition_exists_bruteforce, random_strong_digraph
+from conftest import (
+    canonical_form,
+    good_decomposition_exists_bruteforce,
+    random_strong_digraph,
+    semicomplete_class_count,
+)
 
 #: (outcome, nodes_explored, side of each arc of sorted_arcs() when found)
 #: recorded for fixed instances; any change means the search tree changed
@@ -74,6 +80,31 @@ PINNED_RANDOM = [
     ("found", 69, "11121111211111211122111221212"),
     ("found", 63, "1111211112111121112111211112122221"),
 ]
+
+#: (n, min_arc_strong) -> (classes, SHA-256 of the sorted arc lists in yield
+#: order); any change means other representatives or another order
+ENUMERATION_DIGESTS = {
+    (1, 0): (1, "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"),
+    (1, 1): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (1, 2): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (1, 3): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (2, 0): (2, "6a3317f804079eaaf9da1a63a1ba64b5e01b38d279811d6e2cc76683161f6afa"),
+    (2, 1): (1, "dc3d530bb05de88023054a9b34efd50a134f717efe23f98dc73d4b08f20b3cb6"),
+    (2, 2): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (2, 3): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (3, 0): (7, "6e9aa72af5bcb9bddaa9ac1e3c86469066188151d6ab9fd360c73483d4106c10"),
+    (3, 1): (4, "609f9db39a95a349f1d6dc5cefd602601af74d6f0331bf2ed4468c4a7ae6e340"),
+    (3, 2): (1, "aa85ba5daf6730fed21873a6738b3f331ad3cbbec21d2c48e083b8d51a465919"),
+    (3, 3): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (4, 0): (42, "9a074e9a9336ef1b0a3f3e2e816867159241b533c08b6c731fb2d78da489b66c"),
+    (4, 1): (29, "f16f37ba785cadf588167c753dad6b2098212545eb26dcef347ff22809ea5cc0"),
+    (4, 2): (7, "96c74b44213c15052941c977113cb661bdae3ae8d78dd14465075de143adafab"),
+    (4, 3): (1, "dea7ab3b669af953a6306ee0d66c7e8e9bc50c6df9d3b5c0ffad28fb4325fe11"),
+    (5, 0): (582, "79c55acea4107c2efc4a111b9d8133578ad4852f6024b781884a435ac07dc10f"),
+    (5, 1): (496, "a6b8ed77d3bb0bf00034e03ff59ab9b766717a2144c89bbcb274653febe8c068"),
+    (5, 2): (196, "f59e627b2294ea19018bd77888596a0146e87f658c52d8362c2192d928fbef4e"),
+    (5, 3): (11, "e6400e628a8329c7beb48b6c0b45bd19ffd3895ce6cd5b1fb75e02675ed462ee"),
+}
 
 
 def _signature(d: Digraph) -> tuple:
@@ -174,10 +205,22 @@ class TestEnumeration:
         assert any(is_isomorphic_small(d, s4()) for d in ds)
 
     def test_no_isomorphic_duplicates(self):
-        ds = list(enumerate_semicomplete(4, min_arc_strong=2))
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                assert not is_isomorphic_small(ds[i], ds[j])
+        for n in range(2, 6):
+            for k in (0, 2):
+                forms = [canonical_form(d) for d in enumerate_semicomplete(n, k)]
+                assert len(set(forms)) == len(forms)
+
+    def test_class_counts_match_burnside(self):
+        # with no duplicates, equal counts mean every class is represented
+        for n in range(1, 6):
+            assert sum(1 for _ in enumerate_semicomplete(n)) == semicomplete_class_count(n)
+
+    def test_pinned_representatives(self):
+        got = {}
+        for n, k in ENUMERATION_DIGESTS:
+            arcs = [sorted(d.arcs) for d in enumerate_semicomplete(n, k)]
+            got[n, k] = (len(arcs), hashlib.sha256(repr(arcs).encode()).hexdigest())
+        assert got == ENUMERATION_DIGESTS
 
     def test_bound(self):
         with pytest.raises(ValueError):
