@@ -51,13 +51,9 @@ from .digraph import (
     s4,
 )
 from .flows import (
-    BoundedArc,
     CycleCover,
-    FlowNetwork,
-    cover_network,
+    cover_cut,
     cycle_cover,
-    feasible_circulation,
-    infeasibility_cut,
 )
 from .io import (
     ParseError,

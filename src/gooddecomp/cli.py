@@ -83,6 +83,9 @@ def _cmd_product(args) -> int:
         if args.op != "cartesian":
             print("product: --power applies to the cartesian product only", file=sys.stderr)
             return USAGE
+        if args.b is not None:
+            print("product: --power takes one factor A, not B", file=sys.stderr)
+            return USAGE
         built = cartesian_power(g, args.power)
     else:
         if args.b is None:
@@ -112,14 +115,25 @@ def _emit(dec: Decomposition) -> int:
     return OK
 
 
+#: decompose flags and the strategies that read them; any other strategy
+#: refuses the flag as a usage error rather than ignore it
+_DECOMPOSE_FLAGS = {
+    "power": ("cartesian-power",),
+    "budget": ("auto", "oracle"),
+    "spec": ("composition",),
+    "factor": ("strong-product", "lex"),
+}
+
+
 def _cmd_decompose(args) -> int:
     strategy = args.strategy
-    if args.power is not None and strategy != "cartesian-power":
-        print("decompose: --power applies to --strategy cartesian-power only", file=sys.stderr)
-        return USAGE
-    if args.budget is not None and strategy not in ("auto", "oracle"):
-        print("decompose: --budget applies to --strategy auto and oracle only", file=sys.stderr)
-        return USAGE
+    for flag, readers in _DECOMPOSE_FLAGS.items():
+        if getattr(args, flag) is not None and strategy not in readers:
+            print(
+                f"decompose: --{flag} applies to --strategy {' and '.join(readers)} only",
+                file=sys.stderr,
+            )
+            return USAGE
     d = _load_digraph(args.file)
     if strategy == "composition":
         if args.spec is None:

@@ -43,7 +43,7 @@ from .digraph import (
     s4,
     _bfs,
 )
-from .flows import CycleCover, cycle_cover, cover_network, infeasibility_cut
+from .flows import CycleCover, cover_cut, cycle_cover
 from .structure import (
     Cycle,
     cycle_arcs,
@@ -763,7 +763,7 @@ def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
         raise ValueError("needs a strong digraph of order >= 2")
     cover = cycle_cover(g)
     if cover is None:
-        cut = infeasibility_cut(cover_network(g))
+        cut = cover_cut(g)
         raise CycleCoverInfeasible(
             "no arc-disjoint cycle cover exists; infeasible circulation", cut
         )

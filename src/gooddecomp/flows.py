@@ -1,51 +1,26 @@
-"""Feasible circulations with lower bounds and arc-disjoint cycle covers.
+"""Arc-disjoint cycle covers from one max-flow.
 
 A digraph has a collection of arc-disjoint cycles covering all its vertices
-iff the network that gives every vertex bounds [1, min(d-, d+)] (realized by
-vertex splitting) and every arc bounds [0, 1] has a feasible circulation.
+iff its cover network has a feasible circulation. The network splits every
+vertex v into in_v -> out_v with bounds [1, min(d-, d+)] and turns every arc
+u -> v into out_u -> in_v with bounds [0, 1]. The lower bound 1 of in_v -> out_v
+is shipped from a super source S to out_v and from in_v to a super sink T, so
+the circulation exists iff a max S-T flow saturates every arc leaving S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
-from .digraph import Digraph, _bfs, is_strong
+from .digraph import Digraph, is_strong
 from .structure import cycle_arcs
 
-Node = Hashable
 
-
-@dataclass(frozen=True)
-class BoundedArc:
-    tail: Node
-    head: Node
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper):
-            raise ValueError(f"need 0 <= lower <= upper on arc {self.tail}->{self.head}")
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Circulation network: parallel arcs allowed, bounds per arc."""
-
-    nodes: tuple[Node, ...]
-    arcs: tuple[BoundedArc, ...]
-
-    def __post_init__(self):
-        nodeset = set(self.nodes)
-        for a in self.arcs:
-            if a.tail not in nodeset or a.head not in nodeset:
-                raise ValueError(f"arc {a} uses unknown node")
-
-
-def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> int:
+def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> set[int]:
     """BFS-augmenting max flow on an adjacency-dict capacity matrix (mutated
-    into the residual capacities)."""
-    total = 0
+    into the residual capacities). Returns the nodes s still reaches in the
+    residual: the source side of a minimum cut."""
     while True:
         prev: dict[int, int] = {s: s}
         queue = [s]
@@ -58,7 +33,7 @@ def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> int:
                         nxt.append(v)
             queue = nxt
         if t not in prev:
-            return total
+            return set(prev)
         # bottleneck along the path
         path = []
         v = t
@@ -70,70 +45,32 @@ def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> int:
             cap[u][v] -= aug
             cap[v].setdefault(u, 0)
             cap[v][u] += aug
-        total += aug
 
 
-def _lower_bound_reduction(net: FlowNetwork) -> tuple[list[dict[int, int]], list[tuple[int, int]], int]:
-    """Standard lower-bound reduction to a max-flow problem.
-
-    Node i is net.nodes[i]; every arc keeps capacity upper - lower, and the
-    lower bounds are shipped from a super source n to a super sink n + 1.
-    Returns the capacities, each arc's (tail, head) ids and the total the
-    source must ship: the circulation is feasible iff the max flow reaches it.
-    """
-    index = {node: i for i, node in enumerate(net.nodes)}
-    n = len(net.nodes)
-    cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
-    excess = [0] * n
-    arc_pairs = []
-    for a in net.arcs:
-        u, v = index[a.tail], index[a.head]
-        cap[u][v] = cap[u].get(v, 0) + a.upper - a.lower
-        excess[v] += a.lower
-        excess[u] -= a.lower
-        arc_pairs.append((u, v))
-    for v in range(n):
-        if excess[v] > 0:
-            cap[n][v] = excess[v]
-        elif excess[v] < 0:
-            cap[v][n + 1] = -excess[v]
-    return cap, arc_pairs, sum(e for e in excess if e > 0)
+def _cover_flow(d: Digraph) -> tuple[list[dict[int, int]], set[int]]:
+    """Max flow on the cover network of a strong digraph, with in_v = 2v,
+    out_v = 2v + 1, S = 2n and T = 2n + 1. Returns the residual capacities
+    and the source side of the minimum cut."""
+    if d.n < 2 or not is_strong(d):
+        raise ValueError("requires strong digraph of order >= 2")
+    s, t = 2 * d.n, 2 * d.n + 1
+    cap: list[dict[int, int]] = [dict() for _ in range(2 * d.n + 2)]
+    for v in range(d.n):
+        cap[2 * v][2 * v + 1] = min(d.in_degree(v), d.out_degree(v)) - 1
+        cap[2 * v][t] = 1
+        cap[s][2 * v + 1] = 1
+    for u, v in d.arcs:
+        cap[2 * u + 1][2 * v] = 1
+    return cap, _max_flow(cap, s, t)
 
 
-def feasible_circulation(net: FlowNetwork) -> Optional[dict[int, int]]:
-    """Integral circulation meeting all bounds, or None if infeasible.
-
-    Returns flow values indexed by position in net.arcs.
-    """
-    cap, arc_pairs, need = _lower_bound_reduction(net)
-    # parallel arcs between the same node pair share a capacity entry, so
-    # record the initial capacities
-    initial = {(u, v): cap[u][v] for u, v in set(arc_pairs)}
-    n = len(net.nodes)
-    if _max_flow(cap, n, n + 1) < need:
-        return None
-    # flow on the reduced arc (u,v) = initial - residual, split greedily over
-    # the parallel originals within their individual spans
-    used = {(u, v): initial[(u, v)] - cap[u][v] for u, v in initial}
-    flows = {}
-    for i, a in enumerate(net.arcs):
-        u, v = arc_pairs[i]
-        span = min(a.upper - a.lower, used[(u, v)])
-        used[(u, v)] -= span
-        flows[i] = a.lower + span
-    return flows
-
-
-def infeasibility_cut(net: FlowNetwork) -> frozenset:
-    """Source-side node set of the saturating min cut (for infeasible nets)."""
-    cap, _, _ = _lower_bound_reduction(net)
-    n = len(net.nodes)
-    _max_flow(cap, n, n + 1)
-    # a loop arc never changes reachability, and a Digraph has none
-    residual = Digraph(
-        n + 2, [(u, v) for u in range(n + 2) for v, c in cap[u].items() if c > 0 and u != v]
-    )
-    return frozenset(net.nodes[v] for v in _bfs(residual, n) if v < n)
+def cover_cut(d: Digraph) -> frozenset:
+    """Hoffman certificate of the cover network of a strong digraph: the
+    ("in" | "out", v) nodes on the source side of its minimum cut. When d
+    has no cycle cover, the lower bounds on arcs entering this set exceed
+    the upper bounds on arcs leaving it; when d has one, the set is empty."""
+    _, reach = _cover_flow(d)
+    return frozenset(("out" if x % 2 else "in", x // 2) for x in reach if x < 2 * d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -149,35 +86,15 @@ class CycleCover:
         return cycle_arcs(self.cycles[k])
 
 
-def cover_network(d: Digraph) -> FlowNetwork:
-    """Vertex-split circulation network whose feasibility equals cover existence."""
-    nodes: list[Node] = []
-    for v in range(d.n):
-        nodes.append(("in", v))
-        nodes.append(("out", v))
-    arcs = []
-    for v in range(d.n):
-        upper = min(d.in_degree(v), d.out_degree(v))
-        arcs.append(BoundedArc(("in", v), ("out", v), 1, upper))
-    for u, v in d.sorted_arcs():
-        arcs.append(BoundedArc(("out", u), ("in", v), 0, 1))
-    return FlowNetwork(tuple(nodes), tuple(arcs))
-
-
 def cycle_cover(d: Digraph) -> Optional[CycleCover]:
     """Arc-disjoint cycles covering all vertices, via circulation, or None."""
-    if d.n < 2 or not is_strong(d):
-        raise ValueError("requires strong digraph of order >= 2")
-    net = cover_network(d)
-    flows = feasible_circulation(net)
-    if flows is None:
+    cap, _ = _cover_flow(d)
+    if any(cap[2 * d.n].values()):  # some vertex misses its lower bound
         return None
-    # support of the flow on original arcs (all 0/1)
+    # support of the flow on original arcs: the arcs whose unit was used
     support: dict[int, list[int]] = {v: [] for v in range(d.n)}
-    offset = d.n  # vertex-internal arcs come first in cover_network
-    for i, a in enumerate(net.arcs[offset:]):
-        if flows[offset + i] > 0:
-            (_, u), (_, v) = a.tail, a.head
+    for u, v in d.arcs:
+        if cap[2 * u + 1][2 * v] == 0:
             support[u].append(v)
     for v in support:
         support[v].sort(reverse=True)  # pop() yields smallest first

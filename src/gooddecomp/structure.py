@@ -200,6 +200,19 @@ def hamiltonian_cycle_bruteforce(d: Digraph) -> Optional[Cycle]:
     used = [False] * n
     used[0] = True
 
+    def dead_end() -> bool:
+        # an unvisited vertex is entered from the walk's end or another
+        # unvisited vertex, and left to another unvisited vertex or to 0
+        end = walk[-1]
+        return any(
+            not used[x]
+            and (
+                all(used[y] and y != end for y in d.in_neighbors[x])
+                or all(used[y] and y != 0 for y in d.out_neighbors[x])
+            )
+            for x in range(n)
+        )
+
     def extend() -> bool:
         if len(walk) == n:
             return (walk[-1], 0) in d.arcs
@@ -207,7 +220,7 @@ def hamiltonian_cycle_bruteforce(d: Digraph) -> Optional[Cycle]:
             if not used[w]:
                 walk.append(w)
                 used[w] = True
-                if extend():
+                if not dead_end() and extend():
                     return True
                 walk.pop()
                 used[w] = False

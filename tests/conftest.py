@@ -86,6 +86,23 @@ def has_cycle_cover_bruteforce(d: Digraph) -> bool:
     return rec(0, frozenset(), frozenset())
 
 
+def violates_hoffman(d: Digraph, cut: frozenset) -> bool:
+    """Hoffman's certificate on the cover network of d: the lower bounds on
+    arcs entering the node set exceed the upper bounds on arcs leaving it, so
+    no circulation, and so no cycle cover, exists.  The network is rebuilt
+    here from its definition: in_v -> out_v with bounds [1, min(d-, d+)] for
+    every vertex, out_u -> in_v with bounds [0, 1] for every arc."""
+    indeg, outdeg = [0] * d.n, [0] * d.n
+    for u, v in d.arcs:
+        outdeg[u] += 1
+        indeg[v] += 1
+    arcs = [(("in", v), ("out", v), 1, min(indeg[v], outdeg[v])) for v in range(d.n)]
+    arcs += [(("out", u), ("in", v), 0, 1) for u, v in d.arcs]
+    entering = sum(lower for t, h, lower, _ in arcs if t not in cut and h in cut)
+    leaving = sum(upper for t, h, _, upper in arcs if t in cut and h not in cut)
+    return entering > leaving
+
+
 def good_decomposition_exists_bruteforce(d: Digraph) -> bool:
     """Reference decision: some arc subset and its complement are both strong
     spanning.  (A_2 exists inside the complement iff the whole complement is

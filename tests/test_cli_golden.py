@@ -1,5 +1,6 @@
-"""Pinned `decompose` documents: exit code and stdout SHA-256 for every
-strategy on the fixed instance files of the benchmark.
+"""Pinned `decompose` documents and `product` edge lists: exit code and
+stdout SHA-256 for every strategy on the fixed instance files of the
+benchmark.
 
 A change to any construction, to the document format or to the CLI wiring
 that alters a single output byte fails here.  cartesian-square and
@@ -71,12 +72,40 @@ GOLDEN = [
     (["hub8.txt", "--strategy", "strong-product", "--factor", "hub6.txt", "--budget", "5"], 2,
      EMPTY),
     (["hub6.txt", "--strategy", "lex", "--factor", "hub5.txt", "--budget", "5"], 2, EMPTY),
+    # --spec and --factor are usage errors for every strategy that ignores them
+    (["comp_host.txt", "--spec", "comp.spec"], 2, EMPTY),
+    (["hub5.txt", "--strategy", "cartesian-square", "--spec", "comp.spec"], 2, EMPTY),
+    (["hub5.txt", "--strategy", "oracle", "--factor", "hub6.txt"], 2, EMPTY),
+    (["hub5.txt", "--strategy", "cartesian-power", "--factor", "hub6.txt"], 2, EMPTY),
+    (["comp_host.txt", "--strategy", "composition", "--spec", "comp.spec", "--factor", "hub6.txt"],
+     2, EMPTY),
 ]
+
+PRODUCT_GOLDEN = [
+    (["--op", "cartesian", "hub5.txt", "hub6.txt"], 0,
+     "92314921405fc776fba646caa84f7200ef383ea7055e1841fd7f01ca1ef5a90f"),
+    (["--op", "cartesian", "hub5.txt", "--power", "2"], 0,
+     "4202b19c0ee82c7b38832bd2e9d4d6f024f1d26a615961e7a34ee004e5c7570f"),
+    # --power takes one factor; a second one is a usage error, not dropped
+    (["--op", "cartesian", "hub5.txt", "hub6.txt", "--power", "2"], 2, EMPTY),
+]
+
+
+def _paths(args):
+    return [str(INSTANCES / a) if a.endswith((".txt", ".spec")) else a for a in args]
 
 
 @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_decompose_golden(args, code, digest, capsys):
-    argv = ["decompose"] + [str(INSTANCES / a) if a.endswith((".txt", ".spec")) else a for a in args]
-    assert run_command(argv) == code
+    assert run_command(["decompose"] + _paths(args)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args,code,digest", PRODUCT_GOLDEN, ids=[" ".join(g[0]) for g in PRODUCT_GOLDEN]
+)
+def test_product_golden(args, code, digest, capsys):
+    assert run_command(["product"] + _paths(args)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gooddecomp
 from gooddecomp import (
     Decomposition,
     complete,
@@ -27,6 +28,27 @@ from gooddecomp.io import ParseError
 from conftest import random_strong_digraph
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: sorted(gooddecomp.__all__): adding or removing a public name means editing
+#: this list on purpose
+PUBLIC_API = [
+    "BACKEND", "Built", "CharacterizationResult", "CompositionSpec", "ConstructionError",
+    "CoordinateMap", "CycleCover", "CycleCoverInfeasible", "Decomposition", "Digraph", "Ear",
+    "EarDecomposition", "OracleReport", "ParseError", "VerifyResult", "arc_connectivity",
+    "builders", "cartesian_power", "cartesian_product", "characterize_semicomplete_composition",
+    "complete", "compose", "cover_cut", "cycle", "cycle_cover", "decomp",
+    "decompose_cartesian_power", "decompose_cartesian_square",
+    "decompose_cartesian_with_good_factor", "decompose_cn_boxtimes_cm", "decompose_cn_square",
+    "decompose_comp_hamiltonian", "decompose_comp_strong_parts", "decompose_composition",
+    "decompose_lexicographic", "decompose_strong_product", "digraph", "ear_decomposition", "empty",
+    "enumerate_semicomplete", "exception_digraph", "export_dot", "extend_by_twins",
+    "find_isomorphism", "flows", "hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete",
+    "io", "is_isomorphic_small", "is_k_arc_strong", "is_semicomplete", "is_strong",
+    "lexicographic_product", "match_exception", "oracle", "oracle_good_decomposition",
+    "parse_decomposition", "parse_edge_list", "path", "relabel", "render_decomposition",
+    "render_edge_list", "s4", "strong_product", "structure", "trotter_erdos_hamiltonian",
+    "validate_ear_decomposition", "verify", "verify_decomposition",
+]
 
 
 class TestEdgeList:
@@ -250,7 +272,8 @@ class TestCli:
         for strategy in ("cartesian-power", "cartesian-square"):
             assert run_command(["decompose", str(f), "--strategy", strategy]) == 1
             outs.append(capsys.readouterr().out)
-        assert outs[0].startswith("infeasible:no-cycle-cover") and outs[1] == outs[0]
+        assert outs[0] == "infeasible:no-cycle-cover\ncut: [('in', 0), ('out', 2), ('out', 3)]\n"
+        assert outs[1] == outs[0]
 
     @pytest.mark.parametrize("power", ["0", "1", "-3"])
     def test_cartesian_power_below_two_is_usage_error(self, workdir, capsys, power):
@@ -288,6 +311,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("product: --power")
 
+    def test_product_power_takes_one_factor(self, workdir, capsys):
+        argv = ["product", "--op", "cartesian", str(workdir / "c3.el"), str(workdir / "c2.el")]
+        assert run_command(argv + ["--power", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "product: --power takes one factor A, not B\n"
+
+    @pytest.mark.parametrize(
+        "strategy,flag,message",
+        [
+            ("auto", "--spec", "--spec applies to --strategy composition only"),
+            ("lex", "--spec", "--spec applies to --strategy composition only"),
+            ("oracle", "--factor", "--factor applies to --strategy strong-product and lex only"),
+            ("composition", "--factor",
+             "--factor applies to --strategy strong-product and lex only"),
+        ],
+    )
+    def test_ignored_flag_is_usage_error(self, workdir, capsys, strategy, flag, message):
+        argv = ["decompose", str(workdir / "c3.el"), "--strategy", strategy, flag, "x"]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"decompose: {message}\n"
+
     def test_usage_errors(self, workdir, capsys):
         assert run_command(["bogus"]) == 2
         capsys.readouterr()
@@ -304,3 +349,7 @@ class TestCli:
         first = capsys.readouterr().out
         run_command(["decompose", str(workdir / "k4.el"), "--strategy", "oracle"])
         assert capsys.readouterr().out == first
+
+
+def test_public_api_snapshot():
+    assert sorted(gooddecomp.__all__) == PUBLIC_API

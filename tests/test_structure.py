@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+import time
 
 import pytest
 
@@ -7,12 +9,11 @@ from gooddecomp import (
     Digraph,
     cartesian_product,
     complete,
-    cover_network,
+    cover_cut,
     cycle,
     ear_decomposition,
     hamiltonian_cycle_bruteforce,
     hamiltonian_cycle_semicomplete,
-    infeasibility_cut,
     is_semicomplete,
     is_strong,
     path,
@@ -132,6 +133,32 @@ class TestHamiltonianBruteforce:
         hc = hamiltonian_cycle_bruteforce(d)
         assert hc is not None and is_cycle_of(d, hc) and len(hc) == 4
 
+    def test_first_cycle_in_lexicographic_order(self, rng):
+        # the pruned search still returns the smallest vertex sequence from 0
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            d = Digraph(
+                n,
+                [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.45],
+            )
+            expected = next(
+                (
+                    seq
+                    for seq in ((0,) + rest for rest in itertools.permutations(range(1, n)))
+                    if all((a, b) in d.arcs for a, b in zip(seq, seq[1:] + seq[:1]))
+                ),
+                None,
+            )
+            assert hamiltonian_cycle_bruteforce(d) == expected
+
+    def test_dead_ends_pruned(self):
+        # K_13 plus a vertex joined to 0 both ways has no Hamiltonian cycle;
+        # the unpruned search would try every ordering of K_13
+        start = time.monotonic()
+        d = Digraph(14, set(complete(13).arcs) | {(0, 13), (13, 0)})
+        assert hamiltonian_cycle_bruteforce(d) is None
+        assert time.monotonic() - start < 5
+
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             hamiltonian_cycle_bruteforce(Digraph(37, []))
@@ -148,7 +175,7 @@ def test_pinned_search_outputs():
     for d in strong:
         ears = [(ear.vertices, ear.closed) for ear in ear_decomposition(d).ears]
         digest.update(repr(ears).encode())
-        digest.update(repr(sorted(infeasibility_cut(cover_network(d)))).encode())
+        digest.update(repr(sorted(cover_cut(d))).encode())
     semicomplete = 0
     while semicomplete < 150:
         d = _random_semicomplete(rng, rng.randint(2, 9))
