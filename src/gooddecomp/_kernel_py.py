@@ -1,10 +1,23 @@
 """Search kernel of the exact good-decomposition oracle.
 
 Backtracks over arc assignments to (side 1, side 2, unused).  For each side
-it maintains bitmask out-rows of "arcs still available to that side"
-(assigned to it or unassigned); a branch is pruned as soon as either
+it maintains bitmask out-rows and in-rows of "arcs still available to that
+side" (assigned to it or unassigned); a branch is pruned as soon as either
 availability digraph stops being strong, which also is the leaf test.
 Assigning to side 2 is forbidden until side 1 holds an arc (swap symmetry).
+
+Every node of the tree is strong on both sides, and deleting arc t->h from a
+strong digraph leaves it strong iff t still reaches h.  That test meets in
+the middle: it grows the closure of t along the out-rows and the closure of
+h along the in-rows, always expanding the smaller frontier, and stops when
+the two meet or either frontier runs dry.  The root's strongness test is
+the two closures of vertex 0.
+
+Each level reuses its own tests.  Choice 0 ("unused") leaves side 1 as
+choice 2 tested it and side 2 as choice 1 tested it, because every deeper
+level is undone on backtrack.  When choice 2 was skipped, every earlier arc
+is unused and the two sides are equal.  So choice 0 runs no search of its
+own.
 
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.
@@ -17,10 +30,10 @@ FOUND, NONE, ABORTED = 0, 1, 2
 _UNTRIED = -1
 
 
-def _reaches(rows, t: int, target: int) -> bool:
-    """True iff every vertex of bitmask target lies on a nonempty path from t."""
-    reach = frontier = rows[t]
-    while frontier and reach & target != target:
+def _closure(rows, v: int) -> int:
+    """Bitmask of v and every vertex that v reaches along rows."""
+    reach = frontier = 1 << v
+    while frontier:
         nxt = 0
         while frontier:
             low = frontier & -frontier
@@ -28,7 +41,38 @@ def _reaches(rows, t: int, target: int) -> bool:
             frontier ^= low
         frontier = nxt & ~reach
         reach |= frontier
-    return reach & target == target
+    return reach
+
+
+def _reaches(out, inn, t: int, h: int) -> bool:
+    """True iff t reaches h != t along out-rows; inn holds the same arcs as
+    in-rows.  Grows both ends at once and stops when they meet."""
+    fwd = ffront = 1 << t
+    bwd = bfront = 1 << h
+    while True:
+        nxt = 0
+        if ffront.bit_count() <= bfront.bit_count():
+            while ffront:
+                low = ffront & -ffront
+                nxt |= out[low.bit_length() - 1]
+                ffront ^= low
+            if nxt & bwd:
+                return True
+            ffront = nxt & ~fwd
+            if not ffront:
+                return False
+            fwd |= ffront
+        else:
+            while bfront:
+                low = bfront & -bfront
+                nxt |= inn[low.bit_length() - 1]
+                bfront ^= low
+            if nxt & fwd:
+                return True
+            bfront = nxt & ~bwd
+            if not bfront:
+                return False
+            bwd |= bfront
 
 
 def search(n, arcs, budget=0):
@@ -43,58 +87,73 @@ def search(n, arcs, budget=0):
     limit = budget if budget > 0 else float("inf")
 
     out1 = [0] * n
+    in1 = [0] * n
     for t, h in arcs:
         out1[t] |= 1 << h
-    out2 = out1[:]
+        in1[h] |= 1 << t
+    out2, in2 = out1[:], in1[:]
 
     nodes = 1
-    others = ((1 << n) - 1) & ~1
-    strong = _reaches(out1, 0, others) and all(_reaches(out1, v, 1) for v in range(1, n))
-    if not strong:
+    full = (1 << n) - 1
+    if _closure(out1, 0) != full or _closure(in1, 0) != full:
         return NONE, [], [], nodes
 
     assign = [_UNTRIED] * m
+    # per level, from this visit: side 2 stays strong without the arc (tested
+    # by choice 1), side 1 stays strong without it (tested by choice 2)
+    ok2 = [False] * m
+    ok1 = [False] * m
     ones = 0  # arcs on side 1 among arcs[:i]
     i = 0
     while i < m:
         t, h = arcs[i]
-        hbit = 1 << h
-        # take back the choice last tried at i and move on to the next one
+        hbit, tbit = 1 << h, 1 << t
         c = assign[i]
-        if c == _UNTRIED:
-            c = 1
-        elif c == 1:
-            out2[t] |= hbit
-            ones -= 1
-            c = 2 if ones else 0
-        elif c == 2:
+        if c == 0:
+            # every choice tried: give the arc back to both sides, backtrack
             out1[t] |= hbit
-            c = 0
-        else:
-            out1[t] |= hbit
+            in1[h] |= tbit
             out2[t] |= hbit
+            in2[h] |= tbit
             assign[i] = _UNTRIED
             if i == 0:
                 return NONE, [], [], nodes
             i -= 1
             continue
-        assign[i] = c
         nodes += 1
         if nodes > limit:
             return ABORTED, [], [], nodes
-        # the parent node is strong on both sides, and deleting arc t->h from
-        # a strong digraph leaves it strong iff t still reaches h
-        if c == 1:
-            out2[t] &= ~hbit
+        # move from the choice last tried at i to the next one; the parent
+        # node is strong on both sides, and deleting arc t->h from a strong
+        # digraph leaves it strong iff t still reaches h
+        if c == _UNTRIED:
+            # side 1: side 2 loses the arc
+            assign[i] = 1
             ones += 1
-            ok = _reaches(out2, t, hbit)
-        elif c == 2:
-            out1[t] &= ~hbit
-            ok = _reaches(out1, t, hbit)
-        else:
-            out1[t] &= ~hbit
             out2[t] &= ~hbit
-            ok = _reaches(out1, t, hbit) and _reaches(out2, t, hbit)
+            in2[h] &= ~tbit
+            ok = ok2[i] = _reaches(out2, in2, t, h)
+        elif c == 1:
+            ones -= 1
+            out1[t] &= ~hbit
+            in1[h] &= ~tbit
+            if ones:
+                # side 2: side 2 gets the arc back, side 1 loses it
+                assign[i] = 2
+                out2[t] |= hbit
+                in2[h] |= tbit
+                ok = ok1[i] = _reaches(out1, in1, t, h)
+            else:
+                # unused, side 2 not allowed yet: every earlier arc is unused,
+                # so side 1 equals side 2, which choice 1 tested
+                assign[i] = 0
+                ok = ok2[i]
+        else:
+            # unused after side 2: side 2 loses the arc too
+            assign[i] = 0
+            out2[t] &= ~hbit
+            in2[h] &= ~tbit
+            ok = ok1[i] and ok2[i]
         if ok:
             i += 1
 

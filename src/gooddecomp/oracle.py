@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .decomp import Decomposition, verify
+from .decomp import ConstructionError, Decomposition, verify
 from .digraph import Digraph, is_k_arc_strong
 
 from . import _kernel_py as _impl
@@ -39,7 +39,8 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     """Backtracking search over arc assignments to (A1, A2, unused).
 
     budget limits explored nodes (<= 0 means unlimited).  A found outcome is
-    always verified before being reported; "none" means the pruned search
+    always verified before being reported, and ConstructionError is raised
+    if the kernel's sides fail verification; "none" means the pruned search
     space was exhausted.
     """
     start = time.perf_counter()
@@ -57,10 +58,10 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     if status == _impl.FOUND:
         a1 = frozenset(arcs[i] for i in i1)
         a2 = frozenset(arcs[i] for i in i2)
-        dec = Decomposition(d, (a1, a2))
         check = verify(d, a1, a2)
-        assert check.ok, f"kernel returned invalid decomposition: {check.reason}"
-        return OracleReport("found", dec, nodes, elapsed)
+        if not check.ok:
+            raise ConstructionError(f"kernel returned invalid decomposition: {check.reason}")
+        return OracleReport("found", Decomposition(d, (a1, a2)), nodes, elapsed)
     if status == _impl.ABORTED:
         return OracleReport("aborted", None, nodes, elapsed)
     return OracleReport("none", None, nodes, elapsed, "exhausted")

@@ -5,6 +5,7 @@ computed here by independent brute-force oracles (see conftest) or are fixed
 known quantities of the constructions under test.
 """
 
+import hashlib
 import itertools
 import time
 from collections import Counter
@@ -191,14 +192,43 @@ def test_criterion_7_trotter_erdos_crosscheck():
     _budget(start, 120)
 
 
+#: SHA-256 of repr((n, sorted arcs)) over the yielded digraphs, in order
+STRONG_UPTO_8_ARCS_DIGEST = "1f1b46717011aba7f6d2983df5c56b4a2ac39b8a774300970b88abf5a8ba8abc"
+
+
+def _closure_of_0(rows: list[int]) -> int:
+    """Bitmask of the vertices that vertex 0 reaches along bitmask rows."""
+    reach = frontier = 1
+    while frontier:
+        nxt = 0
+        for v, row in enumerate(rows):
+            if frontier >> v & 1:
+                nxt |= row
+        frontier = nxt & ~reach
+        reach |= frontier
+    return reach
+
+
 def _strong_digraphs_upto_8_arcs_small_orders():
+    """Every strong labelled digraph of order 2..5 with n..8 arcs, in
+    itertools.combinations order.  Candidates are filtered on bitmask rows
+    (every degree >= 1, then strongness) before a Digraph is built."""
     for n in range(2, 6):
+        full = (1 << n) - 1
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         for m in range(n, 9):
             for arcs in itertools.combinations(pairs, m):
-                d = Digraph(n, arcs)
-                if is_strong(d):
-                    yield d
+                out, inn = [0] * n, [0] * n
+                for u, v in arcs:
+                    out[u] |= 1 << v
+                    inn[v] |= 1 << u
+                if (
+                    all(out)
+                    and all(inn)
+                    and _closure_of_0(out) == full
+                    and _closure_of_0(inn) == full
+                ):
+                    yield Digraph(n, arcs)
 
 
 def test_criterion_8_cycle_cover_flow_equivalence(rng):
@@ -207,10 +237,14 @@ def test_criterion_8_cycle_cover_flow_equivalence(rng):
     <= 5 with <= 8 arcs, plus sampled orders 6-8; exact, under 5 min."""
     start = time.monotonic()
     checked = 0
+    yielded = hashlib.sha256()
     for d in _strong_digraphs_upto_8_arcs_small_orders():
         assert (cycle_cover(d) is not None) == has_cycle_cover_bruteforce(d)
+        yielded.update(repr((d.n, d.sorted_arcs())).encode())
         checked += 1
-    assert checked > 10_000
+    # every strong digraph in the range, each once and in the same order
+    assert checked == 35_393
+    assert yielded.hexdigest() == STRONG_UPTO_8_ARCS_DIGEST
     # orders 6-8 exceed exhaustive reach: Hamiltonian cycles with chords
     # (arc budget 8) and sparse ear-grown samples
     for n in (6, 7, 8):

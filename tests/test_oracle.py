@@ -1,10 +1,15 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gooddecomp
 from gooddecomp import (
     CompositionSpec,
+    ConstructionError,
     Digraph,
     complete,
     compose,
@@ -12,6 +17,7 @@ from gooddecomp import (
     empty,
     exception_digraph,
     is_isomorphic_small,
+    is_strong,
     oracle_good_decomposition,
     s4,
     verify,
@@ -23,6 +29,7 @@ from gooddecomp.oracle import enumerate_semicomplete
 from conftest import (
     canonical_form,
     good_decomposition_exists_bruteforce,
+    kernel_search_reference,
     random_strong_digraph,
     semicomplete_class_count,
 )
@@ -81,6 +88,32 @@ PINNED_RANDOM = [
     ("found", 63, "1111211112111121112111211112122221"),
 ]
 
+#: (outcome, nodes_explored, first 16 hex digits of the SHA-256 of the sides
+#: string) at budget 5,000 for the draws of _random_regular3(rng, 24), rng
+#: seeded 0x24; the sparse regime with the largest trees
+PINNED_REGULAR3_24 = [
+    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 102, "3f36e82776e3c115"),
+    ("found", 220, "99d48c9e115b6425"),
+    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 121, "ee57442d1cb14067"),
+    ("found", 105, "dbdcecaf54b8fb3b"),
+    ("found", 106, "045012d3668f3760"),
+    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 162, "f4fc0c53ce308df3"),
+    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 3609, "2bcac42926de7bf9"),
+    ("found", 4965, "a16d81eba8a806da"),
+    ("found", 100, "5ddf15e80fbb0d40"),
+    ("found", 102, "c8c834fa5b81a103"),
+    ("found", 116, "b974beeee1eb2661"),
+    ("found", 1989, "c25aa53eef970d2e"),
+    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 171, "9640139b24734a17"),
+    ("found", 163, "7d98614ac9e36c47"),
+]
+
 #: (n, min_arc_strong) -> (classes, SHA-256 of the sorted arc lists in yield
 #: order); any change means other representatives or another order
 ENUMERATION_DIGESTS = {
@@ -107,8 +140,8 @@ ENUMERATION_DIGESTS = {
 }
 
 
-def _signature(d: Digraph) -> tuple:
-    rep = oracle_good_decomposition(d)
+def _signature(d: Digraph, budget: int = 0) -> tuple:
+    rep = oracle_good_decomposition(d, budget)
     sides = ""
     if rep.outcome == "found":
         dec = rep.decomposition
@@ -116,6 +149,24 @@ def _signature(d: Digraph) -> tuple:
             "1" if a in dec.a1 else "2" if a in dec.a2 else "0" for a in d.sorted_arcs()
         )
     return rep.outcome, rep.nodes_explored, sides
+
+
+def _random_regular3(rng: random.Random, n: int) -> Digraph:
+    """Union of three derangements that send no vertex to the same place,
+    drawn again until strong: 3-regular, no loops, no parallel arcs."""
+    while True:
+        perms = []
+        while len(perms) < 3:
+            p = rng.sample(range(n), n)
+            if all(p[v] != v and all(p[v] != q[v] for q in perms) for v in range(n)):
+                perms.append(p)
+        d = Digraph(n, {(v, p[v]) for p in perms for v in range(n)})
+        if is_strong(d):
+            return d
+
+
+def _overlapping_sides(n, arcs, budget):
+    return _kernel_py.FOUND, [0], [0], 1
 
 
 class TestOracle:
@@ -173,6 +224,64 @@ class TestOracle:
         rng = random.Random(0xD1A6)
         drawn = [_signature(random_strong_digraph(rng, 7, density=0.75)) for _ in PINNED_RANDOM]
         assert drawn == PINNED_RANDOM
+
+    def test_pinned_sparse_search_trees(self):
+        rng = random.Random(0x24)
+        drawn = []
+        for _ in PINNED_REGULAR3_24:
+            outcome, nodes, sides = _signature(_random_regular3(rng, 24), budget=5000)
+            drawn.append((outcome, nodes, hashlib.sha256(sides.encode()).hexdigest()[:16]))
+        assert drawn == PINNED_REGULAR3_24
+        assert {outcome for outcome, _, _ in PINNED_REGULAR3_24} >= {"found", "aborted"}
+
+    def test_kernel_matches_reference(self):
+        """The full (status, a1, a2, nodes) of the kernel equals that of the
+        plain reference on random digraphs of order 1-9, non-strong ones too.
+        The budgets put aborts on every choice, the unused choice after a
+        skipped side 2 included; the unlimited budget runs where the
+        reference finishes within 500 nodes, to bound the reference's time."""
+        rng = random.Random(0x5EA7)
+        aborts = []
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            density = rng.uniform(0.2, 0.9)
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+            for budget in (500, 50, 7, 2, 1, 0):
+                if budget == 0 and unfinished:
+                    continue
+                expected = kernel_search_reference(n, arcs, budget, aborts)
+                assert _kernel_py.search(n, arcs, budget) == expected, (n, arcs, budget)
+                if budget == 500:
+                    unfinished = expected[0] == _kernel_py.ABORTED
+        assert set(aborts) == {"1", "2", "0", "0 after skip"}
+
+    def test_invalid_kernel_result_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod._impl, "search", _overlapping_sides)
+        with pytest.raises(ConstructionError, match="sides overlap on arc"):
+            oracle_good_decomposition(complete(3))
+
+    def test_invalid_kernel_result_raises_under_optimize(self):
+        """python -O strips asserts; the check must stay."""
+        code = (
+            "import sys\n"
+            "from gooddecomp import ConstructionError, complete, oracle\n"
+            "oracle._impl.search = lambda n, arcs, budget: (oracle._impl.FOUND, [0], [0], 1)\n"
+            "try:\n"
+            "    oracle.oracle_good_decomposition(complete(3))\n"
+            "except ConstructionError as exc:\n"
+            "    print(sys.flags.optimize, 'raised', exc)\n"
+            "else:\n"
+            "    print(sys.flags.optimize, 'returned')\n"
+        )
+        src = os.path.dirname(os.path.dirname(gooddecomp.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "1 raised kernel returned invalid decomposition: sides overlap on arc (0, 1)\n"
+        )
 
     def test_large_inputs_return_a_status(self):
         n = 70
