@@ -19,7 +19,6 @@ from .decomp import (
     ConstructionError,
     CycleCoverInfeasible,
     Decomposition,
-    characterize_semicomplete_composition,
     decompose_cartesian_power,
     decompose_composition,
     decompose_lexicographic,
@@ -115,6 +114,13 @@ def _emit(dec: Decomposition) -> int:
     return OK
 
 
+def _refuse_exception(d: Digraph) -> None:
+    """Refuse d by name if it is one of the four non-decomposable digraphs."""
+    matched = match_exception(d)
+    if matched is not None:
+        raise Refusal(f"exception:{matched[0]}")
+
+
 #: decompose flags and the strategies that read them; any other strategy
 #: refuses the flag as a usage error rather than ignore it
 _DECOMPOSE_FLAGS = {
@@ -143,18 +149,9 @@ def _cmd_decompose(args) -> int:
         if compose(spec).digraph != d:
             print("decompose: spec does not compose to FILE", file=sys.stderr)
             return USAGE
-        if (
-            is_semicomplete(spec.outer)
-            and is_strong(spec.outer)
-            and spec.t >= 2
-            and all(n >= 2 for n in spec.sizes)
-        ):
-            res = characterize_semicomplete_composition(spec)
-            if res.is_exception:
-                raise Refusal(f"exception:{res.exception_tag}")
-            return _emit(res.decomposition)
         dec = decompose_composition(spec)
         if dec is None:
+            _refuse_exception(d)
             raise Refusal("not-covered")
         return _emit(dec)
     if strategy in ("cartesian-square", "cartesian-power"):
@@ -176,9 +173,7 @@ def _cmd_decompose(args) -> int:
             return _emit(decompose_strong_product(d, h))
         return _emit(decompose_lexicographic(d, h))
     if strategy == "auto":
-        matched = match_exception(d)
-        if matched is not None:
-            raise Refusal(f"exception:{matched[0]}")
+        _refuse_exception(d)
     report = oracle_good_decomposition(d, budget=args.budget or 0)
     if report.outcome == "found":
         return _emit(report.decomposition)

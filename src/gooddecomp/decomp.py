@@ -45,6 +45,7 @@ from .digraph import (
 )
 from .flows import CycleCover, cover_cut, cycle_cover
 from .structure import (
+    ConstructionError,
     Cycle,
     cycle_arcs,
     ear_decomposition,
@@ -55,10 +56,6 @@ from .structure import (
 
 Coord = tuple[int, int]
 CoordArc = tuple[Coord, Coord]
-
-
-class ConstructionError(RuntimeError):
-    """A constructive proof produced an invalid result (internal bug)."""
 
 
 class CycleCoverInfeasible(ValueError):
@@ -430,37 +427,42 @@ def _part_a_sides(spec: CompositionSpec) -> Skeleton:
     return side1, side2, kept
 
 
-def _outer_hamiltonian_cycle(T: Digraph) -> Optional[Cycle]:
-    if T.n < 2 or not is_strong(T):
-        return None
-    if is_semicomplete(T):
-        return hamiltonian_cycle_semicomplete(T)
-    if T.n <= 14:
-        return hamiltonian_cycle_bruteforce(T)
-    return None
-
-
 def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
-    """Sufficient-condition dispatcher: tries the 2-arc-strong-semicomplete
-    route, then the Hamiltonian-outer route, then the all-strong route.
-    Returns None ("not covered") when no condition applies."""
+    """Decompose T[H_1..H_t] by the first route that applies: T 2-arc-strong
+    semicomplete, a Hamiltonian cycle of T, the characterization's remaining
+    cases (T strong semicomplete, every block of order >= 2), all parts
+    strong.  Returns None ("not covered") when no route applies, which for
+    the characterization's domain means the composition is an exception."""
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
-    if T.n >= 2 and is_semicomplete(T) and is_k_arc_strong(T, 2):
-        # t >= 3 here, so the composition is S_4 only when T is and every
-        # block is trivial
-        if not (all(n == 1 for n in spec.sizes) and is_isomorphic_small(T, s4())):
-            return _finish_composition(spec, compose(spec), *_part_a_sides(spec))
-    hc = _outer_hamiltonian_cycle(T)
-    if hc is not None:
-        dec = decompose_comp_hamiltonian(spec, hc)
-        if dec is not None:
-            return dec
-    dec = decompose_comp_strong_parts(spec)
-    if dec is not None:
-        return dec
-    return None
+    return _decompose_composition(spec, None, semicomplete=is_semicomplete(T), strong=is_strong(T))
+
+
+def _decompose_composition(
+    spec: CompositionSpec, built: Optional[Built], semicomplete: bool, strong: bool
+) -> Optional[Decomposition]:
+    """The one order of the composition routes, given whether T is
+    semicomplete and strong; lifts onto built when given."""
+    if not strong:
+        return None
+    T = spec.outer
+    sides = None
+    # t >= 3 for a 2-arc-strong semicomplete T, so the composition is S_4
+    # only when T is and every block is trivial
+    if semicomplete and is_k_arc_strong(T, 2) and not (
+        all(n == 1 for n in spec.sizes) and is_isomorphic_small(T, s4())
+    ):
+        sides = _part_a_sides(spec)
+    elif semicomplete or T.n <= 14:
+        hc = (hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
+        if hc is not None:
+            sides = _hamiltonian_sides(spec, hc)
+        if sides is None and semicomplete and min(spec.sizes) >= 2:
+            sides = _remaining_sides(spec, hc)
+    if sides is None:
+        return decompose_comp_strong_parts(spec)
+    return _finish_composition(spec, built or compose(spec), *sides)
 
 
 # ---------------------------------------------------------------------------
@@ -511,34 +513,26 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     every inner of order >= 2: either an exception tag or a verified
     decomposition built by the constructive branches."""
     T = spec.outer
-    if spec.t < 2 or not is_semicomplete(T) or not is_strong(T):
-        raise ValueError("requires strong semicomplete outer and nontrivial inners")
-    if any(n < 2 for n in spec.sizes):
+    if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(T) or not is_strong(T):
         raise ValueError("requires strong semicomplete outer and nontrivial inners")
     built = compose(spec)
     matched = match_exception(built.digraph)
     if matched is not None:
         tag, witness = matched
         return CharacterizationResult(exception_tag=tag, witness=witness)
-    sides = _characterization_sides(spec)
-    return CharacterizationResult(decomposition=_finish_composition(spec, built, *sides))
+    dec = _decompose_composition(spec, built, semicomplete=True, strong=True)
+    if dec is None:
+        raise ConstructionError("composition is neither an exception nor decomposed")
+    return CharacterizationResult(decomposition=dec)
 
 
-def _characterization_sides(spec: CompositionSpec) -> Skeleton:
-    """Skeleton for a strong semicomplete outer with nontrivial inners whose
-    composition is not an exception."""
-    T = spec.outer
-    if is_k_arc_strong(T, 2):
-        return _part_a_sides(spec)
-
-    hc = hamiltonian_cycle_semicomplete(T)
-    sides = _hamiltonian_sides(spec, hc)
-    if sides is not None:
-        return sides
-
-    # remaining: odd t, at least two blocks of size 2, at most one inner with
-    # arcs (and no digon in it)
-    t = spec.t
+def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
+    """Skeleton for a strong semicomplete outer with Hamiltonian cycle hc over
+    nontrivial inners that _hamiltonian_sides does not cover; None for the
+    exception shapes."""
+    # odd t, at least two blocks of size 2, at most one inner with arcs (and
+    # no digon in it)
+    T, t = spec.outer, spec.t
     order = list(hc)
     pos = {b: i for i, b in enumerate(order)}
 
@@ -604,7 +598,7 @@ def _characterization_sides(spec: CompositionSpec) -> Skeleton:
     if m != 3 or not arc_blocks:
         # an arcless (2,2,<=3) composition or (2,2,2) with one lone inner arc
         # is an exception; an inner digon was repaired by _hamiltonian_sides
-        raise ConstructionError("(2,2,<=3) case should have matched an exception")
+        return None
     blk = arc_blocks[0]
     ax, ay = min(spec.inners[blk].arcs)
     p = order.index(blk)

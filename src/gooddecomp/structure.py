@@ -16,6 +16,10 @@ Cycle = tuple[int, ...]
 HAMILTON_BRUTE_BOUND = 36
 
 
+class ConstructionError(RuntimeError):
+    """A constructive proof produced an invalid result (internal bug)."""
+
+
 def cycle_arcs(cyc: Cycle) -> list[Arc]:
     return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
 
@@ -118,7 +122,8 @@ def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDec
             # shortest path from v back to the current vertex set over new vertices
             prev = _bfs(d, v, stop=vertices)
             hit = next(reversed(prev))
-            assert hit in vertices, "strong digraph must reach the covered part"
+            if hit not in vertices:
+                raise ConstructionError("strong digraph must reach the covered part")
             chain = [u] + _tree_path(prev, hit)  # u, v, ..., hit
             if hit == u:
                 ears.append(Ear(tuple(chain[:-1]), closed=True))
@@ -182,10 +187,12 @@ def hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
                     break
             if bridge:
                 break
-        assert bridge is not None, "strong semicomplete digraph must bridge out->in"
+        if bridge is None:
+            raise ConstructionError("strong semicomplete digraph must bridge out->in")
         x, y = bridge
         cyc[1:1] = [x, y]  # c0 -> x -> y -> c1: all arcs exist by domination
-    assert is_cycle_of(d, tuple(cyc))
+    if not is_cycle_of(d, tuple(cyc)):
+        raise ConstructionError("cycle extension did not close a Hamiltonian cycle")
     return tuple(cyc)
 
 

@@ -223,6 +223,29 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             decompose_composition(spec_of(empty(1), cycle(3)))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # 1-arc-strong tournament on 5 vertices: the distance-two repair
+            spec_of(
+                Digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 4)]
+                        + [(4, 0)]),
+                *[empty(2)] * 5,
+            ),
+            # t = 3 with a digon off the Hamiltonian cycle
+            spec_of(Digraph(3, [(0, 1), (1, 2), (2, 0), (1, 0)]), *[empty(2)] * 3),
+            # directed triangle with a block of order >= 4
+            spec_of(cycle(3), empty(2), empty(2), empty(4)),
+            # directed triangle over (2, 2, 3) with one inner arc in the 3-block
+            spec_of(cycle(3), empty(2), empty(2), Digraph(3, [(0, 1)])),
+        ],
+        ids=["t5-distance-two", "t3-off-cycle-digon", "c3-n3-at-least-4", "c3-223-one-arc"],
+    )
+    def test_characterization_remaining_cases(self, spec):
+        dec = decompose_composition(spec)
+        assert dec is not None and verify_decomposition(dec).ok
+        assert dec == characterize_semicomplete_composition(spec).decomposition
+
 
 class TestCharacterize:
     def test_exception_tags(self):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -223,14 +224,15 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[0] == "exception:C3_K2_K2_K2"
 
     @pytest.mark.parametrize(
-        "outer,inners,code",
+        "outer,inners,code,first",
         [
-            (cycle(4), [empty(2)] * 4, 0),  # not semicomplete: Hamiltonian outer, even t
-            (cycle(3), [empty(1), empty(2), empty(2)], 1),  # a trivial block: no route
+            (cycle(4), [empty(2)] * 4, 0, "HOST"),  # not semicomplete: Hamiltonian outer, even t
+            (cycle(3), [empty(1), empty(2), empty(2)], 1, "not-covered"),  # a trivial block
+            (s4(), [empty(1)] * 4, 1, "exception:S4"),  # the composition is S_4 itself
         ],
-        ids=["covered", "not-covered"],
+        ids=["covered", "not-covered", "exception"],
     )
-    def test_decompose_composition_fallback(self, capsys, tmp_path, outer, inners, code):
+    def test_decompose_composition_fallback(self, capsys, tmp_path, outer, inners, code, first):
         names = [f"b{i}.el" for i in range(len(inners) + 1)]
         for name, d in zip(names, [outer] + inners):
             (tmp_path / name).write_text(render_edge_list(d))
@@ -241,8 +243,9 @@ class TestCli:
         spec = str(tmp_path / "spec.txt")
         assert run_command(["decompose", str(q), "--strategy", "composition", "--spec", spec]) == code
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == first
         if code == 1:
-            assert out == "not-covered\n"
+            assert out == f"{first}\n"
         else:
             doc = tmp_path / "q.decomp"
             doc.write_text(out)
@@ -353,3 +356,13 @@ class TestCli:
 
 def test_public_api_snapshot():
     assert sorted(gooddecomp.__all__) == PUBLIC_API
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts; every internal check must raise instead
+    found = []
+    for source in sorted(Path(gooddecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        found += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from gooddecomp import (
+    ConstructionError,
     Digraph,
     cartesian_product,
     complete,
@@ -20,6 +21,7 @@ from gooddecomp import (
     s4,
     validate_ear_decomposition,
 )
+from gooddecomp import decomp, structure
 from gooddecomp.oracle import enumerate_semicomplete
 from gooddecomp.structure import cycle_arcs, is_cycle_of
 
@@ -89,6 +91,13 @@ class TestHamiltonianSemicomplete:
         d = Digraph(3, [(0, 1), (0, 2), (1, 2)])  # transitive tournament
         with pytest.raises(ValueError):
             hamiltonian_cycle_semicomplete(d)
+
+    def test_failed_cycle_check_raises(self, monkeypatch):
+        # the closing check is an explicit raise, so it also holds under python -O
+        monkeypatch.setattr(structure, "is_cycle_of", lambda d, cyc: False)
+        with pytest.raises(ConstructionError, match="did not close a Hamiltonian cycle"):
+            hamiltonian_cycle_semicomplete(complete(4))
+        assert structure.ConstructionError is decomp.ConstructionError is ConstructionError
 
     def test_bridge_from_dominated_to_dominating(self):
         # neither 3 (dominated by the triangle) nor 4 (dominating it) fits
