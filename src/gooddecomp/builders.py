@@ -124,17 +124,11 @@ def strong_product(g: Digraph, h: Digraph) -> Built:
 
 
 def lexicographic_product(g: Digraph, h: Digraph) -> Built:
-    """All arcs between blocks joined in G, plus H-arcs within each block."""
-    cmap = product_coords(g.n, h.n)
-    arcs: set[Arc] = set()
-    for x, y in g.arcs:
-        for z in range(h.n):
-            for w in range(h.n):
-                arcs.add((cmap.vid(x, z), cmap.vid(y, w)))
-    for x in range(g.n):
-        for z, w in h.arcs:
-            arcs.add((cmap.vid(x, z), cmap.vid(x, w)))
-    return Built(Digraph(g.n * h.n, arcs, _product_labels(g, h)), cmap)
+    """The composition G[H, ..., H]: all arcs between blocks joined in G,
+    plus H-arcs within each block."""
+    if h.n == 0:  # CompositionSpec refuses order-0 inners
+        return Built(Digraph(0, (), []), product_coords(g.n, 0))
+    return compose(CompositionSpec(g, (h,) * g.n))
 
 
 def cartesian_power(g: Digraph, k: int) -> Built:

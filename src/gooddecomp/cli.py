@@ -28,8 +28,8 @@ from .decomp import (
     verify_decomposition,
 )
 from .digraph import Digraph, arc_connectivity, is_semicomplete, is_strong
-from .io import ParseError, parse_decomposition, parse_edge_list, render_decomposition, \
-    render_edge_list
+from .io import ParseError, _content_lines, parse_decomposition, parse_edge_list, \
+    render_decomposition, render_edge_list
 from .oracle import oracle_good_decomposition
 
 OK, REFUSED, USAGE = 0, 1, 2
@@ -51,11 +51,7 @@ def _load_spec(path: str) -> CompositionSpec:
     following lines name the inner files in block order; paths are relative
     to the spec file."""
     base = Path(path).parent
-    names = [
-        line.strip()
-        for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    names = [line for _, line in _content_lines(Path(path).read_text())]
     if len(names) < 2:
         raise ParseError("spec file needs an outer file and at least one inner file", 1)
     outer = _load_digraph(str(base / names[0]))

@@ -7,9 +7,9 @@ A1..Ak (the lexicographic product packs ell+1 of them).  Every decomposer here
 is fail-closed: results are verified before they are returned and a
 ConstructionError signals an internal bug.
 
-Composition constructions work on the two-vertices-per-block skeleton (plus
-explicitly consumed inner arcs) and are lifted to the full composition by the
-twin-extension of extend_by_twins.
+Composition constructions build skeleton sides on a few kept vertices per
+block (plus explicitly consumed inner arcs) and _finish_composition lifts them
+to the full composition by one twin extension.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ from .structure import (
     hamiltonian_cycle_semicomplete,
     is_cycle_of,
 )
-
-Coord = tuple[int, int]
-CoordArc = tuple[Coord, Coord]
-
 
 class CycleCoverInfeasible(ValueError):
     """No arc-disjoint cycle cover exists; carries the failing cut side."""
@@ -141,47 +137,44 @@ def _checked(host: Digraph, *parts) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# twin extension: duplicating kept block vertices preserves good decompositions
+# skeleton constructions for compositions: each route returns
+# (order, kept, side1, side2) for _finish_composition to lift.  Skeleton
+# vertices are (position, slot) pairs: position p stands for block order[p]
+# and slot s for that block's vertex kept[p][s].
 
-def _expand_twins(
-    side: set[CoordArc], kept: dict[int, Sequence[int]], sizes: Sequence[int]
-) -> set[CoordArc]:
-    """Give every non-kept block vertex the same cross-block arcs as its
-    block's first kept vertex.  Inner arcs are never duplicated."""
-    twins = {
-        i: [j for j in range(sizes[i]) if j not in set(kept[i])] for i in kept
-    }
-    out: set[CoordArc] = set()
-    for (i, ji), (p, jp) in side:
-        out.add(((i, ji), (p, jp)))
-        if i == p:
-            continue
-        tails = [ji] + (twins[i] if ji == kept[i][0] else [])
-        heads = [jp] + (twins[p] if jp == kept[p][0] else [])
-        for a in tails:
-            for b in heads:
-                out.add(((i, a), (p, b)))
-    return out
-
-
-def _coords_to_arcs(side: set[CoordArc], cmap) -> set[Arc]:
-    return {(cmap.vid(*x), cmap.vid(*y)) for x, y in side}
+Skeleton = tuple[Sequence[int], Sequence[Sequence[int]], set, set]
 
 
 def _finish_composition(
     spec: CompositionSpec,
     built: Built,
-    side1: set[CoordArc],
-    side2: set[CoordArc],
-    kept: dict[int, Sequence[int]],
+    order: Sequence[int],
+    kept: Sequence[Sequence[int]],
+    side1: set,
+    side2: set,
 ) -> Decomposition:
-    """Lift skeleton sides on the kept vertices to the composition built
-    from spec."""
+    """Lift skeleton sides to the composition built from spec by twin
+    extension: every non-kept vertex of a block gets the same cross-block
+    arcs as the block's slot 0.  Inner arcs are never copied."""
     q, cmap = built
-    sizes = spec.sizes
-    a1 = _coords_to_arcs(_expand_twins(side1, kept, sizes), cmap)
-    a2 = _coords_to_arcs(_expand_twins(side2, kept, sizes), cmap)
-    return _checked(q, a1, a2)
+    ids = [[cmap.vid(b, j) for j in kept[p]] for p, b in enumerate(order)]
+    twins = [
+        [cmap.vid(b, j) for j in range(spec.sizes[b]) if j not in kept[p]]
+        for p, b in enumerate(order)
+    ]
+
+    def lift(side) -> set[Arc]:
+        out: set[Arc] = set()
+        for (p1, s1), (p2, s2) in side:
+            u, v = ids[p1][s1], ids[p2][s2]
+            out.add((u, v))
+            if p1 != p2:
+                tails = [u] + twins[p1] if s1 == 0 else [u]
+                heads = [v] + twins[p2] if s2 == 0 else [v]
+                out.update((a, b) for a in tails for b in heads)
+        return out
+
+    return _checked(q, lift(side1), lift(side2))
 
 
 def extend_by_twins(
@@ -198,32 +191,21 @@ def extend_by_twins(
     """
     if len(kept) != spec.t or any(len(k) == 0 for k in kept):
         raise ValueError("need a nonempty kept list per block")
+    for i, k in enumerate(kept):
+        if len(set(k)) != len(k) or not all(0 <= j < spec.sizes[i] for j in k):
+            raise ValueError(f"kept list {i} needs distinct vertices of block {i}")
     sub_sizes = tuple(len(k) for k in kept)
     if qstar.n != sum(sub_sizes):
         raise ValueError("qstar order does not match the kept lists")
     if d.host != qstar:
         raise ValueError("decomposition host is not qstar")
-    sub_map = composition_coords(sub_sizes)
+    coord = composition_coords(sub_sizes).coord
+    side1, side2 = ({(coord(u), coord(v)) for u, v in side} for side in (d.a1, d.a2))
+    return _finish_composition(spec, compose(spec), range(spec.t), kept, side1, side2)
 
-    def to_coords(side) -> set[CoordArc]:
-        out = set()
-        for u, v in side:
-            (i, a), (p, b) = sub_map.coord(u), sub_map.coord(v)
-            out.add(((i, kept[i][a]), (p, kept[p][b])))
-        return out
-
-    kept_dict = {i: list(k) for i, k in enumerate(kept)}
-    return _finish_composition(spec, compose(spec), to_coords(d.a1), to_coords(d.a2), kept_dict)
-
-
-# ---------------------------------------------------------------------------
-# skeleton constructions for compositions: each returns (side1, side2, kept)
-# in coordinate space for _finish_composition to lift
-
-Skeleton = tuple[set[CoordArc], set[CoordArc], dict[int, Sequence[int]]]
 
 def _eq_sides(t: int) -> tuple[set, set]:
-    """Side arc sets on the 2-per-block skeleton, in (position, slot) space.
+    """Side arc sets on the 2-per-block skeleton.
 
     Side 1 is a single Hamiltonian cycle of the skeleton for every t; side 2
     is one for even t and splits into two cycles C and Z for odd t, with slot
@@ -236,17 +218,9 @@ def _eq_sides(t: int) -> tuple[set, set]:
     return side1, side2
 
 
-def _pos_to_coords(order: Sequence[int], kept: dict[int, Sequence[int]], side) -> set[CoordArc]:
-    out = set()
-    for (p1, s1), (p2, s2) in side:
-        b1, b2 = order[p1], order[p2]
-        out.add(((b1, kept[b1][s1]), (b2, kept[b2][s2])))
-    return out
-
-
 def _case3_sides(t: int) -> tuple[set, set]:
     """Explicit skeleton sides for odd t with block sizes (2, 3, ..., 3)."""
-    def chain(rows_slots: list[Coord]) -> set:
+    def chain(rows_slots: list[tuple[int, int]]) -> set:
         return set(zip(rows_slots, rows_slots[1:]))
 
     last = t - 1
@@ -264,7 +238,7 @@ def _case3_sides(t: int) -> tuple[set, set]:
         ((last, 2), (0, 0)), ((0, 1), (1, 0)), ((last, 0), (0, 1)),
     }
     # zigzag paths alternating between two slots through the middle rows
-    def zig(s_odd: int, s_even: int, final: Optional[Coord]) -> set:
+    def zig(s_odd: int, s_even: int, final: Optional[tuple[int, int]]) -> set:
         seq = [(r, s_odd if r % 2 == 1 else s_even) for r in range(1, last)]
         if final is not None:
             seq.append(final)
@@ -277,22 +251,13 @@ def _case3_sides(t: int) -> tuple[set, set]:
     return side1, side2
 
 
-def _skeleton_slot_on_c(pos: int) -> int:
-    return pos % 2
-
-
 def _repair_odd_t(
-    spec: CompositionSpec,
-    order: Sequence[int],
-    kept: dict[int, Sequence[int]],
-    extra_side2: set[CoordArc],
+    order: Sequence[int], kept: Sequence[Sequence[int]], extra_side2: set
 ) -> Skeleton:
     """Eq-sides skeleton for odd t with extra arcs stitching side 2's two
     cycles together."""
-    side1, side2 = _eq_sides(spec.t)
-    c1 = _pos_to_coords(order, kept, side1)
-    c2 = _pos_to_coords(order, kept, side2) | extra_side2
-    return c1, c2, kept
+    side1, side2 = _eq_sides(len(order))
+    return order, kept, side1, side2 | extra_side2
 
 
 def _case2_arc_pair(spec: CompositionSpec):
@@ -331,22 +296,21 @@ def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleto
     order = list(hcycle)
 
     if t % 2 == 0:
-        kept = {i: [0, 1] for i in range(t)}
-        side1, side2 = _eq_sides(t)
-        return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
+        return order, [[0, 1]] * t, *_eq_sides(t)
 
     pair = _case2_arc_pair(spec)
     if pair is not None:
         p, e_p, q, e_q = pair
-        kept = {i: [0, 1] for i in range(t)}
-        pos = {b: i for i, b in enumerate(order)}
-        # orient kept slots so e_p crosses C->Z and e_q crosses Z->C
-        x, y = e_p
-        kept[p] = [x, y] if _skeleton_slot_on_c(pos[p]) == 0 else [y, x]
-        x2, y2 = e_q
-        kept[q] = [y2, x2] if _skeleton_slot_on_c(pos[q]) == 0 else [x2, y2]
-        extras = {((p, e_p[0]), (p, e_p[1])), ((q, e_q[0]), (q, e_q[1]))}
-        return _repair_odd_t(spec, order, kept, extras)
+        kept = [[0, 1] for _ in range(t)]
+        extras = set()
+        # slot (position mod 2) lies on side 2's cycle C: orient the kept
+        # slots so e_p crosses C->Z and e_q crosses Z->C
+        for blk, (x, y), from_z in ((p, e_p, 0), (q, e_q, 1)):
+            k = order.index(blk)
+            s = (k + from_z) % 2
+            kept[k][s], kept[k][1 - s] = x, y
+            extras.add(((k, s), (k, 1 - s)))
+        return _repair_odd_t(order, kept, extras)
 
     small = [i for i in range(t) if sizes[i] == 2]
     if len(small) <= 1:
@@ -355,11 +319,7 @@ def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleto
         k = order.index(anchor)
         order = order[k:] + order[:k]
         if all(sizes[i] >= 3 for i in order[1:]):
-            kept = {order[0]: [0, 1]}
-            for b in order[1:]:
-                kept[b] = [0, 1, 2]
-            side1, side2 = _case3_sides(t)
-            return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
+            return order, [[0, 1]] + [[0, 1, 2]] * (t - 1), *_case3_sides(t)
     return None
 
 
@@ -381,15 +341,16 @@ def decompose_comp_strong_parts(spec: CompositionSpec) -> Optional[Decomposition
     return _checked(q, a1, a2)
 
 
-def _s4_role_map(outer: Digraph, first_role_block: int) -> dict[int, int]:
-    """Map reference roles 0..3 of S_4 to outer's vertices, sending role 0 to the
-    given block.  Exists because S_4 is vertex-transitive."""
+def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
+    """The permutation sending reference roles 0..3 of S_4 to outer's
+    vertices, with role 0 on the given block.  Exists because S_4 is
+    vertex-transitive."""
     base = s4()
     for perm in itertools.permutations(range(4)):
         if perm[0] != first_role_block:
             continue
         if all((perm[u], perm[v]) in outer.arcs for u, v in base.arcs):
-            return {r: perm[r] for r in range(4)}
+            return perm
     raise ConstructionError("outer digraph is not isomorphic to S_4")
 
 
@@ -404,27 +365,22 @@ def _part_a_sides(spec: CompositionSpec) -> Skeleton:
             raise ConstructionError(
                 "2-arc-strong semicomplete outer (not S_4) must decompose"
             )
-        kept = {i: [0] for i in range(spec.t)}
         dec = report.decomposition
         side1 = {((u, 0), (v, 0)) for u, v in dec.a1}
         side2 = {((u, 0), (v, 0)) for u, v in dec.a2}
-        return side1, side2, kept
+        return range(spec.t), [[0]] * spec.t, side1, side2
     # outer is S_4 itself: some block has >= 2 vertices, use the explicit
-    # five-vertex skeleton with that block doubled
+    # five-vertex skeleton with that block doubled; positions are S_4's roles
     big = min(i for i in range(spec.t) if spec.sizes[i] >= 2)
-    role = _s4_role_map(T, big)
-    r1, r2, r3, r4 = role[0], role[1], role[2], role[3]
-    kept = {i: [0] for i in range(4)}
-    kept[r1] = [0, 1]
     side1 = {
-        ((r1, 0), (r2, 0)), ((r2, 0), (r1, 1)), ((r1, 1), (r4, 0)),
-        ((r4, 0), (r3, 0)), ((r3, 0), (r1, 0)),
+        ((0, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (3, 0)),
+        ((3, 0), (2, 0)), ((2, 0), (0, 0)),
     }
     side2 = {
-        ((r2, 0), (r1, 0)), ((r1, 0), (r4, 0)), ((r4, 0), (r2, 0)),
-        ((r2, 0), (r3, 0)), ((r3, 0), (r1, 1)), ((r1, 1), (r2, 0)),
+        ((1, 0), (0, 0)), ((0, 0), (3, 0)), ((3, 0), (1, 0)),
+        ((1, 0), (2, 0)), ((2, 0), (0, 1)), ((0, 1), (1, 0)),
     }
-    return side1, side2, kept
+    return _s4_role_map(T, big), [[0, 1], [0], [0], [0]], side1, side2
 
 
 def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
@@ -534,54 +490,34 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
     # no digon in it)
     T, t = spec.outer, spec.t
     order = list(hc)
-    pos = {b: i for i, b in enumerate(order)}
 
     if t >= 5:
         # a semicomplete outer has an arc between the blocks at cycle
-        # distance two; its two skeleton copies stitch side 2's cycles
-        b0, b2 = order[0], order[2]
-        kept = {i: [0, 1] for i in range(t)}
-        if (b0, b2) in T.arcs:
-            extras = {
-                ((b0, kept[b0][0]), (b2, kept[b2][1])),
-                ((b0, kept[b0][1]), (b2, kept[b2][0])),
-            }
+        # distance two (positions 0 and 2); its two skeleton copies stitch
+        # side 2's cycles
+        if (order[0], order[2]) in T.arcs:
+            extras = {((0, 0), (2, 1)), ((0, 1), (2, 0))}
         else:
-            extras = {
-                ((b2, kept[b2][0]), (b0, kept[b0][1])),
-                ((b2, kept[b2][1]), (b0, kept[b0][0])),
-            }
-        return _repair_odd_t(spec, order, kept, extras)
+            extras = {((2, 0), (0, 1)), ((2, 1), (0, 0))}
+        return _repair_odd_t(order, [[0, 1]] * t, extras)
 
     # t == 3 from here on
     off_cycle = sorted(T.arcs - set(cycle_arcs(hc)))
     if off_cycle:
-        a, b = off_cycle[0]
-        kept = {i: [0, 1] for i in range(3)}
-        in_c = lambda blk, slot: slot == _skeleton_slot_on_c(pos[blk])
-        c_to_z = next(
-            ((a, kept[a][j]), (b, kept[b][k]))
-            for j in (0, 1)
-            for k in (0, 1)
-            if in_c(a, j) and not in_c(b, k)
-        )
-        z_to_c = next(
-            ((a, kept[a][j]), (b, kept[b][k]))
-            for j in (0, 1)
-            for k in (0, 1)
-            if not in_c(a, j) and in_c(b, k)
-        )
-        return _repair_odd_t(spec, order, kept, {c_to_z, z_to_c})
+        # copies of the arc from C to Z and from Z to C, where slot p % 2 of
+        # position p lies on C
+        pa, pb = (order.index(b) for b in off_cycle[0])
+        extras = {((pa, pa % 2), (pb, 1 - pb % 2)), ((pa, 1 - pa % 2), (pb, pb % 2))}
+        return _repair_odd_t(order, [[0, 1]] * 3, extras)
 
     # outer is exactly the directed triangle; rotate the big block to the end
     sizes = spec.sizes
     anchor = max(range(3), key=lambda i: (sizes[i], -i))
-    k = (pos[anchor] + 1) % 3
+    k = (order.index(anchor) + 1) % 3
     order = order[k:] + order[:k]
     m = sizes[order[2]]
 
     if m >= 4:
-        kept = {order[0]: [0, 1], order[1]: [0, 1], order[2]: [0, 1, 2, 3]}
         side1 = {
             ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 1)),
             ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (0, 0)),
@@ -592,7 +528,7 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
             ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
             ((1, 0), (2, 2)), ((2, 2), (0, 0)), ((1, 1), (2, 3)), ((2, 3), (0, 1)),
         }
-        return _pos_to_coords(order, kept, side1), _pos_to_coords(order, kept, side2), kept
+        return order, [[0, 1], [0, 1], [0, 1, 2, 3]], side1, side2
 
     arc_blocks = [i for i in range(3) if spec.inners[i].arcs]
     if m != 3 or not arc_blocks:
@@ -603,15 +539,13 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
     ax, ay = min(spec.inners[blk].arcs)
     p = order.index(blk)
     # single inner arc a placed per its block's position; side 2 needs it
-    # to get from the second skeleton cycle back to the first
-    kept = {order[0]: [0, 1], order[1]: [0, 1], order[2]: [0, 1, 2]}
-    if p == 0:
-        kept[blk] = [ay, ax]
-    elif p == 1:
-        kept[blk] = [ax, ay]
-    else:
-        rest = [j for j in range(3) if j not in (ax, ay)]
-        kept[blk] = [ay, ax] + rest
+    # to get from the second skeleton cycle back to the first, so it runs
+    # from slot 1 to slot 0, or from slot 0 to slot 1 in the middle block
+    kept = [[0, 1], [0, 1], [0, 1, 2]]
+    s = 0 if p == 1 else 1
+    kept[p][s], kept[p][1 - s] = ax, ay
+    if p == 2:
+        kept[2][2] = 3 - ax - ay  # the block's third vertex
     side1 = {
         ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 1)),
         ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (0, 0)),
@@ -620,11 +554,9 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
     side2 = {
         ((0, 0), (1, 1)), ((1, 1), (2, 0)), ((2, 0), (0, 0)),
         ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
-        ((1, 1), (2, 2)), ((2, 2), (0, 1)),
+        ((1, 1), (2, 2)), ((2, 2), (0, 1)), ((p, s), (p, 1 - s)),
     }
-    c1 = _pos_to_coords(order, kept, side1)
-    c2 = _pos_to_coords(order, kept, side2) | {((blk, ax), (blk, ay))}
-    return c1, c2, kept
+    return order, kept, side1, side2
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +585,7 @@ def decompose_cn_square(n: int) -> Decomposition:
     """C_n square C_n as two arc-disjoint Hamiltonian cycles."""
     if n < 2:
         raise ValueError("needs n >= 2")
-    host, cmap = cartesian_product(cycle(n), cycle(n))
-    side1, side2 = _cycle_square_sides(tuple(range(n)), cmap.vid)
-    return _checked(host, side1, side2)
+    return decompose_cartesian_square(cycle(n), CycleCover((tuple(range(n)),)))
 
 
 def _normalize_cycle(cyc: Sequence[int]) -> tuple[int, ...]:
@@ -790,9 +720,7 @@ def decompose_cn_boxtimes_cm(n: int, m: int) -> Decomposition:
     """Strong product of two directed cycles."""
     if n < 2 or m < 2:
         raise ValueError("needs n, m >= 2")
-    host, cmap = strong_product(cycle(n), cycle(m))
-    a1 = _boxtimes_base_side1(tuple(range(n)), tuple(range(m)), cmap.vid)
-    return _checked(host, a1, host.arcs - a1)
+    return decompose_strong_product(cycle(n), cycle(m))
 
 
 def decompose_strong_product(g: Digraph, h: Digraph) -> Decomposition:

@@ -65,9 +65,6 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return len(self.in_neighbors[v])
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 

@@ -106,11 +106,22 @@ def _all_small_specs():
                     )
 
 
+def _parts_bytes(dec) -> bytes:
+    return repr([sorted(p) for p in dec.parts]).encode()
+
+
+#: SHA-256 over the results of criteria 3 and 9 in order (the exception tag
+#: or the sorted parts); any change means a construction changed its output
+CRITERION_3_RESULTS = "43ac32b1d505da2c2b84ce9975ce3f426b0aca00205fe12ef618212f64821622"
+CRITERION_9_RESULTS = "a7f1c80bb05a57e9aab2cdd469b9ce9eed575c56ca259256e4d8dbbe6ca70f7b"
+
+
 def test_criterion_3_characterization_matches_oracle():
     """The constructive characterization agrees with the search oracle on
     every small composition; exact agreement, under 30 min."""
     start = time.monotonic()
     checked = 0
+    digest = hashlib.sha256()
     for spec in _all_small_specs():
         res = characterize_semicomplete_composition(spec)
         q, _ = compose(spec)
@@ -120,7 +131,11 @@ def test_criterion_3_characterization_matches_oracle():
         if not res.is_exception:
             assert verify_decomposition(res.decomposition).ok
         checked += 1
+        digest.update(
+            res.exception_tag.encode() if res.is_exception else _parts_bytes(res.decomposition)
+        )
     assert checked > 2500
+    assert digest.hexdigest() == CRITERION_3_RESULTS
     _budget(start, 1800)
 
 
@@ -267,6 +282,7 @@ def test_criterion_9_composition_conditions(rng):
     inner structure; all parts strong) all yield verified decompositions;
     under 10 min."""
     start = time.monotonic()
+    digest = hashlib.sha256()
     two_arc_strong = [
         d
         for n in range(3, 6)
@@ -281,6 +297,7 @@ def test_criterion_9_composition_conditions(rng):
         spec = CompositionSpec(outer, tuple(empty(s) for s in sizes))
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
+        digest.update(_parts_bytes(dec))
         produced += 1
     for _ in range(100):  # route: Hamiltonian outer cycle
         kind = rng.randrange(3)
@@ -299,6 +316,7 @@ def test_criterion_9_composition_conditions(rng):
         spec = CompositionSpec(cycle(t), tuple(inners))
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
+        digest.update(_parts_bytes(dec))
         produced += 1
     for _ in range(100):  # route: every part strong with at least one arc
         t = rng.randint(2, 4)
@@ -312,8 +330,10 @@ def test_criterion_9_composition_conditions(rng):
         spec = CompositionSpec(outer, inners)
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
+        digest.update(_parts_bytes(dec))
         produced += 1
     assert produced == 300
+    assert digest.hexdigest() == CRITERION_9_RESULTS
     _budget(start, 600)
 
 

@@ -114,6 +114,8 @@ class TestProducts:
         assert is_isomorphic_small(d, q)  # uniform composition
         d, _ = lexicographic_product(cycle(2), cycle(2))
         assert (d.n, d.m) == (4, 12)
+        d, _ = lexicographic_product(cycle(2), empty(0))  # no blocks to compose
+        assert (d.n, d.m) == (0, 0)
 
     def test_containment_chain(self, rng):
         for _ in range(10):

@@ -109,3 +109,10 @@ def test_product_golden(args, code, digest, capsys):
     assert run_command(["product"] + _paths(args)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oracle_golden(capsys):
+    assert run_command(["oracle", str(INSTANCES / "comp_host.txt")]) == 0
+    outcome, nodes, doc = capsys.readouterr().out.split("\n", 2)
+    assert (outcome, nodes) == ("outcome: found", "nodes: 66")
+    assert hashlib.sha256(doc.encode()).hexdigest() == ORACLE_COMP

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gooddecomp import (
@@ -121,11 +123,16 @@ class TestExtendByTwins:
         big = extend_by_twins(qstar, dec, spec, [[0, 1], [0], [0], [0]])
         assert big.host.n == 6 and verify_decomposition(big).ok
 
-    def test_empty_kept_rejected(self):
-        spec = spec_of(cycle(2), empty(2), empty(2))
-        dec = decompose_composition(spec)
+    @pytest.mark.parametrize(
+        "kept",
+        [[[0, 1], []], [[0, 1], [0, 5]], [[0, 1], [1, 1]]],
+        ids=["empty", "outside-block", "repeated"],
+    )
+    def test_empty_kept_rejected(self, kept):
+        dec = decompose_composition(spec_of(cycle(2), empty(2), empty(2)))
+        spec = spec_of(cycle(2), empty(2), empty(3))
         with pytest.raises(ValueError):
-            extend_by_twins(dec.host, dec, spec, [[0, 1], []])
+            extend_by_twins(dec.host, dec, spec, kept)
 
     def test_extension_property(self, rng):
         # dropping twins from a decomposable spec and re-extending verifies
@@ -223,28 +230,39 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             decompose_composition(spec_of(empty(1), cycle(3)))
 
+    def test_non_strong_outer_not_covered(self):
+        assert decompose_composition(spec_of(path(2), empty(2), empty(2))) is None
+
     @pytest.mark.parametrize(
-        "spec",
+        "spec,digest",
         [
             # 1-arc-strong tournament on 5 vertices: the distance-two repair
-            spec_of(
-                Digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 4)]
-                        + [(4, 0)]),
-                *[empty(2)] * 5,
+            (
+                spec_of(
+                    Digraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)
+                                if (i, j) != (0, 4)] + [(4, 0)]),
+                    *[empty(2)] * 5,
+                ),
+                "fadfe1e358c0288c8aab5df18715eec43009ef4201dcbb4c0fa7a7197a304de7",
             ),
             # t = 3 with a digon off the Hamiltonian cycle
-            spec_of(Digraph(3, [(0, 1), (1, 2), (2, 0), (1, 0)]), *[empty(2)] * 3),
+            (spec_of(Digraph(3, [(0, 1), (1, 2), (2, 0), (1, 0)]), *[empty(2)] * 3),
+             "4b730286feab750c603d02950bcb77c816641a2071f7a2683f58032f8a67ddb3"),
             # directed triangle with a block of order >= 4
-            spec_of(cycle(3), empty(2), empty(2), empty(4)),
+            (spec_of(cycle(3), empty(2), empty(2), empty(4)),
+             "aafca4c5f1081a078ac543a307ed0e41232d0da2dbf0eff4182843a23dafc45a"),
             # directed triangle over (2, 2, 3) with one inner arc in the 3-block
-            spec_of(cycle(3), empty(2), empty(2), Digraph(3, [(0, 1)])),
+            (spec_of(cycle(3), empty(2), empty(2), Digraph(3, [(0, 1)])),
+             "1a71fb0a9adda8e5713d14aae44c2c799acc2388e0a6632c40b0d2128a5e3abf"),
         ],
         ids=["t5-distance-two", "t3-off-cycle-digon", "c3-n3-at-least-4", "c3-223-one-arc"],
     )
-    def test_characterization_remaining_cases(self, spec):
+    def test_characterization_remaining_cases(self, spec, digest):
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
         assert dec == characterize_semicomplete_composition(spec).decomposition
+        parts = repr([sorted(p) for p in dec.parts]).encode()
+        assert hashlib.sha256(parts).hexdigest() == digest
 
 
 class TestCharacterize:

@@ -156,6 +156,7 @@ def workdir(tmp_path):
     (tmp_path / "k2bar.el").write_text(render_edge_list(empty(2)))
     (tmp_path / "k4.el").write_text(render_edge_list(complete(4)))
     (tmp_path / "c2.el").write_text(render_edge_list(cycle(2)))
+    (tmp_path / "k1.el").write_text(render_edge_list(empty(1)))
     (tmp_path / "spec.txt").write_text("c3.el\nk2bar.el\nk2bar.el\nk2bar.el\n")
     return tmp_path
 
@@ -165,6 +166,8 @@ class TestCli:
         assert run_command(["check", str(workdir / "s4.el")]) == 0
         out = capsys.readouterr().out
         assert "strong: yes" in out and "arc-connectivity: 2" in out
+        assert run_command(["check", str(workdir / "k1.el")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "arc-connectivity: n/a"
 
     def test_decompose_s4_refused(self, workdir, capsys):
         assert run_command(["decompose", str(workdir / "s4.el")]) == 1
@@ -257,6 +260,14 @@ class TestCli:
         doc.write_text(capsys.readouterr().out)
         assert run_command(["verify", str(doc)]) == 0
 
+    def test_verify_names_invalid_document(self, capsys, tmp_path):
+        a1 = frozenset({(0, 1), (1, 0)})  # misses vertex 2
+        dec = Decomposition(complete(3), (a1, complete(3).arcs - a1))
+        doc = tmp_path / "bad.decomp"
+        doc.write_text(render_decomposition(dec))
+        assert run_command(["verify", str(doc)]) == 1
+        assert capsys.readouterr().out == "invalid\nA1 not strong: no path 0->2\n"
+
     def test_cartesian_square_strategy(self, workdir, capsys, tmp_path):
         assert run_command(
             ["decompose", str(workdir / "c3.el"), "--strategy", "cartesian-square"]
@@ -335,6 +346,23 @@ class TestCli:
         assert run_command(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"decompose: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["decompose", "c3.el", "--strategy", "composition"],
+             "decompose: --strategy composition needs --spec"),
+            (["decompose", "k4.el", "--strategy", "composition", "--spec", "spec.txt"],
+             "decompose: spec does not compose to FILE"),
+            (["product", "--op", "lex", "c3.el"], "product: need a second factor B (or --power k)"),
+        ],
+        ids=["composition-without-spec", "spec-composes-elsewhere", "product-without-b"],
+    )
+    def test_missing_or_mismatched_input_is_usage_error(self, workdir, capsys, argv, message):
+        argv = [str(workdir / a) if a.endswith((".el", ".txt")) else a for a in argv]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"{message}\n"
 
     def test_usage_errors(self, workdir, capsys):
         assert run_command(["bogus"]) == 2

@@ -8,6 +8,8 @@ import pytest
 from gooddecomp import (
     ConstructionError,
     Digraph,
+    Ear,
+    EarDecomposition,
     cartesian_product,
     complete,
     cover_cut,
@@ -31,6 +33,10 @@ from conftest import random_sparse_strong_digraph, random_strong_digraph
 #: cycles drawn in test_pinned_search_outputs; any change means a search
 #: order changed
 PINNED_SEARCH_OUTPUTS = "371fe6037919f87c7d74aed06774a1127aea4bac991a4147708d90ac0523c847"
+
+
+#: digons between vertex 0 and each of 1 and 2
+DIGONS_AT_0 = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
 
 
 def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
@@ -63,6 +69,30 @@ class TestEarDecomposition:
     def test_bad_start_cycle_rejected(self):
         with pytest.raises(ValueError):
             ear_decomposition(complete(3), start_cycle=(0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "d,ears,message",
+        [
+            (cycle(2), [((0, 1), False)], "first ear must be a cycle"),
+            (cycle(3), [((0, 2, 1), True)], "ear 0 uses non-arc (0, 2)"),
+            (cycle(3), [((0, 1, 2), True), ((0, 1), False)], "ear 1 repeats arc (0, 1)"),
+            (DIGONS_AT_0, [((0, 1, 0, 2), True)], "start cycle repeats a vertex"),
+            (DIGONS_AT_0, [((0, 1), True), ((2, 0), True)],
+             "cycle ear 1 must share exactly its anchor vertex"),
+            (cycle(2), [((0, 1), True), ((0,), False)], "path ear 1 needs distinct endpoints"),
+            (Digraph(3, [(0, 1), (1, 0), (2, 0)]), [((0, 1), True), ((2, 0), False)],
+             "path ear 1 endpoints must be attached"),
+            (complete(3), [((0, 1, 2), True), ((0, 2, 1), False)],
+             "path ear 1 interior must be new"),
+            (complete(3), [((0, 1, 2), True)], "ears do not exhaust the arc set"),
+            (Digraph(3, [(0, 1), (1, 0)]), [((0, 1), True)], "ears do not cover all vertices"),
+        ],
+    )
+    def test_malformed_decomposition_rejected(self, d, ears, message):
+        dec = EarDecomposition(tuple(Ear(vs, closed) for vs, closed in ears))
+        with pytest.raises(ValueError) as info:
+            validate_ear_decomposition(d, dec)
+        assert str(info.value) == message
 
     def test_ear_count_formula(self, rng):
         for _ in range(40):
