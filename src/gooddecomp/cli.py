@@ -160,6 +160,8 @@ def _cmd_decompose(args) -> int:
             return _emit(decompose_cartesian_power(d, k))
         except CycleCoverInfeasible as exc:
             raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(exc.cut)}")
+        except ValueError as exc:
+            raise Refusal("not-covered", str(exc))
     if strategy in ("strong-product", "lex"):
         if args.factor is None:
             print(f"decompose: --strategy {strategy} needs --factor", file=sys.stderr)

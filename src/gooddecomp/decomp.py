@@ -35,7 +35,6 @@ from .digraph import (
     cycle,
     empty,
     find_isomorphism,
-    is_isomorphic_small,
     is_k_arc_strong,
     is_semicomplete,
     is_strong,
@@ -150,8 +149,7 @@ def _finish_composition(
     built: Built,
     order: Sequence[int],
     kept: Sequence[Sequence[int]],
-    side1: set,
-    side2: set,
+    *sides: set,
 ) -> Decomposition:
     """Lift skeleton sides to the composition built from spec by twin
     extension: every non-kept vertex of a block gets the same cross-block
@@ -174,7 +172,7 @@ def _finish_composition(
                 out.update((a, b) for a in tails for b in heads)
         return out
 
-    return _checked(q, lift(side1), lift(side2))
+    return _checked(q, *map(lift, sides))
 
 
 def extend_by_twins(
@@ -200,8 +198,8 @@ def extend_by_twins(
     if d.host != qstar:
         raise ValueError("decomposition host is not qstar")
     coord = composition_coords(sub_sizes).coord
-    side1, side2 = ({(coord(u), coord(v)) for u, v in side} for side in (d.a1, d.a2))
-    return _finish_composition(spec, compose(spec), range(spec.t), kept, side1, side2)
+    sides = ({(coord(u), coord(v)) for u, v in side} for side in d.parts)
+    return _finish_composition(spec, compose(spec), range(spec.t), kept, *sides)
 
 
 def _eq_sides(t: int) -> tuple[set, set]:
@@ -342,24 +340,24 @@ def decompose_comp_strong_parts(spec: CompositionSpec) -> Optional[Decomposition
 
 
 def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
-    """The permutation sending reference roles 0..3 of S_4 to outer's
-    vertices, with role 0 on the given block.  Exists because S_4 is
-    vertex-transitive."""
-    base = s4()
-    for perm in itertools.permutations(range(4)):
-        if perm[0] != first_role_block:
-            continue
-        if all((perm[u], perm[v]) in outer.arcs for u, v in base.arcs):
-            return perm
-    raise ConstructionError("outer digraph is not isomorphic to S_4")
+    """The permutation sending reference roles 0..3 of s4() to outer's
+    vertices, with role 0 on the given block: role 1 is its digon mate, roles
+    3 and 2 its other out- and in-neighbour.  Unique, since Aut(S_4) is
+    cyclic of order 4 and acts regularly."""
+    b, arcs = first_role_block, outer.arcs
+    mate = next(v for v in outer.out_neighbors[b] if (v, b) in arcs)
+    out = next(v for v in outer.out_neighbors[b] if v != mate)
+    inn = next(v for v in outer.in_neighbors[b] if v != mate)
+    return b, mate, inn, out
 
 
-def _part_a_sides(spec: CompositionSpec) -> Skeleton:
-    """Outer is 2-arc-strong semicomplete (and the composition is not S_4)."""
+def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
+    """Outer is 2-arc-strong semicomplete (all degrees >= 2), so at order 4 it
+    has >= 8 arcs, and 8 only as S_4.  None when the composition is S_4."""
     from .oracle import oracle_good_decomposition  # local: avoids module cycle
 
     T = spec.outer
-    if not is_isomorphic_small(T, s4()):
+    if not (T.n == 4 and T.m == 8):
         report = oracle_good_decomposition(T)
         if report.outcome != "found":
             raise ConstructionError(
@@ -369,6 +367,8 @@ def _part_a_sides(spec: CompositionSpec) -> Skeleton:
         side1 = {((u, 0), (v, 0)) for u, v in dec.a1}
         side2 = {((u, 0), (v, 0)) for u, v in dec.a2}
         return range(spec.t), [[0]] * spec.t, side1, side2
+    if max(spec.sizes) == 1:
+        return None
     # outer is S_4 itself: some block has >= 2 vertices, use the explicit
     # five-vertex skeleton with that block doubled; positions are S_4's roles
     big = min(i for i in range(spec.t) if spec.sizes[i] >= 2)
@@ -404,11 +404,7 @@ def _decompose_composition(
         return None
     T = spec.outer
     sides = None
-    # t >= 3 for a 2-arc-strong semicomplete T, so the composition is S_4
-    # only when T is and every block is trivial
-    if semicomplete and is_k_arc_strong(T, 2) and not (
-        all(n == 1 for n in spec.sizes) and is_isomorphic_small(T, s4())
-    ):
+    if semicomplete and is_k_arc_strong(T, 2):
         sides = _part_a_sides(spec)
     elif semicomplete or T.n <= 14:
         hc = (hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)

@@ -235,6 +235,11 @@ def random_strong_digraph(rng: random.Random, max_order: int, density: float = 0
             return d
 
 
+def rotational_tournament(n: int) -> Digraph:
+    """The tournament on Z_n (n odd) with arcs i -> i+1 .. i+(n-1)/2."""
+    return Digraph(n, [(i, (i + k) % n) for i in range(n) for k in range(1, n // 2 + 1)])
+
+
 def random_sparse_strong_digraph(rng: random.Random, n: int, max_arcs: int) -> Digraph:
     """Strong digraph built by ear growth: a cycle through some vertices, then
     path ears absorbing the rest, then optional chords, capped at max_arcs."""

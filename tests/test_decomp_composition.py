@@ -25,7 +25,9 @@ from gooddecomp import (
     verify,
     verify_decomposition,
 )
-from gooddecomp.decomp import _eq_sides
+from gooddecomp.decomp import _eq_sides, _s4_role_map
+
+from conftest import rotational_tournament
 
 
 def spec_of(outer, *inners):
@@ -134,6 +136,18 @@ class TestExtendByTwins:
         with pytest.raises(ValueError):
             extend_by_twins(dec.host, dec, spec, kept)
 
+    def test_keeps_every_part(self):
+        # a 3-part decomposition lifted with every vertex kept comes back whole
+        halves = [
+            frozenset({(0, 1), (1, 2), (2, 0)}),
+            frozenset({(1, 0), (2, 1), (0, 2)}),
+        ]
+        dec = decompose_lexicographic(cycle(2), complete(3), halves)
+        assert len(dec.parts) == 3
+        spec = spec_of(cycle(2), complete(3), complete(3))
+        lifted = extend_by_twins(dec.host, dec, spec, [[0, 1, 2], [0, 1, 2]])
+        assert lifted.parts == dec.parts
+
     def test_extension_property(self, rng):
         # dropping twins from a decomposable spec and re-extending verifies
         for _ in range(10):
@@ -225,6 +239,25 @@ class TestDispatcher:
         inners[big] = empty(2)
         dec = decompose_composition(spec_of(s4(), *inners))
         assert dec is not None and verify_decomposition(dec).ok
+
+    @pytest.mark.parametrize("size", [1, 2], ids=["K1", "K2bar"])
+    def test_part_a_outer_above_isomorphism_bound(self, size):
+        # order 13 lies above the isomorphism search's bound; part (a) needs none
+        dec = decompose_composition(spec_of(rotational_tournament(13), *[empty(size)] * 13))
+        assert dec is not None and verify_decomposition(dec).ok
+
+    def test_s4_role_map_matches_permutation_search(self):
+        import itertools
+
+        base = s4()
+        for perm in itertools.permutations(range(4)):
+            outer = Digraph(4, [(perm[u], perm[v]) for u, v in base.arcs])
+            for block in range(4):
+                expected = next(
+                    p for p in itertools.permutations(range(4))
+                    if p[0] == block and all((p[u], p[v]) in outer.arcs for u, v in base.arcs)
+                )
+                assert _s4_role_map(outer, block) == expected
 
     def test_t_below_two_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from gooddecomp.cli import run_command
 from gooddecomp.decomp import ConstructionError
 from gooddecomp.io import ParseError
 
-from conftest import random_strong_digraph
+from conftest import random_strong_digraph, rotational_tournament
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -288,6 +288,32 @@ class TestCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] == "infeasible:no-cycle-cover\ncut: [('in', 0), ('out', 2), ('out', 3)]\n"
         assert outs[1] == outs[0]
+
+    def test_disconnected_cover_union_refused(self, capsys, tmp_path):
+        # the found cycle cover splits into two parts sharing no vertex
+        f = tmp_path / "split.el"
+        f.write_text("4 6\n0 1\n1 0\n1 3\n2 1\n2 3\n3 2\n")
+        for strategy in ("cartesian-power", "cartesian-square"):
+            assert run_command(["decompose", str(f), "--strategy", strategy]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out == (
+                "not-covered\ncover union disconnected; construction not defined\n"
+            )
+
+    def test_decompose_composition_outer_above_isomorphism_bound(self, capsys, tmp_path):
+        names = ["outer.el"] + ["k2bar.el"] * 13
+        (tmp_path / "outer.el").write_text(render_edge_list(rotational_tournament(13)))
+        (tmp_path / "k2bar.el").write_text(render_edge_list(empty(2)))
+        (tmp_path / "spec.txt").write_text("\n".join(names) + "\n")
+        assert run_command(["compose"] + [str(tmp_path / name) for name in names]) == 0
+        q = tmp_path / "q.el"
+        q.write_text(capsys.readouterr().out)
+        spec = str(tmp_path / "spec.txt")
+        assert run_command(["decompose", str(q), "--strategy", "composition", "--spec", spec]) == 0
+        doc = tmp_path / "q.decomp"
+        doc.write_text(capsys.readouterr().out)
+        assert run_command(["verify", str(doc)]) == 0
 
     @pytest.mark.parametrize("power", ["0", "1", "-3"])
     def test_cartesian_power_below_two_is_usage_error(self, workdir, capsys, power):
