@@ -25,23 +25,11 @@ of the tree is bounded by memory rather than by the recursion limit.
 
 from __future__ import annotations
 
+from .digraph import _closure
+
 FOUND, NONE, ABORTED = 0, 1, 2
 
 _UNTRIED = -1
-
-
-def _closure(rows, v: int) -> int:
-    """Bitmask of v and every vertex that v reaches along rows."""
-    reach = frontier = 1 << v
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach
 
 
 def _reaches(out, inn, t: int, h: int) -> bool:

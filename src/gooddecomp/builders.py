@@ -3,39 +3,48 @@
 Every builder returns the constructed digraph together with a CoordinateMap so
 callers can address vertices by (block, inner) or (left, right) coordinates.
 Vertex numbering is fixed: composition vertex (i, j) gets id sum(n_p, p<i) + j;
-product vertex (x, x') gets id x * |V(H)| + x'.
+a product of G and H is |V(G)| blocks of |V(H)| vertices, so vertex (x, x')
+gets id x * |V(H)| + x'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .digraph import Arc, Digraph
+from .digraph import POWER_ORDER_BOUND, Arc, Digraph
 
 Coord = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class CoordinateMap:
-    """Bijection between coordinate pairs and dense vertex ids."""
+    """Blockwise numbering: block i has sizes[i] vertices, and its vertex j
+    gets id offsets[i] + j.  Coordinates and ids out of range raise KeyError."""
 
-    forward: dict[Coord, int]
-    inverse: dict[int, Coord] = field(default=None)  # type: ignore[assignment]
+    sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.inverse is None:
-            object.__setattr__(
-                self, "inverse", {vid: c for c, vid in self.forward.items()}
-            )
-        if len(self.inverse) != len(self.forward):
-            raise ValueError("coordinate map is not a bijection")
+        if min(self.sizes, default=0) < 0:
+            raise ValueError("block sizes must be nonnegative")
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.sizes, initial=0))
 
     def vid(self, i: int, j: int) -> int:
-        return self.forward[(i, j)]
+        if not (0 <= i < len(self.sizes) and 0 <= j < self.sizes[i]):
+            raise KeyError((i, j))
+        return self.offsets[i] + j
 
     def coord(self, vid: int) -> Coord:
-        return self.inverse[vid]
+        if not 0 <= vid < self.offsets[-1]:
+            raise KeyError(vid)
+        i = bisect.bisect_right(self.offsets, vid) - 1
+        return (i, vid - self.offsets[i])
 
 
 class Built(NamedTuple):
@@ -65,78 +74,66 @@ class CompositionSpec:
         return tuple(h.n for h in self.inners)
 
 
-def composition_coords(sizes: tuple[int, ...]) -> CoordinateMap:
-    forward: dict[Coord, int] = {}
-    base = 0
-    for i, ni in enumerate(sizes):
-        for j in range(ni):
-            forward[(i, j)] = base + j
-        base += ni
-    return CoordinateMap(forward)
+def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
+    """The digraph on cmap's vertices, vertex (i, j) labelled u{i+1},{j+1}."""
+    labels = [f"u{i+1},{j+1}" for i, ni in enumerate(cmap.sizes) for j in range(ni)]
+    return Built(Digraph(cmap.offsets[-1], arcs, labels), cmap)
 
 
 def compose(spec: CompositionSpec) -> Built:
     """Composition T[H_1,...,H_t]: inner arcs plus full block-to-block joins."""
-    sizes = spec.sizes
-    cmap = composition_coords(sizes)
-    arcs: set[Arc] = set()
-    for i, h in enumerate(spec.inners):
-        for u, v in h.arcs:
-            arcs.add((cmap.vid(i, u), cmap.vid(i, v)))
-    for i, p in spec.outer.arcs:
-        for j in range(sizes[i]):
-            for q in range(sizes[p]):
-                arcs.add((cmap.vid(i, j), cmap.vid(p, q)))
-    n = sum(sizes)
-    labels = [f"u{i+1},{j+1}" for i, ni in enumerate(sizes) for j in range(ni)]
-    return Built(Digraph(n, arcs, labels), cmap)
-
-
-def product_coords(ng: int, nh: int) -> CoordinateMap:
-    return CoordinateMap({(x, y): x * nh + y for x in range(ng) for y in range(nh)})
-
-
-def _product_labels(g: Digraph, h: Digraph) -> list[str]:
-    return [f"u{x+1},{y+1}" for x in range(g.n) for y in range(h.n)]
+    cmap = CoordinateMap(spec.sizes)
+    off, sizes = cmap.offsets, cmap.sizes
+    arcs = {(off[i] + u, off[i] + v) for i, h in enumerate(spec.inners) for u, v in h.arcs}
+    arcs |= {
+        (off[i] + j, off[p] + q)
+        for i, p in spec.outer.arcs
+        for j in range(sizes[i])
+        for q in range(sizes[p])
+    }
+    return _built(arcs, cmap)
 
 
 def cartesian_product(g: Digraph, h: Digraph) -> Built:
     """G box H: move along a G-arc holding the H-coordinate, or vice versa."""
-    cmap = product_coords(g.n, h.n)
-    arcs: set[Arc] = set()
-    for x, y in g.arcs:
-        for z in range(h.n):
-            arcs.add((cmap.vid(x, z), cmap.vid(y, z)))
-    for x in range(g.n):
-        for z, w in h.arcs:
-            arcs.add((cmap.vid(x, z), cmap.vid(x, w)))
-    return Built(Digraph(g.n * h.n, arcs, _product_labels(g, h)), cmap)
+    cmap = CoordinateMap((h.n,) * g.n)
+    off = cmap.offsets
+    arcs = {(off[x] + z, off[y] + z) for x, y in g.arcs for z in range(h.n)}
+    arcs |= {(off[x] + z, off[x] + w) for x in range(g.n) for z, w in h.arcs}
+    return _built(arcs, cmap)
 
 
 def strong_product(g: Digraph, h: Digraph) -> Built:
     """Cartesian arcs plus simultaneous moves along a G-arc and an H-arc."""
     base, cmap = cartesian_product(g, h)
-    arcs = set(base.arcs)
-    for x, y in g.arcs:
-        for z, w in h.arcs:
-            arcs.add((cmap.vid(x, z), cmap.vid(y, w)))
-    return Built(Digraph(base.n, arcs, base.labels), cmap)
+    off = cmap.offsets
+    arcs = base.arcs | {(off[x] + z, off[y] + w) for x, y in g.arcs for z, w in h.arcs}
+    return _built(arcs, cmap)
 
 
 def lexicographic_product(g: Digraph, h: Digraph) -> Built:
     """The composition G[H, ..., H]: all arcs between blocks joined in G,
     plus H-arcs within each block."""
     if h.n == 0:  # CompositionSpec refuses order-0 inners
-        return Built(Digraph(0, (), []), product_coords(g.n, 0))
+        return _built(set(), CoordinateMap((0,) * g.n))
     return compose(CompositionSpec(g, (h,) * g.n))
+
+
+def _check_power_order(n: int, k: int) -> None:
+    """Raise ValueError, before anything is built, if the k-th Cartesian power
+    of an order-n digraph exceeds POWER_ORDER_BOUND vertices.  Orders below 2
+    count as 2, and 2 ** k exceeds the bound once k reaches its bit length,
+    so the power is formed only for smaller k."""
+    if k >= POWER_ORDER_BOUND.bit_length() or max(n, 2) ** k > POWER_ORDER_BOUND:
+        raise ValueError(f"power {k} exceeds the order bound {POWER_ORDER_BOUND}")
 
 
 def cartesian_power(g: Digraph, k: int) -> Built:
     """Iterated Cartesian product, left-associated; k=1 returns g itself."""
     if k < 1:
         raise ValueError("power needs k >= 1")
-    cur = g
-    cmap = CoordinateMap({(v, 0): v for v in range(g.n)})
+    _check_power_order(g.n, k)
+    built = Built(g, CoordinateMap((1,) * g.n))
     for _ in range(k - 1):
-        cur, cmap = cartesian_product(cur, g)
-    return Built(cur, cmap)
+        built = cartesian_product(built.digraph, g)
+    return built

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .builders import CompositionSpec, cartesian_power, cartesian_product, compose, \
-    lexicographic_product, strong_product
+from .builders import CompositionSpec, _check_power_order, cartesian_power, cartesian_product, \
+    compose, lexicographic_product, strong_product
 from .decomp import (
     ConstructionError,
     CycleCoverInfeasible,
@@ -117,6 +117,13 @@ def _refuse_exception(d: Digraph) -> None:
         raise Refusal(f"exception:{matched[0]}")
 
 
+def _refuse_non_strong(*factors: Digraph) -> None:
+    """Refuse as not-covered, for all four product strategies, a factor that
+    is not strong of order >= 2."""
+    if any(f.n < 2 or not is_strong(f) for f in factors):
+        raise Refusal("not-covered", "digraph is not strong of order >= 2")
+
+
 #: decompose flags and the strategies that read them; any other strategy
 #: refuses the flag as a usage error rather than ignore it
 _DECOMPOSE_FLAGS = {
@@ -154,8 +161,8 @@ def _cmd_decompose(args) -> int:
         k = 2 if args.power is None else args.power
         if k < 2:
             raise ValueError("needs k >= 2")
-        if d.n < 2 or not is_strong(d):
-            raise Refusal("not-covered", "digraph is not strong of order >= 2")
+        _check_power_order(d.n, k)
+        _refuse_non_strong(d)
         try:
             return _emit(decompose_cartesian_power(d, k))
         except CycleCoverInfeasible as exc:
@@ -167,6 +174,7 @@ def _cmd_decompose(args) -> int:
             print(f"decompose: --strategy {strategy} needs --factor", file=sys.stderr)
             return USAGE
         h = _load_digraph(args.factor)
+        _refuse_non_strong(d, h)
         if strategy == "strong-product":
             return _emit(decompose_strong_product(d, h))
         return _emit(decompose_lexicographic(d, h))

@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 from .builders import (
     Built,
     CompositionSpec,
+    CoordinateMap,
+    _check_power_order,
     cartesian_product,
     compose,
-    composition_coords,
     lexicographic_product,
     strong_product,
 )
@@ -40,7 +41,7 @@ from .digraph import (
     is_strong,
     path,
     s4,
-    _bfs,
+    _unreachable_pair,
 )
 from .flows import CycleCover, cover_cut, cycle_cover
 from .structure import (
@@ -107,20 +108,10 @@ def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
             which = "" if len(parts) == 2 else f" {n1} and {n2}"
             return VerifyResult(False, f"sides{which} overlap on arc {overlap[0]}")
     for name, side in named:
-        sub = Digraph(host.n, side)
-        if not is_strong(sub):
-            pair = _unreachable_pair(sub)
+        pair = _unreachable_pair(host.n, side)
+        if pair is not None:
             return VerifyResult(False, f"{name} not strong: no path {pair[0]}->{pair[1]}")
     return VerifyResult(True)
-
-
-def _unreachable_pair(d: Digraph) -> tuple[int, int]:
-    """The first pair (0, v) or else (v, 0) with no path, for a non-strong d."""
-    everyone = set(range(d.n))
-    unreached = everyone.difference(_bfs(d, 0))
-    if unreached:
-        return (0, min(unreached))
-    return (min(everyone.difference(_bfs(d, 0, reverse=True))), 0)
 
 
 def verify_decomposition(d: Decomposition) -> VerifyResult:
@@ -197,7 +188,7 @@ def extend_by_twins(
         raise ValueError("qstar order does not match the kept lists")
     if d.host != qstar:
         raise ValueError("decomposition host is not qstar")
-    coord = composition_coords(sub_sizes).coord
+    coord = CoordinateMap(sub_sizes).coord
     sides = ({(coord(u), coord(v)) for u, v in side} for side in d.parts)
     return _finish_composition(spec, compose(spec), range(spec.t), kept, *sides)
 
@@ -329,14 +320,10 @@ def decompose_comp_strong_parts(spec: CompositionSpec) -> Optional[Decomposition
     if any(h.n < 2 or not is_strong(h) for h in spec.inners):
         return None
     q, cmap = compose(spec)
-    a1: set[Arc] = set()
-    for u, v in spec.outer.arcs:
-        a1.add((cmap.vid(u, 0), cmap.vid(v, 0)))
-    for i, h in enumerate(spec.inners):
-        for u, v in h.arcs:
-            a1.add((cmap.vid(i, u), cmap.vid(i, v)))
-    a2 = q.arcs - a1
-    return _checked(q, a1, a2)
+    emb = cmap.vid
+    a1 = {(emb(u, 0), emb(v, 0)) for u, v in spec.outer.arcs}
+    a1 |= {(emb(i, u), emb(i, v)) for i, h in enumerate(spec.inners) for u, v in h.arcs}
+    return _checked(q, a1, q.arcs - a1)
 
 
 def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
@@ -666,12 +653,10 @@ def decompose_cartesian_with_good_factor(
     if h.n < 2 or not is_strong(h):
         raise ValueError("h must be strong of order >= 2")
     host, cmap = cartesian_product(g, h)
-    a1: set[Arc] = set()
-    for z, w in h.arcs:  # the H-copy at g's first vertex
-        a1.add((cmap.vid(0, z), cmap.vid(0, w)))
-    for x, y in dg.a1:  # side-1 copies in every H-layer
-        for j in range(h.n):
-            a1.add((cmap.vid(x, j), cmap.vid(y, j)))
+    emb = cmap.vid
+    # the H-copy at g's first vertex, and side-1 copies in every H-layer
+    a1 = {(emb(0, z), emb(0, w)) for z, w in h.arcs}
+    a1 |= {(emb(x, j), emb(y, j)) for x, y in dg.a1 for j in range(h.n)}
     return _checked(host, a1, host.arcs - a1)
 
 
@@ -679,6 +664,7 @@ def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
     """G to the Cartesian power k >= 2 for strong g with a cycle cover."""
     if k < 2:
         raise ValueError("needs k >= 2")
+    _check_power_order(g.n, k)
     if g.n < 2 or not is_strong(g):
         raise ValueError("needs a strong digraph of order >= 2")
     cover = cycle_cover(g)
@@ -732,14 +718,10 @@ def decompose_strong_product(g: Digraph, h: Digraph) -> Decomposition:
     host, cmap = strong_product(g, h)
     emb = cmap.vid
     a1 = _boxtimes_base_side1(p0, q0, emb)
-    for ear in ears_g.ears[1:]:
-        for x, y in ear.arcs():
-            for j in q0:
-                a1.add((emb(x, j), emb(y, j)))
-    for ear in ears_h.ears[1:]:
-        for z, w in ear.arcs():
-            for i in range(g.n):
-                a1.add((emb(i, z), emb(i, w)))
+    a1 |= {(emb(x, j), emb(y, j)) for e in ears_g.ears[1:] for x, y in e.arcs() for j in q0}
+    a1 |= {
+        (emb(i, z), emb(i, w)) for e in ears_h.ears[1:] for z, w in e.arcs() for i in range(g.n)
+    }
     return _checked(host, a1, host.arcs - a1)
 
 
@@ -769,7 +751,7 @@ def decompose_lexicographic(
             raise ValueError(f"part {k} uses arcs outside h")
         if claimed & part:
             raise ValueError("provided parts overlap")
-        if not is_strong(Digraph(h.n, part)):
+        if _unreachable_pair(h.n, part) is not None:
             raise ValueError(f"part {k} is not strong spanning")
         claimed |= part
 
@@ -777,15 +759,9 @@ def decompose_lexicographic(
     emb = cmap.vid
     base = decompose_strong_product(g, Digraph(h.n, parts_h[0]))
     out = list(base.parts)
+    shadows = [(x, x) for x in range(g.n)] + sorted(g.arcs)  # blocks, then G-arcs
     for part in parts_h[1:]:
-        arcs: set[Arc] = set()
-        for x in range(g.n):
-            for z, w in part:
-                arcs.add((emb(x, z), emb(x, w)))
-        for x, y in g.arcs:
-            for z, w in part:
-                arcs.add((emb(x, z), emb(y, w)))
-        out.append(arcs)
+        out.append({(emb(x, z), emb(y, w)) for x, y in shadows for z, w in part})
     return _checked(host, *out)
 
 

@@ -14,6 +14,8 @@ from typing import Container, Iterable, Optional, Sequence
 Arc = tuple[int, int]
 
 ISO_ORDER_BOUND = 12
+#: most vertices a Cartesian power may have
+POWER_ORDER_BOUND = 20_000
 
 
 class Digraph:
@@ -120,17 +122,15 @@ def s4() -> Digraph:
 # ---------------------------------------------------------------------------
 # predicates
 
-def _bfs(
-    d: Digraph, start: int, reverse: bool = False, stop: Container[int] = ()
-) -> dict[int, int]:
-    """Parent map of the vertices reached from start (against the arcs if
-    reverse), in discovery order, with start mapped to itself.
+def _bfs(d: Digraph, start: int, stop: Container[int] = ()) -> dict[int, int]:
+    """Parent map of the vertices reached from start, in discovery order,
+    with start mapped to itself.
 
     Returns as soon as it discovers a vertex of stop, which is then the last
     key.  Neighbours are scanned in sorted order, so the map is deterministic
     and its tree paths are shortest paths.
     """
-    adj = d.in_neighbors if reverse else d.out_neighbors
+    adj = d.out_neighbors
     prev = {start: start}
     queue = [start]
     for v in queue:
@@ -152,14 +152,43 @@ def _tree_path(prev: dict[int, int], v: int) -> list[int]:
     return path
 
 
-def is_strong(d: Digraph) -> bool:
-    """Every ordered vertex pair is joined by a directed path.
+def _closure(rows, v: int) -> int:
+    """Bitmask of v and every vertex that v reaches along rows, where rows[u]
+    is the bitmask of u's neighbours."""
+    reach = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~reach
+        reach |= frontier
+    return reach
 
-    Orders 0 and 1 are strong by convention.
-    """
-    if d.n <= 1:
-        return True
-    return len(_bfs(d, 0)) == d.n and len(_bfs(d, 0, reverse=True)) == d.n
+
+def _unreachable_pair(n: int, arcs: Iterable[Arc]) -> Optional[Arc]:
+    """The first pair (0, v), or else (v, 0), with no path in (V, arcs) on
+    n vertices, v the smallest such vertex; None if (V, arcs) is strong.
+    Orders 0 and 1 are strong by convention."""
+    if n <= 1:
+        return None
+    out, inn = [0] * n, [0] * n
+    for t, h in arcs:
+        out[t] |= 1 << h
+        inn[h] |= 1 << t
+    for rows in (out, inn):
+        missed = ((1 << n) - 1) ^ _closure(rows, 0)
+        if missed:
+            v = (missed & -missed).bit_length() - 1
+            return (0, v) if rows is out else (v, 0)
+    return None
+
+
+def is_strong(d: Digraph) -> bool:
+    """Every ordered vertex pair is joined by a directed path; orders 0 and 1
+    are strong by convention."""
+    return _unreachable_pair(d.n, d.arcs) is None
 
 
 def is_semicomplete(d: Digraph) -> bool:

@@ -1,12 +1,16 @@
+import math
+
 import pytest
 
 from gooddecomp import (
     CompositionSpec,
+    CoordinateMap,
     cartesian_power,
     cartesian_product,
     compose,
     complete,
     cycle,
+    decompose_cartesian_power,
     empty,
     is_isomorphic_small,
     is_strong,
@@ -14,8 +18,53 @@ from gooddecomp import (
     path,
     strong_product,
 )
+from gooddecomp.digraph import POWER_ORDER_BOUND
 
 from conftest import random_strong_digraph
+
+
+class TestCoordinateMap:
+    def test_round_trip_uneven_sizes(self):
+        sizes = (3, 0, 1, 0, 0, 4, 2)
+        cmap = CoordinateMap(sizes)
+        ids = [cmap.vid(i, j) for i, ni in enumerate(sizes) for j in range(ni)]
+        assert ids == list(range(sum(sizes)))
+        assert [cmap.coord(v) for v in ids] == [
+            (i, j) for i, ni in enumerate(sizes) for j in range(ni)
+        ]
+
+    def test_zero_size_blocks(self):
+        d, cmap = lexicographic_product(cycle(3), empty(0))
+        assert d.n == 0 and cmap.sizes == (0, 0, 0)
+        with pytest.raises(KeyError):
+            cmap.vid(0, 0)
+        with pytest.raises(KeyError):
+            cmap.coord(0)
+
+    def test_product_ids(self):
+        g, h = cycle(3), path(4)
+        for build in (cartesian_product, strong_product, lexicographic_product):
+            d, cmap = build(g, h)
+            for x in range(g.n):
+                for y in range(h.n):
+                    assert cmap.vid(x, y) == x * h.n + y
+                    assert cmap.coord(x * h.n + y) == (x, y)
+                    assert d.label(x * h.n + y) == f"u{x + 1},{y + 1}"
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (3, 0), (1, 2), (0, -1)])
+    def test_out_of_range_coordinates(self, bad):
+        cmap = CoordinateMap((2, 2, 1))
+        with pytest.raises(KeyError):
+            cmap.vid(*bad)
+
+    @pytest.mark.parametrize("bad", [-1, 5, 6])
+    def test_out_of_range_ids(self, bad):
+        with pytest.raises(KeyError):
+            CoordinateMap((2, 2, 1)).coord(bad)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            CoordinateMap((2, -1))
 
 
 class TestCompose:
@@ -99,6 +148,16 @@ class TestProducts:
     def test_power_zero_rejected(self):
         with pytest.raises(ValueError):
             cartesian_power(cycle(2), 0)
+
+    def test_power_order_bound(self):
+        k = POWER_ORDER_BOUND.bit_length()  # 2 ** k > POWER_ORDER_BOUND >= 2 ** (k - 1)
+        side = math.isqrt(POWER_ORDER_BOUND) + 1
+        for g, power in ((cycle(3), 10**9), (empty(1), 10**9), (empty(1), k), (cycle(side), 2)):
+            with pytest.raises(ValueError, match="exceeds the order bound"):
+                cartesian_power(g, power)
+            with pytest.raises(ValueError, match="exceeds the order bound"):
+                decompose_cartesian_power(g, power)
+        assert cartesian_power(empty(1), k - 1).digraph.n == 1  # order 1 counts as 2
 
     def test_strong_product_counts(self):
         d, _ = strong_product(cycle(2), cycle(2))

@@ -24,6 +24,32 @@ from conftest import (
     random_strong_digraph,
     strong_by_closure,
 )
+from gooddecomp.digraph import _unreachable_pair
+
+
+def bfs_unreachable_pair(n, arcs):
+    """Reference for _unreachable_pair by plain BFS over adjacency lists: the
+    smallest v with no path 0->v, else the smallest v with no path v->0."""
+    if n <= 1:
+        return None
+    for forward in (True, False):
+        adj = [[] for _ in range(n)]
+        for u, v in arcs:
+            if forward:
+                adj[u].append(v)
+            else:
+                adj[v].append(u)
+        seen = {0}
+        queue = [0]
+        for u in queue:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        missed = [v for v in range(n) if v not in seen]
+        if missed:
+            return (0, missed[0]) if forward else (missed[0], 0)
+    return None
 
 
 class TestConstruction:
@@ -85,6 +111,27 @@ class TestStrong:
             ]
             d = Digraph(n, arcs)
             assert is_strong(d) == strong_by_closure(d)
+
+    def test_unreachable_pair_matches_bfs_reference(self, rng):
+        # orders 65 and 130 need bitmask rows wider than one 64-bit word
+        verdicts = {}
+        for n in list(range(13)) + [65, 130]:
+            for trial in range(60):
+                if n >= 2 and trial % 3 == 0:  # a Hamiltonian cycle, maybe missing an arc
+                    perm = rng.sample(range(n), n)
+                    arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+                    if trial % 2:
+                        arcs.discard(rng.choice(sorted(arcs)))
+                    arcs |= {(u, v) for u, v in (rng.sample(range(n), 2) for _ in range(n // 4))}
+                else:  # mean out-degree between 1/2 and 4
+                    p = rng.choice((0.5, 1.5, 4.0)) / max(n, 1)
+                    arcs = {(u, v) for u in range(n) for v in range(n)
+                            if u != v and rng.random() < p}
+                want = bfs_unreachable_pair(n, arcs)
+                assert _unreachable_pair(n, arcs) == want, (n, sorted(arcs))
+                assert is_strong(Digraph(n, arcs)) == (want is None)
+                verdicts.setdefault(n, set()).add(want is None)
+        assert verdicts[65] == verdicts[130] == {True, False}
 
 
 class TestArcConnectivity:

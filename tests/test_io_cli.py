@@ -17,6 +17,7 @@ from gooddecomp import (
     export_dot,
     parse_decomposition,
     parse_edge_list,
+    path,
     render_decomposition,
     render_edge_list,
     s4,
@@ -172,6 +173,30 @@ class TestCli:
     def test_decompose_s4_refused(self, workdir, capsys):
         assert run_command(["decompose", str(workdir / "s4.el")]) == 1
         assert capsys.readouterr().out.splitlines()[0] == "exception:S4"
+
+    @pytest.mark.parametrize("file", ["c3.el", "k1.el"])
+    @pytest.mark.parametrize("argv", [
+        ["product", "--op", "cartesian", "{}", "--power", "1000000000"],
+        ["decompose", "{}", "--strategy", "cartesian-power", "--power", "1000000000"],
+    ], ids=["product", "decompose"])
+    def test_power_order_bound(self, workdir, capsys, file, argv):
+        assert run_command([a.format(workdir / file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: power 1000000000 exceeds the order bound")
+
+    @pytest.mark.parametrize("strategy", ["strong-product", "lex"])
+    @pytest.mark.parametrize("file,factor", [("p3.el", "c3.el"), ("c3.el", "k1.el")],
+                             ids=["path-file", "order-1-factor"])
+    def test_product_strategies_refuse_non_strong(self, workdir, capsys, strategy, file, factor):
+        (workdir / "p3.el").write_text(render_edge_list(path(3)))
+        argv = ["decompose", str(workdir / file), "--strategy", strategy,
+                "--factor", str(workdir / factor)]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "not-covered\ndigraph is not strong of order >= 2\n"
+        assert captured.err == ""
 
     def test_ham_cartesian(self, capsys):
         assert run_command(["ham-cartesian", "2", "3"]) == 0
