@@ -16,6 +16,7 @@ from .decomp import (
     ConstructionError,
     CycleCoverInfeasible,
     Decomposition,
+    Refusal,
     VerifyResult,
     characterize_semicomplete_composition,
     decompose_cartesian_power,

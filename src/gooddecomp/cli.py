@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 reasoned refusal (first output line is a
 machine-readable reason such as "exception:S4", "not-covered" or
 "infeasible:no-cycle-cover"), 2 usage error or failure, reported on stderr
-as one "error: ..." line without a traceback.
+as one "error: ..." line without a traceback.  Refusals are decided by the
+library, which raises decomp.Refusal; this module only prints them.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .builders import CompositionSpec, _check_power_order, cartesian_power, cartesian_product, \
-    compose, lexicographic_product, strong_product
+from .builders import CompositionSpec, cartesian_power, cartesian_product, compose, \
+    lexicographic_product, strong_product
 from .decomp import (
     ConstructionError,
-    CycleCoverInfeasible,
     Decomposition,
+    Refusal,
     decompose_cartesian_power,
     decompose_composition,
     decompose_lexicographic,
@@ -33,13 +34,6 @@ from .io import ParseError, _content_lines, parse_decomposition, parse_edge_list
 from .oracle import oracle_good_decomposition
 
 OK, REFUSED, USAGE = 0, 1, 2
-
-
-class Refusal(Exception):
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(reason)
-        self.reason = reason
-        self.detail = detail
 
 
 def _load_digraph(path: str) -> Digraph:
@@ -117,13 +111,6 @@ def _refuse_exception(d: Digraph) -> None:
         raise Refusal(f"exception:{matched[0]}")
 
 
-def _refuse_non_strong(*factors: Digraph) -> None:
-    """Refuse as not-covered, for all four product strategies, a factor that
-    is not strong of order >= 2."""
-    if any(f.n < 2 or not is_strong(f) for f in factors):
-        raise Refusal("not-covered", "digraph is not strong of order >= 2")
-
-
 #: decompose flags and the strategies that read them; any other strategy
 #: refuses the flag as a usage error rather than ignore it
 _DECOMPOSE_FLAGS = {
@@ -158,23 +145,12 @@ def _cmd_decompose(args) -> int:
             raise Refusal("not-covered")
         return _emit(dec)
     if strategy in ("cartesian-square", "cartesian-power"):
-        k = 2 if args.power is None else args.power
-        if k < 2:
-            raise ValueError("needs k >= 2")
-        _check_power_order(d.n, k)
-        _refuse_non_strong(d)
-        try:
-            return _emit(decompose_cartesian_power(d, k))
-        except CycleCoverInfeasible as exc:
-            raise Refusal("infeasible:no-cycle-cover", f"cut: {sorted(exc.cut)}")
-        except ValueError as exc:
-            raise Refusal("not-covered", str(exc))
+        return _emit(decompose_cartesian_power(d, 2 if args.power is None else args.power))
     if strategy in ("strong-product", "lex"):
         if args.factor is None:
             print(f"decompose: --strategy {strategy} needs --factor", file=sys.stderr)
             return USAGE
         h = _load_digraph(args.factor)
-        _refuse_non_strong(d, h)
         if strategy == "strong-product":
             return _emit(decompose_strong_product(d, h))
         return _emit(decompose_lexicographic(d, h))

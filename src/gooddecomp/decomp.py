@@ -5,7 +5,8 @@ that both (V, A1) and (V, A2) are strong spanning subdigraphs; arcs may stay
 unused.  A Decomposition generalizes this to k >= 2 pairwise disjoint parts
 A1..Ak (the lexicographic product packs ell+1 of them).  Every decomposer here
 is fail-closed: results are verified before they are returned and a
-ConstructionError signals an internal bug.
+ConstructionError signals an internal bug.  A decomposer whose hypothesis
+fails raises Refusal, with the machine-readable reason the CLI prints.
 
 Composition constructions build skeleton sides on a few kept vertices per
 block (plus explicitly consumed inner arcs) and _finish_composition lifts them
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .builders import (
-    Built,
     CompositionSpec,
     CoordinateMap,
     _check_power_order,
@@ -54,12 +54,31 @@ from .structure import (
     is_cycle_of,
 )
 
-class CycleCoverInfeasible(ValueError):
+
+class Refusal(ValueError):
+    """A construction's hypothesis fails: a machine-readable reason such as
+    "not-covered", and an optional detail line."""
+
+    def __init__(self, reason: str, detail: str = ""):
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
+        self.detail = detail
+
+
+class CycleCoverInfeasible(Refusal):
     """No arc-disjoint cycle cover exists; carries the failing cut side."""
 
-    def __init__(self, message: str, cut: frozenset):
-        super().__init__(message)
+    def __init__(self, cut: frozenset):
+        super().__init__("infeasible:no-cycle-cover", f"cut: {sorted(cut)}")
         self.cut = cut
+
+
+_NOT_STRONG = "digraph is not strong of order >= 2"
+
+
+def _require_strong(*factors: Digraph) -> None:
+    if any(f.n < 2 or not is_strong(f) for f in factors):
+        raise Refusal("not-covered", _NOT_STRONG)
 
 
 @dataclass(frozen=True)
@@ -137,7 +156,6 @@ Skeleton = tuple[Sequence[int], Sequence[Sequence[int]], set, set]
 
 def _finish_composition(
     spec: CompositionSpec,
-    built: Built,
     order: Sequence[int],
     kept: Sequence[Sequence[int]],
     *sides: set,
@@ -145,7 +163,7 @@ def _finish_composition(
     """Lift skeleton sides to the composition built from spec by twin
     extension: every non-kept vertex of a block gets the same cross-block
     arcs as the block's slot 0.  Inner arcs are never copied."""
-    q, cmap = built
+    q, cmap = compose(spec)
     ids = [[cmap.vid(b, j) for j in kept[p]] for p, b in enumerate(order)]
     twins = [
         [cmap.vid(b, j) for j in range(spec.sizes[b]) if j not in kept[p]]
@@ -190,7 +208,7 @@ def extend_by_twins(
         raise ValueError("decomposition host is not qstar")
     coord = CoordinateMap(sub_sizes).coord
     sides = ({(coord(u), coord(v)) for u, v in side} for side in d.parts)
-    return _finish_composition(spec, compose(spec), range(spec.t), kept, *sides)
+    return _finish_composition(spec, range(spec.t), kept, *sides)
 
 
 def _eq_sides(t: int) -> tuple[set, set]:
@@ -271,7 +289,7 @@ def decompose_comp_hamiltonian(
     Returns None when none of the three case preconditions applies.
     """
     sides = _hamiltonian_sides(spec, hcycle)
-    return None if sides is None else _finish_composition(spec, compose(spec), *sides)
+    return None if sides is None else _finish_composition(spec, *sides)
 
 
 def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleton]:
@@ -379,17 +397,9 @@ def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
-    return _decompose_composition(spec, None, semicomplete=is_semicomplete(T), strong=is_strong(T))
-
-
-def _decompose_composition(
-    spec: CompositionSpec, built: Optional[Built], semicomplete: bool, strong: bool
-) -> Optional[Decomposition]:
-    """The one order of the composition routes, given whether T is
-    semicomplete and strong; lifts onto built when given."""
-    if not strong:
+    if not is_strong(T):
         return None
-    T = spec.outer
+    semicomplete = is_semicomplete(T)
     sides = None
     if semicomplete and is_k_arc_strong(T, 2):
         sides = _part_a_sides(spec)
@@ -401,7 +411,7 @@ def _decompose_composition(
             sides = _remaining_sides(spec, hc)
     if sides is None:
         return decompose_comp_strong_parts(spec)
-    return _finish_composition(spec, built or compose(spec), *sides)
+    return _finish_composition(spec, *sides)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +464,14 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     T = spec.outer
     if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(T) or not is_strong(T):
         raise ValueError("requires strong semicomplete outer and nontrivial inners")
-    built = compose(spec)
-    matched = match_exception(built.digraph)
-    if matched is not None:
-        tag, witness = matched
-        return CharacterizationResult(exception_tag=tag, witness=witness)
-    dec = _decompose_composition(spec, built, semicomplete=True, strong=True)
-    if dec is None:
+    dec = decompose_composition(spec)
+    if dec is not None:
+        return CharacterizationResult(decomposition=dec)
+    matched = match_exception(compose(spec).digraph)
+    if matched is None:
         raise ConstructionError("composition is neither an exception nor decomposed")
-    return CharacterizationResult(decomposition=dec)
+    tag, witness = matched
+    return CharacterizationResult(exception_tag=tag, witness=witness)
 
 
 def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
@@ -584,7 +593,7 @@ def _order_cover(cover: CycleCover) -> list[tuple[int, ...]]:
     while cycles:
         nxt = next((c for c in cycles if touched & set(c)), None)
         if nxt is None:
-            raise ValueError("cover union disconnected; construction not defined")
+            raise Refusal("not-covered", "cover union disconnected; construction not defined")
         cycles.remove(nxt)
         ordered.append(nxt)
         touched |= set(nxt)
@@ -594,8 +603,7 @@ def _order_cover(cover: CycleCover) -> list[tuple[int, ...]]:
 def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
     """G square G via induction over an arc-disjoint cycle cover whose union
     is connected."""
-    if g.n < 2 or not is_strong(g):
-        raise ValueError("needs a strong digraph of order >= 2")
+    _require_strong(g)
     seen_arcs: set[Arc] = set()
     seen_vertices: set[int] = set()
     for k, cyc in enumerate(cover.cycles):
@@ -650,8 +658,8 @@ def decompose_cartesian_with_good_factor(
     """G square H when G already has a good decomposition and H is strong."""
     if dg.host != g or not verify_decomposition(dg):
         raise ValueError("dg must be a valid decomposition of g")
-    if h.n < 2 or not is_strong(h):
-        raise ValueError("h must be strong of order >= 2")
+    if g.n < 2 or h.n < 2 or not is_strong(h):
+        raise Refusal("not-covered", _NOT_STRONG)
     host, cmap = cartesian_product(g, h)
     emb = cmap.vid
     # the H-copy at g's first vertex, and side-1 copies in every H-layer
@@ -665,14 +673,10 @@ def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
     if k < 2:
         raise ValueError("needs k >= 2")
     _check_power_order(g.n, k)
-    if g.n < 2 or not is_strong(g):
-        raise ValueError("needs a strong digraph of order >= 2")
+    _require_strong(g)
     cover = cycle_cover(g)
     if cover is None:
-        cut = cover_cut(g)
-        raise CycleCoverInfeasible(
-            "no arc-disjoint cycle cover exists; infeasible circulation", cut
-        )
+        raise CycleCoverInfeasible(cover_cut(g))
     dec = decompose_cartesian_square(g, cover)
     cur = dec.host
     for _ in range(k - 2):
@@ -709,8 +713,7 @@ def decompose_strong_product(g: Digraph, h: Digraph) -> Decomposition:
     """Strong product of any two strong digraphs, by ear induction: side 1 is
     the cycle-product base plus a copy of every ear in each layer of the other
     factor present at that stage; side 2 is the complement."""
-    if g.n < 2 or h.n < 2 or not is_strong(g) or not is_strong(h):
-        raise ValueError("needs strong digraphs of order >= 2")
+    _require_strong(g, h)
     ears_g = ear_decomposition(g)
     ears_h = ear_decomposition(h)
     p0 = ears_g.ears[0].vertices
@@ -737,8 +740,7 @@ def decompose_lexicographic(
     Two parts come from the strong product of g with h's first part; each
     further part is its own block copies threaded through the composition
     arcs that shadow it."""
-    if g.n < 2 or h.n < 2 or not is_strong(g) or not is_strong(h):
-        raise ValueError("needs strong digraphs of order >= 2")
+    _require_strong(g, h)
     if ell_parts is None:
         parts_h = [frozenset(h.arcs)]
     else:

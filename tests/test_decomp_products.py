@@ -5,7 +5,9 @@ import pytest
 from gooddecomp import (
     CycleCover,
     CycleCoverInfeasible,
+    Decomposition,
     Digraph,
+    Refusal,
     cartesian_power,
     cartesian_product,
     complete,
@@ -20,6 +22,7 @@ from gooddecomp import (
     decompose_strong_product,
     is_strong,
     lexicographic_product,
+    path,
     strong_product,
     trotter_erdos_hamiltonian,
     verify_decomposition,
@@ -38,6 +41,14 @@ def _is_hamiltonian_cycle_side(n: int, side) -> bool:
         len(side) == n
         and all(outs[v] == 1 and ins[v] == 1 for v in range(n))
         and is_strong(Digraph(n, side))
+    )
+
+
+def _assert_not_strong_refusal(decomposer, *args):
+    with pytest.raises(Refusal) as exc:
+        decomposer(*args)
+    assert (exc.value.reason, exc.value.detail) == (
+        "not-covered", "digraph is not strong of order >= 2"
     )
 
 
@@ -71,6 +82,7 @@ class TestCartesianSquare:
         bad = CycleCover(((0, 1), (2, 3)))
         with pytest.raises(ValueError, match="disconnected"):
             decompose_cartesian_square(g, bad)
+        _assert_not_strong_refusal(decompose_cartesian_square, path(2), CycleCover(((0, 1),)))
 
     def test_invalid_cover_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +125,10 @@ class TestGoodFactor:
         )
         with pytest.raises(ValueError):
             decompose_cartesian_with_good_factor(g, dk, Digraph(1, []))
+        for n in (0, 1):  # a trivial g has the valid empty decomposition
+            trivial = Digraph(n, [])
+            dt = Decomposition(trivial, (frozenset(), frozenset()))
+            _assert_not_strong_refusal(decompose_cartesian_with_good_factor, trivial, dt, cycle(3))
 
 
 class TestCartesianPower:
@@ -131,10 +147,15 @@ class TestCartesianPower:
         with pytest.raises(CycleCoverInfeasible) as exc:
             decompose_cartesian_power(TWO_TRIANGLES_SHARED_ARC, 2)
         assert exc.value.cut  # certificate carried
+        # the two lines the CLI prints
+        assert exc.value.reason == "infeasible:no-cycle-cover"
+        assert exc.value.detail == "cut: [('in', 0), ('out', 2), ('out', 3)]"
+        assert exc.value.cut == frozenset({("in", 0), ("out", 2), ("out", 3)})
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             decompose_cartesian_power(cycle(3), 1)
+        _assert_not_strong_refusal(decompose_cartesian_power, path(3), 2)
 
 
 class TestBoxtimes:
@@ -177,6 +198,7 @@ class TestStrongProductGeneral:
     def test_non_strong_rejected(self):
         with pytest.raises(ValueError):
             decompose_strong_product(Digraph(2, [(0, 1)]), cycle(2))
+        _assert_not_strong_refusal(decompose_strong_product, cycle(3), Digraph(1, []))
 
 
 class TestLexicographic:
@@ -210,6 +232,7 @@ class TestLexicographic:
     def test_non_strong_part_rejected(self):
         with pytest.raises(ValueError):
             decompose_lexicographic(cycle(3), complete(3), [frozenset({(0, 1)})])
+        _assert_not_strong_refusal(decompose_lexicographic, path(3), cycle(2))
 
     def test_random_pairs(self, rng):
         for _ in range(15):

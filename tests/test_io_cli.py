@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_API = [
     "BACKEND", "Built", "CharacterizationResult", "CompositionSpec", "ConstructionError",
     "CoordinateMap", "CycleCover", "CycleCoverInfeasible", "Decomposition", "Digraph", "Ear",
-    "EarDecomposition", "OracleReport", "ParseError", "VerifyResult", "arc_connectivity",
+    "EarDecomposition", "OracleReport", "ParseError", "Refusal", "VerifyResult", "arc_connectivity",
     "builders", "cartesian_power", "cartesian_product", "characterize_semicomplete_composition",
     "complete", "compose", "cover_cut", "cycle", "cycle_cover", "decomp",
     "decompose_cartesian_power", "decompose_cartesian_square",
@@ -211,6 +211,17 @@ class TestCli:
         assert run_command(["ham-cartesian", "2", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_library_usage_error_is_not_a_refusal(self, workdir, monkeypatch, capsys):
+        # only a Refusal is printed as one; any other ValueError is an error
+        def broken(g, k):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "decompose_cartesian_power", broken)
+        argv = ["decompose", str(workdir / "c3.el"), "--strategy", "cartesian-power"]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: boom\n"
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
