@@ -258,17 +258,26 @@ def _case3_sides(t: int) -> tuple[set, set]:
     return side1, side2
 
 
-def _repair_odd_t(
-    order: Sequence[int], kept: Sequence[Sequence[int]], extra_side2: set
+def _stitched(
+    order: Sequence[int], kept: Sequence[Sequence[int]], extra1: set, extra2: set
 ) -> Skeleton:
-    """Eq-sides skeleton for odd t with extra arcs stitching side 2's two
-    cycles together."""
+    """The two-slot template: _eq_sides on the 2-per-block skeleton plus extra
+    arcs per side; for odd t, side 2's extras stitch its cycles C and Z."""
     side1, side2 = _eq_sides(len(order))
-    return order, kept, side1, side2 | extra_side2
+    return order, kept, side1 | extra1, side2 | extra2
+
+
+def _inner_stitch(kept: list[list[int]], k: int, arc: Arc, from_z: int) -> tuple:
+    """Place the inner arc of the block at position k on its slots s -> 1 - s,
+    s = (k + from_z) % 2, so that it crosses side 2's cycles C -> Z (from_z 0)
+    or Z -> C (from_z 1); returns its skeleton arc."""
+    s = (k + from_z) % 2
+    kept[k][s], kept[k][1 - s] = arc
+    return (k, s), (k, 1 - s)
 
 
 def _case2_arc_pair(spec: CompositionSpec):
-    """Arcs e_p, e_q usable for the odd-t repair: from two distinct inners,
+    """Arcs e_p, e_q usable as odd-t inner stitches: from two distinct inners,
     or the two arcs of a digon in a single inner."""
     with_arcs = [i for i, h in enumerate(spec.inners) if h.arcs]
     if len(with_arcs) >= 2:
@@ -303,21 +312,18 @@ def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleto
     order = list(hcycle)
 
     if t % 2 == 0:
-        return order, [[0, 1]] * t, *_eq_sides(t)
+        return _stitched(order, [[0, 1]] * t, set(), set())
 
     pair = _case2_arc_pair(spec)
     if pair is not None:
         p, e_p, q, e_q = pair
         kept = [[0, 1] for _ in range(t)]
-        extras = set()
-        # slot (position mod 2) lies on side 2's cycle C: orient the kept
-        # slots so e_p crosses C->Z and e_q crosses Z->C
-        for blk, (x, y), from_z in ((p, e_p, 0), (q, e_q, 1)):
-            k = order.index(blk)
-            s = (k + from_z) % 2
-            kept[k][s], kept[k][1 - s] = x, y
-            extras.add(((k, s), (k, 1 - s)))
-        return _repair_odd_t(order, kept, extras)
+        # e_p crosses side 2's cycles C -> Z and e_q crosses Z -> C
+        extras = {
+            _inner_stitch(kept, order.index(b), e, from_z)
+            for b, e, from_z in ((p, e_p, 0), (q, e_q, 1))
+        }
+        return _stitched(order, kept, set(), extras)
 
     small = [i for i in range(t) if sizes[i] == 2]
     if len(small) <= 1:
@@ -333,6 +339,8 @@ def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleto
 def decompose_comp_strong_parts(spec: CompositionSpec) -> Optional[Decomposition]:
     """Strong outer and strong inners: side 1 is the first-vertex copy of T
     plus all inner arcs, side 2 everything else."""
+    if spec.t < 2:
+        raise ValueError("composition decomposer needs t >= 2")
     if not is_strong(spec.outer):
         return None
     if any(h.n < 2 or not is_strong(h) for h in spec.inners):
@@ -485,22 +493,16 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
 
     if t >= 5:
         # a semicomplete outer has an arc between the blocks at cycle
-        # distance two (positions 0 and 2); its two skeleton copies stitch
-        # side 2's cycles
-        if (order[0], order[2]) in T.arcs:
-            extras = {((0, 0), (2, 1)), ((0, 1), (2, 0))}
-        else:
-            extras = {((2, 0), (0, 1)), ((2, 1), (0, 0))}
-        return _repair_odd_t(order, [[0, 1]] * t, extras)
-
-    # t == 3 from here on
-    off_cycle = sorted(T.arcs - set(cycle_arcs(hc)))
-    if off_cycle:
-        # copies of the arc from C to Z and from Z to C, where slot p % 2 of
-        # position p lies on C
-        pa, pb = (order.index(b) for b in off_cycle[0])
+        # distance two (positions 0 and 2)
+        a, b = order[0], order[2]
+        arc = (a, b) if (a, b) in T.arcs else (b, a)
+    else:
+        arc = min(T.arcs - set(cycle_arcs(hc)), default=None)
+    if arc is not None:
+        # its copies from C to Z and from Z to C stitch side 2's cycles
+        pa, pb = (order.index(v) for v in arc)
         extras = {((pa, pa % 2), (pb, 1 - pb % 2)), ((pa, 1 - pa % 2), (pb, pb % 2))}
-        return _repair_odd_t(order, [[0, 1]] * 3, extras)
+        return _stitched(order, [[0, 1]] * t, set(), extras)
 
     # outer is exactly the directed triangle; rotate the big block to the end
     sizes = spec.sizes
@@ -508,19 +510,12 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
     k = (order.index(anchor) + 1) % 3
     order = order[k:] + order[:k]
     m = sizes[order[2]]
+    # a detour (1, s) -> (2, c) -> (0, s) through the big block's slot c >= 2
+    via = lambda s, c: {((1, s), (2, c)), ((2, c), (0, s))}
 
     if m >= 4:
-        side1 = {
-            ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 1)),
-            ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (0, 0)),
-            ((1, 0), (2, 3)), ((2, 3), (0, 0)), ((1, 1), (2, 2)), ((2, 2), (0, 1)),
-        }
-        side2 = {
-            ((0, 0), (1, 1)), ((1, 1), (2, 0)), ((2, 0), (0, 0)),
-            ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
-            ((1, 0), (2, 2)), ((2, 2), (0, 0)), ((1, 1), (2, 3)), ((2, 3), (0, 1)),
-        }
-        return order, [[0, 1], [0, 1], [0, 1, 2, 3]], side1, side2
+        kept = [[0, 1], [0, 1], [0, 1, 2, 3]]
+        return _stitched(order, kept, via(0, 3) | via(1, 2), via(0, 2) | via(1, 3))
 
     arc_blocks = [i for i in range(3) if spec.inners[i].arcs]
     if m != 3 or not arc_blocks:
@@ -528,27 +523,12 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
         # is an exception; an inner digon was repaired by _hamiltonian_sides
         return None
     blk = arc_blocks[0]
-    ax, ay = min(spec.inners[blk].arcs)
-    p = order.index(blk)
-    # single inner arc a placed per its block's position; side 2 needs it
-    # to get from the second skeleton cycle back to the first, so it runs
-    # from slot 1 to slot 0, or from slot 0 to slot 1 in the middle block
     kept = [[0, 1], [0, 1], [0, 1, 2]]
-    s = 0 if p == 1 else 1
-    kept[p][s], kept[p][1 - s] = ax, ay
-    if p == 2:
-        kept[2][2] = 3 - ax - ay  # the block's third vertex
-    side1 = {
-        ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 1)),
-        ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (0, 0)),
-        ((1, 0), (2, 2)), ((2, 2), (0, 0)),
-    }
-    side2 = {
-        ((0, 0), (1, 1)), ((1, 1), (2, 0)), ((2, 0), (0, 0)),
-        ((0, 1), (1, 0)), ((1, 0), (2, 1)), ((2, 1), (0, 1)),
-        ((1, 1), (2, 2)), ((2, 2), (0, 1)), ((p, s), (p, 1 - s)),
-    }
-    return order, kept, side1, side2
+    # side 2 runs C -> Z through the big block's third vertex and needs the
+    # single inner arc to get back from Z to C
+    inner = _inner_stitch(kept, order.index(blk), min(spec.inners[blk].arcs), 1)
+    kept[2][2] = 3 - kept[2][0] - kept[2][1]  # the big block's third vertex
+    return _stitched(order, kept, via(0, 2), via(1, 2) | {inner})
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +588,7 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
     seen_vertices: set[int] = set()
     for k, cyc in enumerate(cover.cycles):
         arcs = cover.arcs_of(k)
-        if len(set(cyc)) != len(cyc) or not all(a in g.arcs for a in arcs):
+        if not is_cycle_of(g, cyc):
             raise ValueError(f"cover cycle {k} is not a cycle of the digraph")
         if seen_arcs & set(arcs):
             raise ValueError("cover cycles are not arc-disjoint")
@@ -660,9 +640,14 @@ def decompose_cartesian_with_good_factor(
         raise ValueError("dg must be a valid decomposition of g")
     if g.n < 2 or h.n < 2 or not is_strong(h):
         raise Refusal("not-covered", _NOT_STRONG)
-    host, cmap = cartesian_product(g, h)
+    return _times_strong(dg, h)
+
+
+def _times_strong(dg: Decomposition, h: Digraph) -> Decomposition:
+    """The H-copy at the first vertex of G = dg.host, and side-1 copies in
+    every H-layer, against the rest of G square H."""
+    host, cmap = cartesian_product(dg.host, h)
     emb = cmap.vid
-    # the H-copy at g's first vertex, and side-1 copies in every H-layer
     a1 = {(emb(0, z), emb(0, w)) for z, w in h.arcs}
     a1 |= {(emb(x, j), emb(y, j)) for x, y in dg.a1 for j in range(h.n)}
     return _checked(host, a1, host.arcs - a1)
@@ -678,10 +663,8 @@ def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
     if cover is None:
         raise CycleCoverInfeasible(cover_cut(g))
     dec = decompose_cartesian_square(g, cover)
-    cur = dec.host
     for _ in range(k - 2):
-        dec = decompose_cartesian_with_good_factor(cur, dec, g)
-        cur = dec.host
+        dec = _times_strong(dec, g)
     return dec
 
 

@@ -99,23 +99,18 @@ def cycle_cover(d: Digraph) -> Optional[CycleCover]:
     for v in support:
         support[v].sort(reverse=True)  # pop() yields smallest first
     cycles = []
-    remaining = sum(len(outs) for outs in support.values())
-    while remaining:
-        start = min(v for v, outs in support.items() if outs)
-        walk = [start]
-        pos = {start: 0}
-        while True:
-            v = walk[-1]
-            w = support[v].pop()
-            remaining -= 1
+    # the support is balanced, so only a one-vertex walk can run dry
+    for start in range(d.n):
+        walk, pos = [start], {start: 0}
+        while support[walk[-1]]:
+            w = support[walk[-1]].pop()
             if w in pos:
+                # emit the cycle and cut the walk back to where it closed
                 cycles.append(tuple(walk[pos[w]:]))
-                # arcs before the loop are pushed back for later extraction
-                for a, b in zip(walk[: pos[w]], walk[1: pos[w] + 1]):
-                    support[a].append(b)
-                    support[a].sort(reverse=True)
-                    remaining += 1
-                break
-            walk.append(w)
-            pos[w] = len(walk) - 1
+                for v in walk[pos[w] + 1:]:
+                    del pos[v]
+                del walk[pos[w] + 1:]
+            else:
+                pos[w] = len(walk)
+                walk.append(w)
     return CycleCover(tuple(cycles))

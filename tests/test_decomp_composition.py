@@ -212,6 +212,10 @@ class TestStrongParts:
     def test_arcless_inner_not_applicable(self):
         assert decompose_comp_strong_parts(spec_of(cycle(2), cycle(2), empty(2))) is None
 
+    def test_one_block_rejected(self):
+        with pytest.raises(ValueError, match="needs t >= 2"):
+            decompose_comp_strong_parts(spec_of(Digraph(1, []), complete(3)))
+
 
 class TestDispatcher:
     def test_even_cycle_outer(self):
@@ -287,8 +291,34 @@ class TestDispatcher:
             # directed triangle over (2, 2, 3) with one inner arc in the 3-block
             (spec_of(cycle(3), empty(2), empty(2), Digraph(3, [(0, 1)])),
              "1a71fb0a9adda8e5713d14aae44c2c799acc2388e0a6632c40b0d2128a5e3abf"),
+            # the distance-two arc runs against the Hamiltonian cycle 0,1,4,2,3
+            (
+                spec_of(
+                    Digraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4),
+                                (2, 3), (3, 0), (3, 4), (4, 0), (4, 2)]),
+                    *[empty(2)] * 5,
+                ),
+                "c965b2ea989eafef1141098b222981c266ea9f8d9bfd02d7fda15371a9e25511",
+            ),
+            # the block of order >= 4 first or second
+            (spec_of(cycle(3), empty(4), empty(2), empty(2)),
+             "0c1e7e3f3fec704e7d17784c64e906d58b4a570655c3b046eac92ae7999454e1"),
+            (spec_of(cycle(3), empty(2), empty(4), empty(2)),
+             "6bf57dc2ba030f984f03e0a059ce4b832e13a967b16e8ca9c58559c8fefa47ab"),
+            # (2, 2, 3) with the inner arc in the first, the second block, and
+            # in the 3-block away from its vertex 0
+            (spec_of(cycle(3), Digraph(2, [(0, 1)]), empty(2), empty(3)),
+             "239e14aabeffa1b80a30437e1f09280c2ec34e8778223d0934514e1e95c4d76c"),
+            (spec_of(cycle(3), empty(2), Digraph(2, [(0, 1)]), empty(3)),
+             "4e6bcad9021533d06c8f57ffaa0ace2f293bfc6c717f92a8fdbebb0eb93c6d77"),
+            (spec_of(cycle(3), empty(2), empty(2), Digraph(3, [(2, 0)])),
+             "2cb03a452949ffcdf7324a4c83edf4dbcb3d397235955b1285721d230d5ee5ab"),
         ],
-        ids=["t5-distance-two", "t3-off-cycle-digon", "c3-n3-at-least-4", "c3-223-one-arc"],
+        ids=[
+            "t5-distance-two", "t3-off-cycle-digon", "c3-n3-at-least-4", "c3-223-one-arc",
+            "t5-reversed-distance-two", "c3-422", "c3-242",
+            "c3-223-arc-block0", "c3-223-arc-block1", "c3-223-arc-2-0",
+        ],
     )
     def test_characterization_remaining_cases(self, spec, digest):
         dec = decompose_composition(spec)

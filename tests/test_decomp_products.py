@@ -87,6 +87,8 @@ class TestCartesianSquare:
     def test_invalid_cover_rejected(self):
         with pytest.raises(ValueError):
             decompose_cartesian_square(cycle(3), CycleCover(((0, 2, 1),)))
+        with pytest.raises(ValueError, match="cover cycle 0"):
+            decompose_cartesian_square(cycle(3), CycleCover(((), (0, 1, 2))))
 
     def test_random_covers(self, rng):
         done = 0
@@ -151,6 +153,21 @@ class TestCartesianPower:
         assert exc.value.reason == "infeasible:no-cycle-cover"
         assert exc.value.detail == "cut: [('in', 0), ('out', 2), ('out', 3)]"
         assert exc.value.cut == frozenset({("in", 0), ("out", 2), ("out", 3)})
+
+    def test_each_power_verified_once(self, monkeypatch):
+        import gooddecomp.decomp as decomp
+
+        hosts = []
+        real = decomp.verify
+
+        def recording(host, *parts):
+            hosts.append(host.n)
+            return real(host, *parts)
+
+        monkeypatch.setattr(decomp, "verify", recording)
+        dec = decompose_cartesian_power(BOWTIE, 4)
+        assert real(dec.host, *dec.parts).ok
+        assert hosts == [25, 125, 625]
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,17 @@
+import hashlib
+import random
+
 import pytest
 
-from gooddecomp import Digraph, cover_cut, cycle, cycle_cover, path
+from gooddecomp import Digraph, cover_cut, cycle, cycle_cover, is_strong, path
 
-from conftest import has_cycle_cover_bruteforce, random_sparse_strong_digraph, violates_hoffman
+from conftest import (
+    all_digraphs_on_arcs,
+    has_cycle_cover_bruteforce,
+    random_sparse_strong_digraph,
+    random_strong_digraph,
+    violates_hoffman,
+)
 
 # two triangles sharing the arc b->a is not coverable: vertices 0,1,2 and
 # 0,1,3 both need vertex 1's single admissible unit
@@ -60,6 +69,22 @@ class TestCycleCover:
                 seen.update(arcs)
                 verts.update(cyc)
             assert verts == set(range(d.n))
+
+    def test_pinned_cycles(self):
+        # every strong digraph of order 2..4 and 300 seeded ones of order <= 12
+        # (1,925 digraphs, 1,891 with a cover): the cycles and their order
+        digraphs = [
+            d for n in range(2, 5) for d in all_digraphs_on_arcs(n, n * (n - 1)) if is_strong(d)
+        ]
+        gen = random.Random(12)
+        digraphs += [
+            random_strong_digraph(gen, 12, gen.choice((0.2, 0.35, 0.5))) for _ in range(300)
+        ]
+        covers = [None if c is None else c.cycles for c in map(cycle_cover, digraphs)]
+        assert len(digraphs) == 1925 and sum(c is not None for c in covers) == 1891
+        assert hashlib.sha256(repr(covers).encode()).hexdigest() == (
+            "f4408363b54b90632eb719ea91521f2cdc72cd5466a6267497e93fbead5ef437"
+        )
 
     def test_matches_bruteforce_random_sparse(self, rng):
         for _ in range(40):
