@@ -7,11 +7,12 @@ availability digraph stops being strong, which also is the leaf test.
 Assigning to side 2 is forbidden until side 1 holds an arc (swap symmetry).
 
 Every node of the tree is strong on both sides, and deleting arc t->h from a
-strong digraph leaves it strong iff t still reaches h.  That test meets in
-the middle: it grows the closure of t along the out-rows and the closure of
-h along the in-rows, always expanding the smaller frontier, and stops when
-the two meet or either frontier runs dry.  The root's strongness test is
-the two closures of vertex 0.
+strong digraph leaves it strong iff t still reaches h.  That test is
+digraph._reaches, the path search the oracle's 2-arc-strong precheck also
+runs: it meets in the middle, growing the closure of t along the out-rows
+and the closure of h along the in-rows, always expanding the smaller
+frontier, and stops when the two meet or either frontier runs dry.  The
+root's strongness test is the two closures of vertex 0 (digraph._closure).
 
 Each level reuses its own tests.  Choice 0 ("unused") leaves side 1 as
 choice 2 tested it and side 2 as choice 1 tested it, because every deeper
@@ -25,42 +26,11 @@ of the tree is bounded by memory rather than by the recursion limit.
 
 from __future__ import annotations
 
-from .digraph import _closure
+from .digraph import _closure, _reaches, _rows
 
 FOUND, NONE, ABORTED = 0, 1, 2
 
 _UNTRIED = -1
-
-
-def _reaches(out, inn, t: int, h: int) -> bool:
-    """True iff t reaches h != t along out-rows; inn holds the same arcs as
-    in-rows.  Grows both ends at once and stops when they meet."""
-    fwd = ffront = 1 << t
-    bwd = bfront = 1 << h
-    while True:
-        nxt = 0
-        if ffront.bit_count() <= bfront.bit_count():
-            while ffront:
-                low = ffront & -ffront
-                nxt |= out[low.bit_length() - 1]
-                ffront ^= low
-            if nxt & bwd:
-                return True
-            ffront = nxt & ~fwd
-            if not ffront:
-                return False
-            fwd |= ffront
-        else:
-            while bfront:
-                low = bfront & -bfront
-                nxt |= inn[low.bit_length() - 1]
-                bfront ^= low
-            if nxt & fwd:
-                return True
-            bfront = nxt & ~bwd
-            if not bfront:
-                return False
-            bwd |= bfront
 
 
 def search(n, arcs, budget=0):
@@ -74,11 +44,7 @@ def search(n, arcs, budget=0):
     m = len(arcs)
     limit = budget if budget > 0 else float("inf")
 
-    out1 = [0] * n
-    in1 = [0] * n
-    for t, h in arcs:
-        out1[t] |= 1 << h
-        in1[h] |= 1 << t
+    out1, in1 = _rows(n, arcs)
     out2, in2 = out1[:], in1[:]
 
     nodes = 1

@@ -470,11 +470,15 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     every inner of order >= 2: either an exception tag or a verified
     decomposition built by the constructive branches."""
     T = spec.outer
-    if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(T) or not is_strong(T):
-        raise ValueError("requires strong semicomplete outer and nontrivial inners")
+    message = "requires strong semicomplete outer and nontrivial inners"
+    if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(T):
+        raise ValueError(message)
+    # decompose_composition returns None for a non-strong outer
     dec = decompose_composition(spec)
     if dec is not None:
         return CharacterizationResult(decomposition=dec)
+    if not is_strong(T):
+        raise ValueError(message)
     matched = match_exception(compose(spec).digraph)
     if matched is None:
         raise ConstructionError("composition is neither an exception nor decomposed")

@@ -167,16 +167,89 @@ def _closure(rows, v: int) -> int:
     return reach
 
 
+def _reaches(out, inn, t: int, h: int) -> bool:
+    """True iff t reaches h != t along out-rows; inn holds the same arcs as
+    in-rows.  Grows both ends at once and stops when they meet."""
+    fwd = ffront = 1 << t
+    bwd = bfront = 1 << h
+    while True:
+        nxt = 0
+        if ffront.bit_count() <= bfront.bit_count():
+            while ffront:
+                low = ffront & -ffront
+                nxt |= out[low.bit_length() - 1]
+                ffront ^= low
+            if nxt & bwd:
+                return True
+            ffront = nxt & ~fwd
+            if not ffront:
+                return False
+            fwd |= ffront
+        else:
+            while bfront:
+                low = bfront & -bfront
+                nxt |= inn[low.bit_length() - 1]
+                bfront ^= low
+            if nxt & fwd:
+                return True
+            bfront = nxt & ~bwd
+            if not bfront:
+                return False
+            bwd |= bfront
+
+
+def _rows(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
+    """Bitmask out-rows and in-rows of (V, arcs) on n vertices."""
+    out, inn = [0] * n, [0] * n
+    for t, h in arcs:
+        out[t] |= 1 << h
+        inn[h] |= 1 << t
+    return out, inn
+
+
+def _two_arc_strong(n: int, out, inn) -> bool:
+    """True iff the digraph with out-rows out and in-rows inn on n >= 2
+    vertices is 2-arc-strong.  The rows are left as they were given.
+
+    It is strong iff the search trees of vertex 0 along out and along inn
+    both span.  Deleting an arc outside both trees leaves both whole, so only
+    a tree arc t->h can be a bridge, and it is one iff t no longer reaches h
+    without it.
+    """
+    full = (1 << n) - 1
+    tree = []
+    for rows in (out, inn):
+        seen = 1
+        queue = [0]
+        for v in queue:
+            new = rows[v] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                w = low.bit_length() - 1
+                tree.append((v, w) if rows is out else (w, v))
+                queue.append(w)
+                new ^= low
+        if seen != full:
+            return False
+    for t, h in tree:
+        out[t] ^= 1 << h
+        inn[h] ^= 1 << t
+        ok = _reaches(out, inn, t, h)
+        out[t] |= 1 << h
+        inn[h] |= 1 << t
+        if not ok:
+            return False
+    return True
+
+
 def _unreachable_pair(n: int, arcs: Iterable[Arc]) -> Optional[Arc]:
     """The first pair (0, v), or else (v, 0), with no path in (V, arcs) on
     n vertices, v the smallest such vertex; None if (V, arcs) is strong.
     Orders 0 and 1 are strong by convention."""
     if n <= 1:
         return None
-    out, inn = [0] * n, [0] * n
-    for t, h in arcs:
-        out[t] |= 1 << h
-        inn[h] |= 1 << t
+    out, inn = _rows(n, arcs)
     for rows in (out, inn):
         missed = ((1 << n) - 1) ^ _closure(rows, 0)
         if missed:
@@ -241,12 +314,18 @@ def _arc_disjoint_paths(d: Digraph, s: int, t: int, cap: int) -> int:
 def is_k_arc_strong(d: Digraph, k: int) -> bool:
     """d stays strong after deleting any k-1 arcs.
 
-    By Schnorr's lemma, k arc-disjoint paths from each vertex to the next in
-    one cyclic order suffice: every cut separates some consecutive pair.
+    Up to k = 2 this runs on bitmask rows: strongness is is_strong, and
+    2-arc-strongness is _two_arc_strong.  For k >= 3, by Schnorr's lemma, k
+    arc-disjoint paths from each vertex to the next in one cyclic order
+    suffice: every cut separates some consecutive pair.
     """
     if d.n < 2:
         raise ValueError("undefined for trivial digraph")
-    return k <= 0 or all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k) == k for v in range(d.n))
+    if k <= 1:
+        return k <= 0 or is_strong(d)
+    if k == 2:
+        return _two_arc_strong(d.n, *_rows(d.n, d.arcs))
+    return all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k) == k for v in range(d.n))
 
 
 def arc_connectivity(d: Digraph) -> int:

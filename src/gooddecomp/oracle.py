@@ -4,6 +4,12 @@ The general decision problem is NP-complete, so this module is the ground
 truth at desk scale: exception certification and cross-validation of every
 constructive decomposer.  The search loop itself lives in the kernel
 module gooddecomp._kernel_py.
+
+Before any search the oracle refuses a digraph that is not 2-arc-strong,
+which every digraph with a good decomposition is.  Both prechecks run on
+one set of bitmask rows built from the arcs: the degree bound reads the
+rows' bit counts, and arc-connectivity is digraph._two_arc_strong, a
+strong-bridge test on the kernel's own path search.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .decomp import ConstructionError, Decomposition, verify
-from .digraph import Digraph, is_k_arc_strong
+from .digraph import Digraph, _rows, _two_arc_strong, is_k_arc_strong
 
 from . import _kernel_py as _impl
 
@@ -48,9 +54,10 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         dec = Decomposition(d, (frozenset(), frozenset()))
         return OracleReport("found", dec, 0, time.perf_counter() - start)
     # every digraph with a good decomposition is 2-arc-strong
-    if any(min(d.in_degree(v), d.out_degree(v)) < 2 for v in range(d.n)):
+    out, inn = _rows(d.n, d.arcs)
+    if any(min(o.bit_count(), i.bit_count()) < 2 for o, i in zip(out, inn)):
         return OracleReport("none", None, 0, time.perf_counter() - start, "degree")
-    if not is_k_arc_strong(d, 2):
+    if not _two_arc_strong(d.n, out, inn):
         return OracleReport("none", None, 0, time.perf_counter() - start, "arc-connectivity")
     arcs = d.sorted_arcs()
     status, i1, i2, nodes = _impl.search(d.n, arcs, budget)

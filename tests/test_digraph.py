@@ -24,7 +24,7 @@ from conftest import (
     random_strong_digraph,
     strong_by_closure,
 )
-from gooddecomp.digraph import _unreachable_pair
+from gooddecomp.digraph import _rows, _two_arc_strong, _unreachable_pair
 
 
 def bfs_unreachable_pair(n, arcs):
@@ -172,6 +172,63 @@ class TestArcConnectivity:
             expected = arc_connectivity_bruteforce(d)
             assert arc_connectivity(d) == expected
             assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
+
+
+class TestTwoArcStrong:
+    """is_k_arc_strong(d, 2) runs a strong-bridge test on bitmask rows;
+    arc_connectivity keeps the flows, so each checks the other."""
+
+    def test_matches_bruteforce(self, rng):
+        # at most 3n - 1 arcs leave some degree <= 2, so the brute force
+        # stops at two deleted arcs
+        verdicts, shapes = set(), set()
+        for trial in range(140):
+            n = 2 + trial % 7
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            perm = rng.sample(range(n), n)
+            arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)} if trial % 3 else set()
+            arcs |= set(rng.sample(pairs, rng.randint(0, len(pairs))))
+            if trial % 2:  # close digons
+                arcs |= {(v, u) for u, v in rng.sample(sorted(arcs), len(arcs) // 2)}
+            arcs = set(rng.sample(sorted(arcs), min(len(arcs), 3 * n - 1)))
+            d = Digraph(n, arcs)
+            expected = arc_connectivity_bruteforce(d) >= 2
+            assert is_k_arc_strong(d, 2) == expected, (n, sorted(arcs))
+            verdicts.add(expected)
+            shapes.add("strong" if is_strong(d) else "not strong")
+            if any((v, u) in arcs for u, v in arcs):
+                shapes.add("digon")
+            if any(min(len(o), len(i)) == 1 for o, i in zip(d.out_neighbors, d.in_neighbors)):
+                shapes.add("degree 1")
+        assert verdicts == {True, False}
+        assert shapes == {"strong", "not strong", "digon", "degree 1"}
+
+    def test_matches_flows(self):
+        rng = random.Random(0x2A5)
+        verdicts = set()
+        for trial in range(300):
+            n = rng.randint(2, 12)
+            density = rng.uniform(2 / n, 0.8) if n > 2 else 1.0
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+            d = Digraph(n, arcs)
+            expected = arc_connectivity(d) >= 2
+            assert is_k_arc_strong(d, 2) == expected, (n, arcs)
+            verdicts.add((n > 8, expected))
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_beyond_one_machine_word(self):
+        n = 70
+        bidirected = Digraph(n, cycle(n).arcs | {(v, u) for u, v in cycle(n).arcs})
+        assert is_k_arc_strong(bidirected, 2)
+        assert not is_k_arc_strong(cycle(n), 2)
+        assert is_k_arc_strong(cycle(n), 1) and not is_k_arc_strong(path(n), 1)
+
+    def test_rows_left_unchanged(self):
+        for d in (s4(), cycle(4), complete(5)):
+            out, inn = _rows(d.n, d.arcs)
+            copies = (out[:], inn[:])
+            _two_arc_strong(d.n, out, inn)
+            assert (out, inn) == copies
 
 
 class TestIsomorphism:

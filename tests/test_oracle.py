@@ -11,6 +11,7 @@ from gooddecomp import (
     CompositionSpec,
     ConstructionError,
     Digraph,
+    arc_connectivity,
     complete,
     compose,
     cycle,
@@ -197,6 +198,37 @@ class TestOracle:
         d = Digraph(6, k3 | {(u + 3, v + 3) for u, v in k3} | {(0, 3), (3, 0)})
         rep = oracle_good_decomposition(d)
         assert (rep.outcome, rep.reason, rep.nodes_explored) == ("none", "arc-connectivity", 0)
+
+    def test_prechecks_match_flows(self):
+        """(outcome, reason, nodes_explored) equals what the degree bound read
+        from the adjacency and arc_connectivity's flows give before the same
+        kernel search, refusals by either precheck included."""
+        rng = random.Random(0xF10)
+        seen = set()
+        for trial in range(150):
+            n = rng.randint(2, 8)
+            density = rng.uniform(0.3, 0.9)
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+            if trial % 3 == 0 and n >= 6:
+                # only one arc each way between the halves: a bridge, most often
+                # with every degree >= 2
+                half = n // 2
+                arcs = [(u, v) for u, v in arcs if (u < half) == (v < half)]
+                arcs += [(rng.randrange(half), rng.randrange(half, n)),
+                         (rng.randrange(half, n), rng.randrange(half))]
+            d = Digraph(n, arcs)
+            if any(min(d.in_degree(v), d.out_degree(v)) < 2 for v in range(n)):
+                expected = ("none", "degree", 0)
+            elif arc_connectivity(d) < 2:
+                expected = ("none", "arc-connectivity", 0)
+            else:
+                status, _, _, nodes = _kernel_py.search(n, d.sorted_arcs(), 2000)
+                outcome = ("found", "none", "aborted")[status]
+                expected = (outcome, "exhausted" if outcome == "none" else None, nodes)
+            rep = oracle_good_decomposition(d, budget=2000)
+            assert (rep.outcome, rep.reason, rep.nodes_explored) == expected, (n, arcs)
+            seen.add(expected[:2])
+        assert {("none", "degree"), ("none", "arc-connectivity"), ("found", None)} <= seen
 
     def test_budget_abort(self):
         rep = oracle_good_decomposition(exception_digraph("C3_K2_K2_K3"), budget=10)

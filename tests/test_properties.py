@@ -1,7 +1,7 @@
 """Hypothesis property tests over randomly generated digraphs."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from gooddecomp import (
     Digraph,
@@ -49,6 +49,12 @@ def test_strongness_matches_closure(d):
 @given(digraphs())
 def test_edge_list_round_trip(d):
     assert parse_edge_list(render_edge_list(d)) == d
+
+
+@given(digraphs(max_order=7))
+def test_two_arc_strong_matches_flows(d):
+    assume(d.n >= 2)
+    assert is_k_arc_strong(d, 2) == (arc_connectivity(d) >= 2)
 
 
 @given(strong_digraphs(), st.permutations(list(range(5))))
