@@ -41,6 +41,7 @@ from .digraph import (
     is_strong,
     path,
     s4,
+    _rows,
     _unreachable_pair,
 )
 from .flows import CycleCover, cover_cut, cycle_cover
@@ -127,7 +128,7 @@ def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
             which = "" if len(parts) == 2 else f" {n1} and {n2}"
             return VerifyResult(False, f"sides{which} overlap on arc {overlap[0]}")
     for name, side in named:
-        pair = _unreachable_pair(host.n, side)
+        pair = _unreachable_pair(host.n, *_rows(host.n, side))
         if pair is not None:
             return VerifyResult(False, f"{name} not strong: no path {pair[0]}->{pair[1]}")
     return VerifyResult(True)
@@ -358,9 +359,9 @@ def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
     3 and 2 its other out- and in-neighbour.  Unique, since Aut(S_4) is
     cyclic of order 4 and acts regularly."""
     b, arcs = first_role_block, outer.arcs
-    mate = next(v for v in outer.out_neighbors[b] if (v, b) in arcs)
-    out = next(v for v in outer.out_neighbors[b] if v != mate)
-    inn = next(v for v in outer.in_neighbors[b] if v != mate)
+    mate = next(v for v in range(4) if (b, v) in arcs and (v, b) in arcs)
+    out = next(v for v in range(4) if (b, v) in arcs and v != mate)
+    inn = next(v for v in range(4) if (v, b) in arcs and v != mate)
     return b, mate, inn, out
 
 
@@ -740,7 +741,7 @@ def decompose_lexicographic(
             raise ValueError(f"part {k} uses arcs outside h")
         if claimed & part:
             raise ValueError("provided parts overlap")
-        if _unreachable_pair(h.n, part) is not None:
+        if _unreachable_pair(h.n, *_rows(h.n, part)) is not None:
             raise ValueError(f"part {k} is not strong spanning")
         claimed |= part
 

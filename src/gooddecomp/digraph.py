@@ -48,24 +48,18 @@ class Digraph:
         return sorted(self.arcs)
 
     @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            adj[u].append(v)
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            adj[v].append(u)
-        return tuple(tuple(a) for a in adj)
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Bitmask out-rows and in-rows (see _rows), built once per digraph:
+        bit v of rows[0][u], and bit u of rows[1][v], is set iff u->v is an
+        arc."""
+        out, inn = _rows(self.n, self.arcs)
+        return tuple(out), tuple(inn)
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors[v])
+        return self.rows[0][v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors[v])
+        return self.rows[1][v].bit_count()
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -79,7 +73,8 @@ class Digraph:
         return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={self.m})"
+        labels = "" if self.labels is None else f", labels={list(self.labels)!r}"
+        return f"Digraph({self.n}, {self.sorted_arcs()}{labels})"
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +117,28 @@ def s4() -> Digraph:
 # ---------------------------------------------------------------------------
 # predicates
 
-def _bfs(d: Digraph, start: int, stop: Container[int] = ()) -> dict[int, int]:
-    """Parent map of the vertices reached from start, in discovery order,
-    with start mapped to itself.
+def _bfs(rows, start: int, stop: Container[int] = ()) -> dict[int, int]:
+    """Parent map of the vertices reached from start along rows, in discovery
+    order, with start mapped to itself.
 
     Returns as soon as it discovers a vertex of stop, which is then the last
-    key.  Neighbours are scanned in sorted order, so the map is deterministic
-    and its tree paths are shortest paths.
+    key.  Each row's new vertices are taken in ascending order, so the map is
+    deterministic and its tree paths are shortest paths.
     """
-    adj = d.out_neighbors
     prev = {start: start}
+    seen = 1 << start
     queue = [start]
     for v in queue:
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                if w in stop:
-                    return prev
-                queue.append(w)
+        new = rows[v] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            w = low.bit_length() - 1
+            prev[w] = v
+            if w in stop:
+                return prev
+            queue.append(w)
+            new ^= low
     return prev
 
 
@@ -209,29 +208,20 @@ def _rows(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
 
 def _two_arc_strong(n: int, out, inn) -> bool:
     """True iff the digraph with out-rows out and in-rows inn on n >= 2
-    vertices is 2-arc-strong.  The rows are left as they were given.
+    vertices is 2-arc-strong.  The rows are copied, not changed.
 
     It is strong iff the search trees of vertex 0 along out and along inn
     both span.  Deleting an arc outside both trees leaves both whole, so only
     a tree arc t->h can be a bridge, and it is one iff t no longer reaches h
     without it.
     """
-    full = (1 << n) - 1
+    out, inn = list(out), list(inn)
     tree = []
     for rows in (out, inn):
-        seen = 1
-        queue = [0]
-        for v in queue:
-            new = rows[v] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                w = low.bit_length() - 1
-                tree.append((v, w) if rows is out else (w, v))
-                queue.append(w)
-                new ^= low
-        if seen != full:
+        prev = _bfs(rows, 0)
+        if len(prev) != n:
             return False
+        tree += [(v, w) if rows is out else (w, v) for w, v in prev.items() if w]
     for t, h in tree:
         out[t] ^= 1 << h
         inn[h] ^= 1 << t
@@ -243,13 +233,12 @@ def _two_arc_strong(n: int, out, inn) -> bool:
     return True
 
 
-def _unreachable_pair(n: int, arcs: Iterable[Arc]) -> Optional[Arc]:
-    """The first pair (0, v), or else (v, 0), with no path in (V, arcs) on
-    n vertices, v the smallest such vertex; None if (V, arcs) is strong.
-    Orders 0 and 1 are strong by convention."""
+def _unreachable_pair(n: int, out, inn) -> Optional[Arc]:
+    """The first pair (0, v), or else (v, 0), with no path along the out-rows
+    out (in-rows inn) on n vertices, v the smallest such vertex; None if the
+    digraph is strong.  Orders 0 and 1 are strong by convention."""
     if n <= 1:
         return None
-    out, inn = _rows(n, arcs)
     for rows in (out, inn):
         missed = ((1 << n) - 1) ^ _closure(rows, 0)
         if missed:
@@ -261,7 +250,7 @@ def _unreachable_pair(n: int, arcs: Iterable[Arc]) -> Optional[Arc]:
 def is_strong(d: Digraph) -> bool:
     """Every ordered vertex pair is joined by a directed path; orders 0 and 1
     are strong by convention."""
-    return _unreachable_pair(d.n, d.arcs) is None
+    return _unreachable_pair(d.n, *d.rows) is None
 
 
 def is_semicomplete(d: Digraph) -> bool:
@@ -276,37 +265,25 @@ def is_semicomplete(d: Digraph) -> bool:
 def _arc_disjoint_paths(d: Digraph, s: int, t: int, cap: int) -> int:
     """min(cap, max number of arc-disjoint s->t paths), by BFS augmentation.
 
-    The flow is the set of arcs it uses; the residual digraph has u->w for
-    every free arc (u,w) and w->u for every used arc (u,w).
+    The flow lives in residual rows: free[u] holds the heads of u's arcs that
+    carry no flow, and back[u] the tails of u's in-arcs that do.
     """
-    out_adj, in_adj = d.out_neighbors, d.in_neighbors
-    used: set[Arc] = set()
+    free, back = list(d.rows[0]), [0] * d.n
     flow = 0
     while flow < cap:
-        prev: dict[int, Optional[Arc]] = {s: None}  # residual arc that reached each vertex
-        queue = [s]
-        for u in queue:
-            for w in out_adj[u]:
-                if w not in prev and (u, w) not in used:
-                    prev[w] = (u, w)
-                    queue.append(w)
-            for w in in_adj[u]:
-                if w not in prev and (w, u) in used:
-                    prev[w] = (w, u)
-                    queue.append(w)
-            if t in prev:
-                break
-        else:  # t is unreachable: the flow is maximum
+        prev = _bfs([f | b for f, b in zip(free, back)], s, stop=(t,))
+        if t not in prev:  # the flow is maximum
             return flow
         v = t
         while v != s:
-            arc = prev[v]
-            if arc in used:  # reached backwards: cancel the flow on it
-                used.remove(arc)
-                v = arc[1]
+            u = prev[v]
+            if back[u] >> v & 1:  # reached backwards: cancel the flow on v->u
+                back[u] ^= 1 << v
+                free[v] |= 1 << u
             else:
-                used.add(arc)
-                v = arc[0]
+                free[u] ^= 1 << v
+                back[v] |= 1 << u
+            v = u
         flow += 1
     return flow
 
@@ -324,7 +301,7 @@ def is_k_arc_strong(d: Digraph, k: int) -> bool:
     if k <= 1:
         return k <= 0 or is_strong(d)
     if k == 2:
-        return _two_arc_strong(d.n, *_rows(d.n, d.arcs))
+        return _two_arc_strong(d.n, *d.rows)
     return all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k) == k for v in range(d.n))
 
 
@@ -337,7 +314,7 @@ def arc_connectivity(d: Digraph) -> int:
     """
     if d.n < 2:
         raise ValueError("undefined for trivial digraph")
-    best = min(min(len(o), len(i)) for o, i in zip(d.out_neighbors, d.in_neighbors))
+    best = min(min(o.bit_count(), i.bit_count()) for o, i in zip(*d.rows))
     for v in range(d.n):
         if best == 0:
             break

@@ -7,9 +7,9 @@ module gooddecomp._kernel_py.
 
 Before any search the oracle refuses a digraph that is not 2-arc-strong,
 which every digraph with a good decomposition is.  Both prechecks run on
-one set of bitmask rows built from the arcs: the degree bound reads the
-rows' bit counts, and arc-connectivity is digraph._two_arc_strong, a
-strong-bridge test on the kernel's own path search.
+the digraph's cached bitmask rows: the degree bound reads the rows' bit
+counts, and arc-connectivity is digraph._two_arc_strong, a strong-bridge
+test on the kernel's own path search.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .decomp import ConstructionError, Decomposition, verify
-from .digraph import Digraph, _rows, _two_arc_strong, is_k_arc_strong
+from .digraph import Digraph, _two_arc_strong, is_k_arc_strong
 
 from . import _kernel_py as _impl
 
@@ -54,7 +54,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         dec = Decomposition(d, (frozenset(), frozenset()))
         return OracleReport("found", dec, 0, time.perf_counter() - start)
     # every digraph with a good decomposition is 2-arc-strong
-    out, inn = _rows(d.n, d.arcs)
+    out, inn = d.rows
     if any(min(o.bit_count(), i.bit_count()) < 2 for o, i in zip(out, inn)):
         return OracleReport("none", None, 0, time.perf_counter() - start, "degree")
     if not _two_arc_strong(d.n, out, inn):

@@ -94,7 +94,7 @@ def validate_ear_decomposition(d: Digraph, dec: EarDecomposition) -> None:
 def _some_cycle(d: Digraph) -> Cycle:
     """Deterministic cycle: smallest arc plus a shortest return path."""
     u, v = min(d.arcs)
-    prev = _bfs(d, v, stop={u})
+    prev = _bfs(d.rows[0], v, stop={u})
     if u not in prev:
         raise ValueError("requires strong digraph")
     return (u,) + tuple(_tree_path(prev, u)[:-1])
@@ -120,7 +120,7 @@ def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDec
         if frontier:
             u, v = frontier[0]
             # shortest path from v back to the current vertex set over new vertices
-            prev = _bfs(d, v, stop=vertices)
+            prev = _bfs(d.rows[0], v, stop=vertices)
             hit = next(reversed(prev))
             if hit not in vertices:
                 raise ConstructionError("strong digraph must reach the covered part")
@@ -202,35 +202,33 @@ def hamiltonian_cycle_bruteforce(d: Digraph) -> Optional[Cycle]:
         raise ValueError(f"order above brute-force bound {HAMILTON_BRUTE_BOUND}")
     if d.n < 2:
         return None
-    n = d.n
+    out, inn = d.rows
     walk = [0]
-    used = [False] * n
-    used[0] = True
 
-    def dead_end() -> bool:
-        # an unvisited vertex is entered from the walk's end or another
-        # unvisited vertex, and left to another unvisited vertex or to 0
-        end = walk[-1]
-        return any(
-            not used[x]
-            and (
-                all(used[y] and y != end for y in d.in_neighbors[x])
-                or all(used[y] and y != 0 for y in d.out_neighbors[x])
-            )
-            for x in range(n)
-        )
-
-    def extend() -> bool:
-        if len(walk) == n:
-            return (walk[-1], 0) in d.arcs
-        for w in d.out_neighbors[walk[-1]]:
-            if not used[w]:
-                walk.append(w)
-                used[w] = True
-                if not dead_end() and extend():
-                    return True
-                walk.pop()
-                used[w] = False
+    def dead_end(free: int, end: int) -> bool:
+        # an unvisited vertex (a bit of free) is entered from the walk's end
+        # or another unvisited vertex, and left to another unvisited vertex
+        # or to 0
+        rest = free
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if not inn[x] & (free | end) or not out[x] & (free | 1):
+                return True
+            rest ^= low
         return False
 
-    return tuple(walk) if extend() else None
+    def extend(free: int) -> bool:
+        if not free:
+            return bool(out[walk[-1]] & 1)
+        nxt = out[walk[-1]] & free
+        while nxt:
+            low = nxt & -nxt
+            walk.append(low.bit_length() - 1)
+            if not dead_end(free ^ low, low) and extend(free ^ low):
+                return True
+            walk.pop()
+            nxt ^= low
+        return False
+
+    return tuple(walk) if extend(((1 << d.n) - 1) ^ 1) else None

@@ -50,10 +50,11 @@ def arc_connectivity_bruteforce(d: Digraph) -> int:
 def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
     """All simple directed cycles, each rotated to start at its minimum vertex."""
     out = set()
+    succ = [sorted(w for u, w in d.arcs if u == v) for v in range(d.n)]
 
     def walk(path: list[int], seen: set[int]):
         v = path[-1]
-        for w in d.out_neighbors[v]:
+        for w in succ[v]:
             if w == path[0]:
                 k = path.index(min(path))
                 out.add(tuple(path[k:] + path[:k]))
@@ -63,6 +64,16 @@ def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
     for start in range(d.n):
         walk([start], {start})
     return sorted(out)
+
+
+def hamiltonian_cycle_by_permutations(d: Digraph):
+    """The Hamiltonian cycle (0, ...) that comes first in lexicographic
+    order, by trying every ordering of 1..n-1; None if there is none."""
+    for rest in itertools.permutations(range(1, d.n)):
+        seq = (0,) + rest
+        if all((a, b) in d.arcs for a, b in zip(seq, seq[1:] + seq[:1])):
+            return seq
+    return None
 
 
 def has_cycle_cover_bruteforce(d: Digraph) -> bool:

@@ -51,6 +51,14 @@ def test_edge_list_round_trip(d):
     assert parse_edge_list(render_edge_list(d)) == d
 
 
+@given(digraphs(), st.booleans())
+def test_repr_rebuilds_the_digraph(d, labelled):
+    if labelled:
+        d = Digraph(d.n, d.arcs, labels=[f"v{v}'" for v in range(d.n)])
+    back = eval(repr(d), {"Digraph": Digraph})
+    assert back == d and back.labels == d.labels
+
+
 @given(digraphs(max_order=7))
 def test_two_arc_strong_matches_flows(d):
     assume(d.n >= 2)

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 import time
 
@@ -27,7 +26,11 @@ from gooddecomp import decomp, structure
 from gooddecomp.oracle import enumerate_semicomplete
 from gooddecomp.structure import cycle_arcs, is_cycle_of
 
-from conftest import random_sparse_strong_digraph, random_strong_digraph
+from conftest import (
+    hamiltonian_cycle_by_permutations,
+    random_sparse_strong_digraph,
+    random_strong_digraph,
+)
 
 #: SHA-256 of the ear decompositions, cover-network cuts and Hamiltonian
 #: cycles drawn in test_pinned_search_outputs; any change means a search
@@ -173,22 +176,27 @@ class TestHamiltonianBruteforce:
         assert hc is not None and is_cycle_of(d, hc) and len(hc) == 4
 
     def test_first_cycle_in_lexicographic_order(self, rng):
-        # the pruned search still returns the smallest vertex sequence from 0
-        for _ in range(40):
+        # the pruned search still returns the smallest vertex sequence from 0,
+        # and None exactly when no ordering closes a cycle: sparse inputs are
+        # where the dead-end pruning decides
+        k34 = {(u, v) for u in range(3) for v in range(3, 7)}
+        samples = [Digraph(7, k34 | {(v, u) for u, v in k34})]  # bidirected K_{3,4}
+        for trial in range(150):
             n = rng.randint(2, 8)
-            d = Digraph(
-                n,
-                [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.45],
+            p = (0.2, 0.3, 0.45, 0.7)[trial % 4]
+            samples.append(
+                Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
             )
-            expected = next(
-                (
-                    seq
-                    for seq in ((0,) + rest for rest in itertools.permutations(range(1, n)))
-                    if all((a, b) in d.arcs for a, b in zip(seq, seq[1:] + seq[:1]))
-                ),
-                None,
-            )
-            assert hamiltonian_cycle_bruteforce(d) == expected
+        verdicts = set()
+        for d in samples:
+            expected = hamiltonian_cycle_by_permutations(d)
+            hc = hamiltonian_cycle_bruteforce(d)
+            assert hc == expected, sorted(d.arcs)
+            if hc is not None:
+                assert is_cycle_of(d, hc) and len(hc) == d.n
+            verdicts.add((d.n, hc is None))
+        assert (7, True) in verdicts and (7, False) in verdicts
+        assert hamiltonian_cycle_by_permutations(samples[0]) is None
 
     def test_dead_ends_pruned(self):
         # K_13 plus a vertex joined to 0 both ways has no Hamiltonian cycle;
