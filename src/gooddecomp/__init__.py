@@ -43,7 +43,6 @@ from .digraph import (
     cycle,
     empty,
     find_isomorphism,
-    is_isomorphic_small,
     is_k_arc_strong,
     is_semicomplete,
     is_strong,

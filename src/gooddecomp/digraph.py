@@ -8,6 +8,7 @@ are deterministic.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence
 
@@ -262,30 +263,41 @@ def is_semicomplete(d: Digraph) -> bool:
     )
 
 
-def _arc_disjoint_paths(d: Digraph, s: int, t: int, cap: int) -> int:
-    """min(cap, max number of arc-disjoint s->t paths), by BFS augmentation.
+def _max_flow(
+    cap: list[dict[int, int]], rows: list[int], s: int, t: int, limit: float = math.inf
+) -> int:
+    """min(limit, value of a maximum s->t flow), by shortest augmenting paths.
 
-    The flow lives in residual rows: free[u] holds the heads of u's arcs that
-    carry no flow, and back[u] the tails of u's in-arcs that do.
+    cap[u][v] is the capacity of u->v, and rows[u] the bitmask of the heads v
+    with cap[u][v] > 0.  Both become the residual network in place, so when
+    the flow is maximum the source side of a minimum cut is _closure(rows, s).
+    Each augmenting path is the _bfs tree path to t.
     """
-    free, back = list(d.rows[0]), [0] * d.n
     flow = 0
-    while flow < cap:
-        prev = _bfs([f | b for f, b in zip(free, back)], s, stop=(t,))
+    while flow < limit:
+        prev = _bfs(rows, s, stop=(t,))
         if t not in prev:  # the flow is maximum
-            return flow
-        v = t
-        while v != s:
-            u = prev[v]
-            if back[u] >> v & 1:  # reached backwards: cancel the flow on v->u
-                back[u] ^= 1 << v
-                free[v] |= 1 << u
-            else:
-                free[u] ^= 1 << v
-                back[v] |= 1 << u
-            v = u
-        flow += 1
+            break
+        path = _tree_path(prev, t)
+        arcs = list(zip(path, path[1:]))
+        aug = min(min(cap[u][v] for u, v in arcs), limit - flow)
+        for u, v in arcs:
+            cap[u][v] -= aug
+            if not cap[u][v]:
+                rows[u] ^= 1 << v
+            cap[v][u] = cap[v].get(u, 0) + aug
+            rows[v] |= 1 << u
+        flow += aug
     return flow
+
+
+def _arc_disjoint_paths(d: Digraph, s: int, t: int, limit: float) -> int:
+    """min(limit, max number of arc-disjoint s->t paths): _max_flow on d with
+    unit capacities."""
+    cap: list[dict[int, int]] = [{} for _ in range(d.n)]
+    for u, v in d.arcs:
+        cap[u][v] = 1
+    return _max_flow(cap, list(d.rows[0]), s, t, limit)
 
 
 def is_k_arc_strong(d: Digraph, k: int) -> bool:
@@ -308,15 +320,20 @@ def is_k_arc_strong(d: Digraph, k: int) -> bool:
 def arc_connectivity(d: Digraph) -> int:
     """Largest k such that d stays strong after deleting any k-1 arcs.
 
-    The minimum of the flows from each vertex to the next in one cyclic order
-    (see is_k_arc_strong), each capped at the minimum so far, which starts at
-    the minimum in- or out-degree.
+    The answers 0, 1 and 2 come from the row tests of is_k_arc_strong, bounded
+    by the minimum in- or out-degree.  Above 2 it is the minimum of the flows
+    from each vertex to the next in one cyclic order (see is_k_arc_strong),
+    each capped at the minimum so far, which starts at the minimum degree.
     """
     if d.n < 2:
         raise ValueError("undefined for trivial digraph")
+    if not is_strong(d):
+        return 0
     best = min(min(o.bit_count(), i.bit_count()) for o, i in zip(*d.rows))
+    if best == 1 or not _two_arc_strong(d.n, *d.rows):
+        return 1
     for v in range(d.n):
-        if best == 0:
+        if best == 2:
             break
         best = _arc_disjoint_paths(d, v, (v + 1) % d.n, best)
     return best
@@ -325,22 +342,17 @@ def arc_connectivity(d: Digraph) -> int:
 # ---------------------------------------------------------------------------
 # small-graph isomorphism
 
-def _degree_signature(d: Digraph) -> list[tuple[int, int]]:
-    return sorted((d.out_degree(v), d.in_degree(v)) for v in range(d.n))
-
-
 def find_isomorphism(a: Digraph, b: Digraph) -> Optional[dict[int, int]]:
     """Arc-preserving bijection a -> b, or None.  Orders must be <= 12."""
     if a.n > ISO_ORDER_BOUND or b.n > ISO_ORDER_BOUND:
         raise ValueError("isomorphism bound exceeded")
     if a.n != b.n or a.m != b.m:
         return None
-    if _degree_signature(a) != _degree_signature(b):
-        return None
-
     n = a.n
     deg_a = [(a.out_degree(v), a.in_degree(v)) for v in range(n)]
     deg_b = [(b.out_degree(v), b.in_degree(v)) for v in range(n)]
+    if sorted(deg_a) != sorted(deg_b):
+        return None
     mapping: list[Optional[int]] = [None] * n
     used = [False] * n
 
@@ -371,10 +383,6 @@ def find_isomorphism(a: Digraph, b: Digraph) -> Optional[dict[int, int]]:
     if extend(0):
         return {v: mapping[v] for v in range(n)}  # type: ignore[misc]
     return None
-
-
-def is_isomorphic_small(a: Digraph, b: Digraph) -> bool:
-    return find_isomorphism(a, b) is not None
 
 
 def relabel(d: Digraph, perm: Sequence[int]) -> Digraph:

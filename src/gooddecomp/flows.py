@@ -13,64 +13,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, is_strong
+from .digraph import Digraph, _closure, _max_flow, is_strong
 from .structure import cycle_arcs
 
 
-def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> set[int]:
-    """BFS-augmenting max flow on an adjacency-dict capacity matrix (mutated
-    into the residual capacities). Returns the nodes s still reaches in the
-    residual: the source side of a minimum cut."""
-    while True:
-        prev: dict[int, int] = {s: s}
-        queue = [s]
-        while queue and t not in prev:
-            nxt = []
-            for u in queue:
-                for v in sorted(cap[u]):
-                    if v not in prev and cap[u][v] > 0:
-                        prev[v] = u
-                        nxt.append(v)
-            queue = nxt
-        if t not in prev:
-            return set(prev)
-        # bottleneck along the path
-        path = []
-        v = t
-        while v != s:
-            path.append((prev[v], v))
-            v = prev[v]
-        aug = min(cap[u][v] for u, v in path)
-        for u, v in path:
-            cap[u][v] -= aug
-            cap[v].setdefault(u, 0)
-            cap[v][u] += aug
-
-
-def _cover_flow(d: Digraph) -> tuple[list[dict[int, int]], set[int]]:
+def _cover_flow(d: Digraph) -> tuple[list[dict[int, int]], list[int]]:
     """Max flow on the cover network of a strong digraph, with in_v = 2v,
     out_v = 2v + 1, S = 2n and T = 2n + 1. Returns the residual capacities
-    and the source side of the minimum cut."""
+    and the residual rows of _max_flow."""
     if d.n < 2 or not is_strong(d):
         raise ValueError("requires strong digraph of order >= 2")
     s, t = 2 * d.n, 2 * d.n + 1
     cap: list[dict[int, int]] = [dict() for _ in range(2 * d.n + 2)]
+    rows = [0] * (2 * d.n + 2)
     for v in range(d.n):
-        cap[2 * v][2 * v + 1] = min(d.in_degree(v), d.out_degree(v)) - 1
-        cap[2 * v][t] = 1
-        cap[s][2 * v + 1] = 1
+        cap[2 * v][t] = cap[s][2 * v + 1] = 1
+        rows[2 * v] |= 1 << t
+        rows[s] |= 1 << 2 * v + 1
+        spare = min(d.in_degree(v), d.out_degree(v)) - 1
+        if spare:
+            cap[2 * v][2 * v + 1] = spare
+            rows[2 * v] |= 1 << 2 * v + 1
     for u, v in d.arcs:
         cap[2 * u + 1][2 * v] = 1
-    return cap, _max_flow(cap, s, t)
+        rows[2 * u + 1] |= 1 << 2 * v
+    _max_flow(cap, rows, s, t)
+    return cap, rows
 
 
 def cover_cut(d: Digraph) -> frozenset:
     """Hoffman certificate of the cover network of a strong digraph: the
-    ("in" | "out", v) nodes on the source side of its minimum cut. When d
-    has no cycle cover, the lower bounds on arcs entering this set exceed
-    the upper bounds on arcs leaving it; when d has one, the set is empty."""
-    _, reach = _cover_flow(d)
-    return frozenset(("out" if x % 2 else "in", x // 2) for x in reach if x < 2 * d.n)
+    ("in" | "out", v) nodes on the source side of its minimum cut, which S
+    still reaches in the residual network. When d has no cycle cover, the
+    lower bounds on arcs entering this set exceed the upper bounds on arcs
+    leaving it; when d has one, the set is empty."""
+    _, rows = _cover_flow(d)
+    reach = _closure(rows, 2 * d.n)
+    return frozenset(
+        ("out" if x % 2 else "in", x // 2) for x in range(2 * d.n) if reach >> x & 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,28 @@ def arc_connectivity_bruteforce(d: Digraph) -> int:
     return len(arcs)
 
 
+def min_st_cut_bruteforce(d: Digraph, s: int, t: int) -> int:
+    """Fewest arcs whose removal leaves no s->t path, s != t (only for tiny
+    m): by Menger, the most arc-disjoint s->t paths."""
+
+    def reaches(arcs: frozenset) -> bool:
+        seen, stack = {s}, [s]
+        while stack:
+            u = stack.pop()
+            for a, b in arcs:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return t in seen
+
+    arcs = sorted(d.arcs)
+    for k in range(len(arcs)):
+        for combo in itertools.combinations(arcs, k):
+            if not reaches(d.arcs - set(combo)):
+                return k
+    return len(arcs)
+
+
 def simple_cycles(d: Digraph) -> list[tuple[int, ...]]:
     """All simple directed cycles, each rotated to start at its minimum vertex."""
     out = set()

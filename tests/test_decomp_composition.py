@@ -18,7 +18,6 @@ from gooddecomp import (
     exception_digraph,
     extend_by_twins,
     find_isomorphism,
-    is_isomorphic_small,
     oracle_good_decomposition,
     path,
     s4,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from gooddecomp import (
     cycle,
     empty,
     find_isomorphism,
-    is_isomorphic_small,
     is_k_arc_strong,
     is_semicomplete,
     is_strong,
@@ -21,10 +21,18 @@ from gooddecomp import (
 from conftest import (
     all_digraphs_on_arcs,
     arc_connectivity_bruteforce,
+    min_st_cut_bruteforce,
     random_strong_digraph,
     strong_by_closure,
 )
-from gooddecomp.digraph import _rows, _two_arc_strong, _unreachable_pair
+from gooddecomp import digraph
+from gooddecomp.digraph import (
+    _arc_disjoint_paths,
+    _rows,
+    _tree_path as tree_path,
+    _two_arc_strong,
+    _unreachable_pair,
+)
 
 
 def bfs_unreachable_pair(n, arcs):
@@ -134,6 +142,16 @@ class TestStrong:
         assert verdicts[65] == verdicts[130] == {True, False}
 
 
+# order-6 inputs; on the pair (0, 1) of the first, an augmenting path cancels
+# flow on a used arc
+CANCELLING = [
+    Digraph(6, [(0, 2), (0, 3), (1, 3), (1, 5), (2, 0), (2, 4), (2, 5),
+                (3, 0), (3, 4), (4, 0), (4, 1), (5, 1), (5, 2)]),
+    Digraph(6, [(0, 3), (0, 5), (1, 0), (1, 4), (2, 0), (3, 1), (3, 2),
+                (4, 3), (5, 2), (5, 4)]),
+]
+
+
 class TestArcConnectivity:
     def test_cycle_is_one_arc_strong(self):
         assert arc_connectivity(cycle(5)) == 1
@@ -160,23 +178,48 @@ class TestArcConnectivity:
             checked += 1
         assert checked > 50
         drawn = [random_strong_digraph(rng, 4) for _ in range(25)]
-        # order-6 inputs; on the first an augmenting path cancels flow on a used arc
-        cancelling = [
-            Digraph(6, [(0, 2), (0, 3), (1, 3), (1, 5), (2, 0), (2, 4), (2, 5),
-                        (3, 0), (3, 4), (4, 0), (4, 1), (5, 1), (5, 2)]),
-            Digraph(6, [(0, 3), (0, 5), (1, 0), (1, 4), (2, 0), (3, 1), (3, 2),
-                        (4, 3), (5, 2), (5, 4)]),
-        ]
-        assert [arc_connectivity_bruteforce(d) for d in cancelling] == [2, 1]
-        for d in [d for d in drawn if d.m <= 10] + cancelling:
+        assert [arc_connectivity_bruteforce(d) for d in CANCELLING] == [2, 1]
+        for d in [d for d in drawn if d.m <= 10] + CANCELLING:
             expected = arc_connectivity_bruteforce(d)
             assert arc_connectivity(d) == expected
             assert [is_k_arc_strong(d, k) for k in range(4)] == [expected >= k for k in range(4)]
 
+    def test_answers_up_to_two_run_no_flow(self, monkeypatch):
+        def no_flow(*args):
+            raise AssertionError("arc_connectivity ran a flow")
+
+        monkeypatch.setattr(digraph, "_arc_disjoint_paths", no_flow)
+        two_k4 = Digraph(8, complete(4).arcs | {(u + 4, v + 4) for u, v in complete(4).arcs}
+                         | {(0, 4), (4, 0)})
+        assert min(min(two_k4.out_degree(v), two_k4.in_degree(v)) for v in range(8)) == 3
+        assert arc_connectivity_bruteforce(two_k4) == 1
+        assert [arc_connectivity(d) for d in (cycle(5), s4(), two_k4, path(3))] == [1, 2, 1, 0]
+
+    def test_flows_match_bruteforce_cut(self, monkeypatch, rng):
+        """Every ordered pair of the cancelling inputs and of small drawn
+        digraphs: the flow equals the fewest arcs separating s from t, and
+        some augmenting path steps back along an arc that carries flow."""
+        paths = []
+
+        def recorded(prev, v):
+            paths.append(tree_path(prev, v))
+            return paths[-1]
+
+        monkeypatch.setattr(digraph, "_tree_path", recorded)
+        drawn = [random_strong_digraph(rng, 6, density=0.3) for _ in range(40)]
+        cancelled = set()
+        for i, d in enumerate(CANCELLING + [d for d in drawn if d.m <= 12]):
+            for s, t in itertools.permutations(range(d.n), 2):
+                paths.clear()
+                assert _arc_disjoint_paths(d, s, t, limit=math.inf) == min_st_cut_bruteforce(d, s, t)
+                if any(step not in d.arcs for p in paths for step in zip(p, p[1:])):
+                    cancelled.add((i, s, t))
+        assert (0, 0, 1) in cancelled
+
 
 class TestTwoArcStrong:
-    """is_k_arc_strong(d, 2) runs a strong-bridge test on bitmask rows;
-    arc_connectivity keeps the flows, so each checks the other."""
+    """is_k_arc_strong(d, 2) runs a strong-bridge test on bitmask rows, and
+    arc_connectivity answers 1 or 2 by it; the flows check it."""
 
     def test_matches_bruteforce(self, rng):
         # at most 3n - 1 arcs leave some degree <= 2, so the brute force
@@ -211,7 +254,8 @@ class TestTwoArcStrong:
             density = rng.uniform(2 / n, 0.8) if n > 2 else 1.0
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
             d = Digraph(n, arcs)
-            expected = arc_connectivity(d) >= 2
+            # two arc-disjoint paths from each vertex to the next (Schnorr)
+            expected = all(_arc_disjoint_paths(d, v, (v + 1) % n, 2) == 2 for v in range(n))
             assert is_k_arc_strong(d, 2) == expected, (n, arcs)
             verdicts.add((n > 8, expected))
         assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
@@ -235,17 +279,17 @@ class TestIsomorphism:
     def test_s4_relabeled(self, rng):
         perm = list(range(4))
         rng.shuffle(perm)
-        assert is_isomorphic_small(s4(), relabel(s4(), perm))
+        assert find_isomorphism(s4(), relabel(s4(), perm)) is not None
 
     def test_cycle_vs_reverse(self):
         c = cycle(4)
         rev = Digraph(4, [(v, u) for u, v in c.arcs])
-        assert is_isomorphic_small(c, rev)
+        assert find_isomorphism(c, rev) is not None
 
     def test_nonisomorphic_same_degrees(self):
         a = Digraph(6, cycle(6).arcs)
         b = Digraph(6, {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)})
-        assert not is_isomorphic_small(a, b)
+        assert find_isomorphism(a, b) is None
 
     def test_witness_preserves_arcs(self):
         a = cycle(5)
@@ -256,14 +300,14 @@ class TestIsomorphism:
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
-            is_isomorphic_small(empty(13), empty(13))
+            find_isomorphism(empty(13), empty(13))
 
     def test_equivalence_relation(self, rng):
         pool = [random_strong_digraph(rng, 4) for _ in range(8)]
         for d in pool:
-            assert is_isomorphic_small(d, d)
+            assert find_isomorphism(d, d) is not None
         for a, b in itertools.combinations(pool, 2):
-            assert is_isomorphic_small(a, b) == is_isomorphic_small(b, a)
+            assert (find_isomorphism(a, b) is None) == (find_isomorphism(b, a) is None)
         for a, b, c in itertools.permutations(pool, 3):
-            if is_isomorphic_small(a, b) and is_isomorphic_small(b, c):
-                assert is_isomorphic_small(a, c)
+            if find_isomorphism(a, b) is not None and find_isomorphism(b, c) is not None:
+                assert find_isomorphism(a, c) is not None

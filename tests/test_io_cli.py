@@ -45,7 +45,7 @@ PUBLIC_API = [
     "decompose_lexicographic", "decompose_strong_product", "digraph", "ear_decomposition", "empty",
     "enumerate_semicomplete", "exception_digraph", "export_dot", "extend_by_twins",
     "find_isomorphism", "flows", "hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete",
-    "io", "is_isomorphic_small", "is_k_arc_strong", "is_semicomplete", "is_strong",
+    "io", "is_k_arc_strong", "is_semicomplete", "is_strong",
     "lexicographic_product", "match_exception", "oracle", "oracle_good_decomposition",
     "parse_decomposition", "parse_edge_list", "path", "relabel", "render_decomposition",
     "render_edge_list", "s4", "strong_product", "structure", "trotter_erdos_hamiltonian",
