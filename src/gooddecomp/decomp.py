@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import _kernel_py
 from .builders import (
     CompositionSpec,
     CoordinateMap,
@@ -48,8 +49,8 @@ from .flows import CycleCover, cover_cut, cycle_cover
 from .structure import (
     ConstructionError,
     Cycle,
+    _some_cycle,
     cycle_arcs,
-    ear_decomposition,
     hamiltonian_cycle_bruteforce,
     hamiltonian_cycle_semicomplete,
     is_cycle_of,
@@ -368,18 +369,17 @@ def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
 def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     """Outer is 2-arc-strong semicomplete (all degrees >= 2), so at order 4 it
     has >= 8 arcs, and 8 only as S_4.  None when the composition is S_4."""
-    from .oracle import oracle_good_decomposition  # local: avoids module cycle
-
     T = spec.outer
     if not (T.n == 4 and T.m == 8):
-        report = oracle_good_decomposition(T)
-        if report.outcome != "found":
+        # the dispatcher ran the prechecks, and _finish_composition verifies
+        arcs = T.sorted_arcs()
+        status, i1, i2, _ = _kernel_py.search(T.n, arcs, 0)
+        if status != _kernel_py.FOUND:
             raise ConstructionError(
                 "2-arc-strong semicomplete outer (not S_4) must decompose"
             )
-        dec = report.decomposition
-        side1 = {((u, 0), (v, 0)) for u, v in dec.a1}
-        side2 = {((u, 0), (v, 0)) for u, v in dec.a2}
+        side1 = {((arcs[k][0], 0), (arcs[k][1], 0)) for k in i1}
+        side2 = {((arcs[k][0], 0), (arcs[k][1], 0)) for k in i2}
         return range(spec.t), [[0]] * spec.t, side1, side2
     if max(spec.sizes) == 1:
         return None
@@ -399,10 +399,10 @@ def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
 
 def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
     """Decompose T[H_1..H_t] by the first route that applies: T 2-arc-strong
-    semicomplete, a Hamiltonian cycle of T, the characterization's remaining
-    cases (T strong semicomplete, every block of order >= 2), all parts
-    strong.  Returns None ("not covered") when no route applies, which for
-    the characterization's domain means the composition is an exception."""
+    semicomplete, then with every block of order >= 2 a Hamiltonian cycle of
+    T or the characterization's remaining cases (T strong semicomplete), all
+    parts strong.  Returns None ("not covered") when no route applies, which
+    in the characterization's domain means the composition is an exception."""
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
@@ -412,11 +412,11 @@ def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
     sides = None
     if semicomplete and is_k_arc_strong(T, 2):
         sides = _part_a_sides(spec)
-    elif semicomplete or T.n <= 14:
+    elif min(spec.sizes) >= 2 and (semicomplete or T.n <= 14):
         hc = (hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
         if hc is not None:
             sides = _hamiltonian_sides(spec, hc)
-        if sides is None and semicomplete and min(spec.sizes) >= 2:
+        if sides is None and semicomplete:
             sides = _remaining_sides(spec, hc)
     if sides is None:
         return decompose_comp_strong_parts(spec)
@@ -699,20 +699,16 @@ def decompose_cn_boxtimes_cm(n: int, m: int) -> Decomposition:
 
 def decompose_strong_product(g: Digraph, h: Digraph) -> Decomposition:
     """Strong product of any two strong digraphs, by ear induction: side 1 is
-    the cycle-product base plus a copy of every ear in each layer of the other
-    factor present at that stage; side 2 is the complement."""
+    the base of the start cycles p0, q0 plus a copy of every later ear of g in
+    each layer of q0 and of h in every layer of g, where a factor's later ears
+    are its arcs off the start cycle; side 2 is the complement."""
     _require_strong(g, h)
-    ears_g = ear_decomposition(g)
-    ears_h = ear_decomposition(h)
-    p0 = ears_g.ears[0].vertices
-    q0 = ears_h.ears[0].vertices
+    p0, q0 = _some_cycle(g), _some_cycle(h)
     host, cmap = strong_product(g, h)
     emb = cmap.vid
     a1 = _boxtimes_base_side1(p0, q0, emb)
-    a1 |= {(emb(x, j), emb(y, j)) for e in ears_g.ears[1:] for x, y in e.arcs() for j in q0}
-    a1 |= {
-        (emb(i, z), emb(i, w)) for e in ears_h.ears[1:] for z, w in e.arcs() for i in range(g.n)
-    }
+    a1 |= {(emb(x, j), emb(y, j)) for x, y in g.arcs - set(cycle_arcs(p0)) for j in q0}
+    a1 |= {(emb(i, z), emb(i, w)) for z, w in h.arcs - set(cycle_arcs(q0)) for i in range(g.n)}
     return _checked(host, a1, host.arcs - a1)
 
 

@@ -140,7 +140,8 @@ def export_dot(d: Digraph, highlight: Optional[Decomposition] = None) -> str:
         raise ValueError("highlight decomposition host does not match digraph")
     lines = ["digraph {"]
     for v in range(d.n):
-        lines.append(f'  {v} [label="{d.label(v)}"];')
+        label = d.label(v).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {v} [label="{label}"];')
     for u, v in d.sorted_arcs():
         if highlight is None:
             lines.append(f"  {u} -> {v};")

@@ -29,6 +29,11 @@ from gooddecomp.decomp import _eq_sides, _s4_role_map
 from conftest import rotational_tournament
 
 
+# no Hamiltonian cycle; neither outer is 2-arc-strong semicomplete
+BIDIRECTED_K68 = Digraph(14, [a for u in range(6) for v in range(6, 14) for a in ((u, v), (v, u))])
+STRONG_TOURNAMENT_4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+
+
 def spec_of(outer, *inners):
     return CompositionSpec(outer, tuple(inners))
 
@@ -248,6 +253,35 @@ class TestDispatcher:
         # order 13 lies above the isomorphism search's bound; part (a) needs none
         dec = decompose_composition(spec_of(rotational_tournament(13), *[empty(size)] * 13))
         assert dec is not None and verify_decomposition(dec).ok
+
+    @pytest.mark.parametrize(
+        "size,digest",
+        [(1, "b69996671bf6f82d08b538c1f03fd204c7091b422e77d830e55ed8379da1252b"),
+         (2, "9800d6db6ed69a56bcb9d004477c9ca89928d40cfe5c03e86ba138fe05e7b6d0")],
+        ids=["K1", "K2bar"],
+    )
+    def test_part_a_does_not_consult_the_oracle(self, monkeypatch, size, digest):
+        def refuse(*args, **kwargs):
+            raise AssertionError("part (a) consulted the oracle")
+
+        monkeypatch.setattr("gooddecomp.oracle.oracle_good_decomposition", refuse)
+        dec = decompose_composition(spec_of(rotational_tournament(7), *[empty(size)] * 7))
+        assert dec is not None and verify_decomposition(dec).ok
+        parts = repr([sorted(p) for p in dec.parts]).encode()
+        assert hashlib.sha256(parts).hexdigest() == digest
+
+    @pytest.mark.parametrize("outer", [BIDIRECTED_K68, STRONG_TOURNAMENT_4], ids=["K68", "T4"])
+    def test_trivial_block_skips_hamiltonian_search(self, monkeypatch, outer):
+        def refuse(d):
+            raise AssertionError("Hamiltonian search reached")
+
+        monkeypatch.setattr("gooddecomp.decomp.hamiltonian_cycle_bruteforce", refuse)
+        monkeypatch.setattr("gooddecomp.decomp.hamiltonian_cycle_semicomplete", refuse)
+        spec = spec_of(outer, empty(1), *[empty(2)] * (outer.n - 1))
+        assert decompose_composition(spec) is None
+        assert decompose_comp_strong_parts(spec) is None
+        with pytest.raises(AssertionError, match="Hamiltonian search reached"):
+            decompose_composition(spec_of(outer, *[empty(2)] * outer.n))
 
     def test_s4_role_map_matches_permutation_search(self):
         import itertools

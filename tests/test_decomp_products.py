@@ -20,6 +20,7 @@ from gooddecomp import (
     decompose_cn_square,
     decompose_lexicographic,
     decompose_strong_product,
+    ear_decomposition,
     is_strong,
     lexicographic_product,
     path,
@@ -28,7 +29,9 @@ from gooddecomp import (
     verify_decomposition,
 )
 
-from conftest import random_strong_digraph
+from gooddecomp.decomp import _boxtimes_base_side1
+
+from conftest import random_sparse_strong_digraph, random_strong_digraph
 
 BOWTIE = Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
 TWO_TRIANGLES_SHARED_ARC = Digraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
@@ -211,6 +214,25 @@ class TestStrongProductGeneral:
             h = random_strong_digraph(rng, 5)
             dec = decompose_strong_product(g, h)
             assert verify_decomposition(dec).ok
+
+    def test_side1_follows_ear_induction(self, rng):
+        # the paper's induction: the start cycles' base, then every later ear
+        # of g in the layers of h's start cycle and of h in every layer of g
+        pairs = [(random_strong_digraph(rng, 5), random_strong_digraph(rng, 5))
+                 for _ in range(30)]
+        pairs += [(random_sparse_strong_digraph(rng, rng.randint(2, 7), 12),
+                   random_sparse_strong_digraph(rng, rng.randint(2, 7), 12))
+                  for _ in range(30)]
+        for g, h in pairs:
+            ears_g, ears_h = ear_decomposition(g), ear_decomposition(h)
+            q0 = ears_h.ears[0].vertices
+            emb = strong_product(g, h).coords.vid
+            ref = _boxtimes_base_side1(ears_g.ears[0].vertices, q0, emb)
+            ref |= {(emb(x, j), emb(y, j))
+                    for e in ears_g.ears[1:] for x, y in e.arcs() for j in q0}
+            ref |= {(emb(i, z), emb(i, w))
+                    for e in ears_h.ears[1:] for z, w in e.arcs() for i in range(g.n)}
+            assert decompose_strong_product(g, h).a1 == ref
 
     def test_non_strong_rejected(self):
         with pytest.raises(ValueError):

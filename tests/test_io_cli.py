@@ -8,8 +8,11 @@ import pytest
 
 import gooddecomp
 from gooddecomp import (
+    CompositionSpec,
     Decomposition,
+    Digraph,
     complete,
+    compose,
     cycle,
     decompose_cn_square,
     decompose_lexicographic,
@@ -148,6 +151,16 @@ class TestDot:
     def test_host_mismatch(self):
         with pytest.raises(ValueError):
             export_dot(cycle(3), decompose_cn_square(2))
+
+    def test_labels_escaped(self):
+        d = Digraph(2, [(0, 1), (1, 0)], labels=['a"b', "c\\"])
+        dot = export_dot(d)
+        assert '0 [label="a\\"b"];' in dot and '1 [label="c\\\\"];' in dot
+
+    def test_builder_labels_unchanged(self):
+        q = compose(CompositionSpec(cycle(2), (empty(2), empty(1)))).digraph
+        nodes = [line for line in export_dot(q).splitlines() if "label" in line]
+        assert nodes == ['  0 [label="u1,1"];', '  1 [label="u1,2"];', '  2 [label="u2,1"];']
 
 
 @pytest.fixture
@@ -455,4 +468,16 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(source.read_text(), filename=str(source))
         found += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_has_no_function_level_imports():
+    # an import inside a function hides a module cycle from the import graph
+    found = []
+    for source in sorted(Path(gooddecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{source.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
