@@ -121,6 +121,15 @@ _DECOMPOSE_FLAGS = {
 }
 
 
+def _budget(value: Optional[int]) -> int:
+    """The oracle node budget of --budget, 0 (unlimited) when absent.  The
+    library reads any budget <= 0 as unlimited, so a negative one is refused
+    here rather than silently lift the limit."""
+    if value is not None and value < 0:
+        raise ValueError(f"--budget must be >= 0, got {value}")
+    return value or 0
+
+
 def _cmd_decompose(args) -> int:
     strategy = args.strategy
     for flag, readers in _DECOMPOSE_FLAGS.items():
@@ -130,6 +139,7 @@ def _cmd_decompose(args) -> int:
                 file=sys.stderr,
             )
             return USAGE
+    budget = _budget(args.budget)
     d = _load_digraph(args.file)
     if strategy == "composition":
         if args.spec is None:
@@ -156,7 +166,7 @@ def _cmd_decompose(args) -> int:
         return _emit(decompose_lexicographic(d, h))
     if strategy == "auto":
         _refuse_exception(d)
-    report = oracle_good_decomposition(d, budget=args.budget or 0)
+    report = oracle_good_decomposition(d, budget=budget)
     if report.outcome == "found":
         return _emit(report.decomposition)
     raise Refusal(report.outcome)
@@ -172,8 +182,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    budget = _budget(args.budget)
     d = _load_digraph(args.file)
-    report = oracle_good_decomposition(d, budget=args.budget)
+    report = oracle_good_decomposition(d, budget=budget)
     print(f"outcome: {report.outcome}")
     print(f"nodes: {report.nodes_explored}")
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)

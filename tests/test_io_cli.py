@@ -450,6 +450,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("decompose: --budget")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "k4.el", "--strategy", "oracle", "--budget", "-3"],
+            ["decompose", "s4.el", "--budget", "-1"],
+            ["oracle", "k4.el", "--budget", "-3"],
+            ["oracle", "missing.el", "--budget", "-1"],
+        ],
+        ids=["decompose-oracle", "decompose-auto-before-refusal", "oracle",
+             "oracle-before-file"],
+    )
+    def test_negative_budget_is_usage_error(self, workdir, capsys, argv):
+        # the library reads budget <= 0 as unlimited; the CLI must not
+        argv = [str(workdir / a) if a.endswith(".el") else a for a in argv]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --budget must be >= 0, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv,first_line", [
+        (["decompose", "k4.el", "--strategy", "oracle", "--budget", "0"], "HOST"),
+        (["oracle", "k4.el", "--budget", "0"], "outcome: found"),
+    ])
+    def test_zero_budget_is_unlimited(self, workdir, capsys, argv, first_line):
+        assert run_command([str(workdir / a) if a.endswith(".el") else a for a in argv]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first_line
+
     def test_determinism(self, workdir, capsys):
         run_command(["decompose", str(workdir / "k4.el"), "--strategy", "oracle"])
         first = capsys.readouterr().out

@@ -287,6 +287,43 @@ class TestOracle:
                     unfinished = expected[0] == _kernel_py.ABORTED
         assert set(aborts) == {"1", "2", "0", "0 after skip"}
 
+    def test_kernel_matches_reference_sparse(self):
+        """The same comparison on seeded 3-regular digraphs of order 10-14,
+        whose deep, narrow trees revisit each level with many assignments of
+        the earlier arcs, so most tests are answered from the kernel's memo
+        and degree guard rather than by a path search."""
+        rng = random.Random(0x3EA7)
+        outcomes = set()
+        for _ in range(24):
+            d = _random_regular3(rng, rng.randint(10, 14))
+            arcs = d.sorted_arcs()
+            for budget in (1500, 200, 30):
+                expected = kernel_search_reference(d.n, arcs, budget)
+                assert _kernel_py.search(d.n, arcs, budget) == expected, (d.n, arcs, budget)
+                outcomes.add((budget, expected[0]))
+        assert {(1500, _kernel_py.FOUND), (200, _kernel_py.ABORTED)} <= outcomes
+
+    def test_sparse_search_work(self, monkeypatch):
+        """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
+        kernel runs at most one path search per four nodes; the memo and the
+        degree guard answer the rest."""
+        searches = 0
+        reaches = _kernel_py._reaches
+
+        def counting(*args):
+            nonlocal searches
+            searches += 1
+            return reaches(*args)
+
+        monkeypatch.setattr(_kernel_py, "_reaches", counting)
+        rng = random.Random(0x24)
+        nodes = sum(
+            oracle_good_decomposition(_random_regular3(rng, 24), budget=5000).nodes_explored
+            for _ in PINNED_REGULAR3_24
+        )
+        assert nodes == 42037
+        assert searches <= nodes // 4
+
     def test_invalid_kernel_result_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod._impl, "search", _overlapping_sides)
         with pytest.raises(ConstructionError, match="sides overlap on arc"):
