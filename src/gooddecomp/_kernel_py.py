@@ -23,16 +23,25 @@ arcs keeps a digraph strong, so f_i is monotone: a superset of a passing S
 passes and a subset of a failing S fails.  Each side keeps, per level, the
 last S that passed and the last that failed, as bit masks over the arc
 indices.  A test fails at once if t has no other out-arc or h no other
-in-arc on that side; otherwise the memo answers it if it can, and else
-_reaches does, which is exact because the parent node, S with arcs[i:], is
-strong.  Every passing test is remembered or already covered, so choice 0
-reads both its answers from the memo: every deeper level is undone on
-backtrack, and when choice 2 was skipped no earlier arc is on either side,
-so both sides equal the one choice 1 tested.  Choice 0 runs no search of
-its own.
+in-arc on that side; otherwise the memo answers it if it can.  Next, an
+out-neighbour of t (other than h) that is also an in-neighbour of h is a
+path t->w->h, so the test passes; else _reaches decides, which is exact
+because the parent node, S with arcs[i:], is strong.  Every passing test is
+remembered or already covered, so choice 0 reads both its answers from the
+memo: every deeper level is undone on backtrack, and when choice 2 was
+skipped no earlier arc is on either side, so both sides equal the one
+choice 1 tested.  Choice 0 runs no search of its own.  That is why a pass
+found by the two-step path is recorded exactly as one found by _reaches:
+left out, choice 0 would read a stale entry and prune a strong node.
 
 The backtracking is an explicit loop over the assignment array, so the depth
-of the tree is bounded by memory rather than by the recursion limit.
+of the tree is bounded by memory rather than by the recursion limit.  One
+iteration is one visit of a level: it tries the choices left at that level
+in order until one passes, counting a node and checking the budget before
+each test.  When none is left it gives the arc back and backtracks at once,
+through every earlier level whose last choice was unused, to the next level
+with a choice left.  The arcs' ends and bit masks come from tables built
+once per call.
 """
 
 from __future__ import annotations
@@ -47,13 +56,16 @@ _UNTRIED = -1
 def search(n, arcs, budget=0):
     """Search for two disjoint arc sets, both strong and spanning.
 
-    arcs: sequence of (tail, head) defining the assignment order.
+    arcs: sequence of distinct (tail, head) pairs defining the assignment
+    order.
     budget: node limit, <= 0 means unlimited.  The root counts as one node,
     and so does every attempted assignment of an arc to a side.
     Returns (status, a1_indices, a2_indices, nodes_explored).
     """
     m = len(arcs)
-    limit = budget if budget > 0 else float("inf")
+    # at most 3^i nodes at depth i, each trying at most three choices: fewer
+    # than 3^(m+1) nodes in all
+    limit = budget if budget > 0 else 3 ** (m + 1)
 
     out1, in1 = _rows(n, arcs)
     out2, in2 = out1[:], in1[:]
@@ -63,6 +75,11 @@ def search(n, arcs, budget=0):
     if _closure(out1, 0) != full or _closure(in1, 0) != full:
         return NONE, [], [], nodes
 
+    tails = [t for t, _ in arcs]
+    heads = [h for _, h in arcs]
+    tbits = [1 << t for t in tails]
+    hbits = [1 << h for h in heads]
+    bits = [1 << i for i in range(m)]
     assign = [_UNTRIED] * m
     # per level and side, the last arcs[:i] of that side that passed the
     # level's test and the last that failed; every mask carries bit m, so
@@ -73,80 +90,97 @@ def search(n, arcs, budget=0):
     ones = twos = mark  # the arcs on side 1, on side 2, and bit m
     i = 0
     while i < m:
-        t, h = arcs[i]
-        hbit, tbit = 1 << h, 1 << t
+        # one visit of level i: try the choices after assign[i] until one
+        # passes.  Arc i is on a side's rows iff that side still has it, so
+        # XOR with its bits removes or restores it.  The parent node is
+        # strong on both sides, and deleting arc t->h from a strong digraph
+        # leaves it strong iff t still reaches h.
+        t = tails[i]
+        h = heads[i]
+        tbit = tbits[i]
+        hbit = hbits[i]
+        bit = bits[i]
         c = assign[i]
-        if c == 0:
-            # every choice tried: give the arc back to both sides, backtrack
-            out1[t] |= hbit
-            in1[h] |= tbit
-            out2[t] |= hbit
-            in2[h] |= tbit
-            assign[i] = _UNTRIED
-            if i == 0:
-                return NONE, [], [], nodes
-            i -= 1
-            continue
-        nodes += 1
-        if nodes > limit:
-            return ABORTED, [], [], nodes
-        # move from the choice last tried at i to the next one; the parent
-        # node is strong on both sides, and deleting arc t->h from a strong
-        # digraph leaves it strong iff t still reaches h
         if c == _UNTRIED:
+            nodes += 1
+            if nodes > limit:
+                return ABORTED, [], [], nodes
             # side 1: side 2 loses the arc, f_i(twos)
             assign[i] = 1
-            ones |= 1 << i
-            out2[t] = rest_out = out2[t] & ~hbit
-            in2[h] = rest_in = in2[h] & ~tbit
-            if not (rest_out and rest_in):
-                ok = False
-            elif twos & (p := pass2[i]) == p:
-                ok = True
-            elif twos | (f := fail2[i]) == f:
-                ok = False
-            elif _reaches(out2, in2, t, h):
-                ok = True
-                pass2[i] = twos
-            else:
-                ok = False
-                fail2[i] = twos
-        elif c == 1:
-            ones ^= 1 << i
-            out1[t] = rest_out = out1[t] & ~hbit
-            in1[h] = rest_in = in1[h] & ~tbit
+            ones |= bit
+            out2[t] = rest_out = out2[t] ^ hbit
+            in2[h] = rest_in = in2[h] ^ tbit
+            if rest_out and rest_in:
+                if twos & (p := pass2[i]) == p:
+                    i += 1
+                    continue
+                if twos | (f := fail2[i]) != f:
+                    if rest_out & rest_in or _reaches(out2, in2, t, h):
+                        pass2[i] = twos
+                        i += 1
+                        continue
+                    fail2[i] = twos
+            c = 1
+        if c == 1:
+            nodes += 1
+            if nodes > limit:
+                return ABORTED, [], [], nodes
+            ones ^= bit
+            out1[t] = rest_out = out1[t] ^ hbit
+            in1[h] = rest_in = in1[h] ^ tbit
             if ones != mark:
                 # side 2: side 2 gets the arc back, side 1 loses it, f_i(ones)
                 assign[i] = 2
-                twos |= 1 << i
-                out2[t] |= hbit
-                in2[h] |= tbit
-                if not (rest_out and rest_in):
-                    ok = False
-                elif ones & (p := pass1[i]) == p:
-                    ok = True
-                elif ones | (f := fail1[i]) == f:
-                    ok = False
-                elif _reaches(out1, in1, t, h):
-                    ok = True
-                    pass1[i] = ones
-                else:
-                    ok = False
-                    fail1[i] = ones
+                twos |= bit
+                out2[t] ^= hbit
+                in2[h] ^= tbit
+                if rest_out and rest_in:
+                    if ones & (p := pass1[i]) == p:
+                        i += 1
+                        continue
+                    if ones | (f := fail1[i]) != f:
+                        if rest_out & rest_in or _reaches(out1, in1, t, h):
+                            pass1[i] = ones
+                            i += 1
+                            continue
+                        fail1[i] = ones
+                c = 2
             else:
                 # unused, side 2 not allowed yet: ones == twos, which
                 # choice 1 tested
                 assign[i] = 0
-                ok = twos & (p := pass2[i]) == p
-        else:
+                if twos & (p := pass2[i]) == p:
+                    i += 1
+                    continue
+        if c == 2:
+            nodes += 1
+            if nodes > limit:
+                return ABORTED, [], [], nodes
             # unused after side 2: side 2 loses the arc too
             assign[i] = 0
-            twos ^= 1 << i
-            out2[t] &= ~hbit
-            in2[h] &= ~tbit
-            ok = ones & (p := pass1[i]) == p and twos & (q := pass2[i]) == q
-        if ok:
-            i += 1
+            twos ^= bit
+            out2[t] ^= hbit
+            in2[h] ^= tbit
+            if ones & (p := pass1[i]) == p and twos & (q := pass2[i]) == q:
+                i += 1
+                continue
+        # level i is exhausted: give its arc back to both sides, and do the
+        # same for every earlier level whose last choice was unused
+        while True:
+            out1[t] ^= hbit
+            in1[h] ^= tbit
+            out2[t] ^= hbit
+            in2[h] ^= tbit
+            assign[i] = _UNTRIED
+            if i == 0:
+                return NONE, [], [], nodes
+            i -= 1
+            if assign[i]:
+                break
+            t = tails[i]
+            h = heads[i]
+            tbit = tbits[i]
+            hbit = hbits[i]
 
     a1 = [k for k in range(m) if assign[k] == 1]
     a2 = [k for k in range(m) if assign[k] == 2]

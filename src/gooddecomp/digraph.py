@@ -291,13 +291,19 @@ def _max_flow(
     return flow
 
 
-def _arc_disjoint_paths(d: Digraph, s: int, t: int, limit: float) -> int:
-    """min(limit, max number of arc-disjoint s->t paths): _max_flow on d with
-    unit capacities."""
+def _unit_network(d: Digraph) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """The capacities and rows of d with unit capacities, for _max_flow."""
     cap: list[dict[int, int]] = [{} for _ in range(d.n)]
     for u, v in d.arcs:
         cap[u][v] = 1
-    return _max_flow(cap, list(d.rows[0]), s, t, limit)
+    return cap, d.rows[0]
+
+
+def _arc_disjoint_paths(d: Digraph, s: int, t: int, limit: float, network=None) -> int:
+    """min(limit, max number of arc-disjoint s->t paths): _max_flow on a copy
+    of network, d's _unit_network, built here unless given."""
+    cap, rows = network or _unit_network(d)
+    return _max_flow([c.copy() for c in cap], list(rows), s, t, limit)
 
 
 def is_k_arc_strong(d: Digraph, k: int) -> bool:
@@ -314,7 +320,8 @@ def is_k_arc_strong(d: Digraph, k: int) -> bool:
         return k <= 0 or is_strong(d)
     if k == 2:
         return _two_arc_strong(d.n, *d.rows)
-    return all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k) == k for v in range(d.n))
+    network = _unit_network(d)
+    return all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k, network) == k for v in range(d.n))
 
 
 def arc_connectivity(d: Digraph) -> int:
@@ -332,10 +339,11 @@ def arc_connectivity(d: Digraph) -> int:
     best = min(min(o.bit_count(), i.bit_count()) for o, i in zip(*d.rows))
     if best == 1 or not _two_arc_strong(d.n, *d.rows):
         return 1
+    network = _unit_network(d)
     for v in range(d.n):
         if best == 2:
             break
-        best = _arc_disjoint_paths(d, v, (v + 1) % d.n, best)
+        best = _arc_disjoint_paths(d, v, (v + 1) % d.n, best, network)
     return best
 
 

@@ -113,28 +113,37 @@ def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDec
     ears = [Ear(p0, closed=True)]
     covered = set(cycle_arcs(p0))
     vertices = set(p0)
-    while covered != d.arcs:
-        frontier = sorted(
-            a for a in d.arcs - covered if a[0] in vertices and a[1] not in vertices
-        )
-        if frontier:
-            u, v = frontier[0]
-            # shortest path from v back to the current vertex set over new vertices
-            prev = _bfs(d.rows[0], v, stop=vertices)
-            hit = next(reversed(prev))
-            if hit not in vertices:
-                raise ConstructionError("strong digraph must reach the covered part")
-            chain = [u] + _tree_path(prev, hit)  # u, v, ..., hit
-            if hit == u:
-                ears.append(Ear(tuple(chain[:-1]), closed=True))
-            else:
-                ears.append(Ear(tuple(chain), closed=False))
-        else:
-            # every uncovered arc joins two covered vertices: single-arc path ear
-            u, v = min(a for a in d.arcs - covered if a[0] in vertices)
-            ears.append(Ear((u, v), closed=False))
-        covered.update(ears[-1].arcs())
-        vertices.update(ears[-1].vertices)
+    out = d.rows[0]
+    # the covered vertices as a bitmask, and those that may still have an arc
+    # leaving the covered set: one that has none never gets one again
+    inside = live = sum(1 << v for v in p0)
+    while len(vertices) < d.n:
+        # the smallest frontier arc u->v: u covered, v not
+        while True:
+            if not live:
+                raise ConstructionError("strong digraph must leave the covered part")
+            low = live & -live
+            u = low.bit_length() - 1
+            leaving = out[u] & ~inside
+            if leaving:
+                break
+            live ^= low
+        v = (leaving & -leaving).bit_length() - 1
+        # shortest path from v back to the current vertex set over new vertices
+        prev = _bfs(out, v, stop=vertices)
+        hit = next(reversed(prev))
+        if hit not in vertices:
+            raise ConstructionError("strong digraph must reach the covered part")
+        chain = [u] + _tree_path(prev, hit)  # u, v, ..., hit
+        ear = Ear(tuple(chain[:-1]), closed=True) if hit == u else Ear(tuple(chain), closed=False)
+        ears.append(ear)
+        covered.update(ear.arcs())
+        for w in chain[1:-1]:  # the ear's new vertices
+            vertices.add(w)
+            inside |= 1 << w
+            live |= 1 << w
+    # every uncovered arc joins two covered vertices: single-arc path ears
+    ears += [Ear(a, closed=False) for a in d.sorted_arcs() if a not in covered]
     dec = EarDecomposition(tuple(ears))
     validate_ear_decomposition(d, dec)
     return dec

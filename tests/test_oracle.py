@@ -303,6 +303,31 @@ class TestOracle:
                 outcomes.add((budget, expected[0]))
         assert {(1500, _kernel_py.FOUND), (200, _kernel_py.ABORTED)} <= outcomes
 
+    def test_kernel_matches_reference_compositions(self):
+        """The same comparison on seeded compositions T[H_1, H_2, H_3] of a
+        strong semicomplete T of order 3 with blocks of order 2-3 and at most
+        two inner arcs: their twins make dense trees in which a path of two
+        arcs answers most tests, and choice 0 then reads the answer that
+        choice 1 recorded."""
+        rng = random.Random(0xC03)
+        base = [(0, 1), (1, 2), (2, 0)]
+        outcomes = set()
+        for _ in range(40):
+            outer = Digraph(3, base + [(v, u) for u, v in base if rng.random() < 0.5])
+            sizes = [rng.choice((2, 3)) for _ in range(3)]
+            inner = [[] for _ in sizes]
+            for _ in range(rng.randint(0, 2)):
+                k = rng.randrange(3)
+                inner[k].append(tuple(rng.sample(range(sizes[k]), 2)))
+            blocks = tuple(Digraph(n, arcs) for n, arcs in zip(sizes, inner))
+            d = compose(CompositionSpec(outer, blocks)).digraph
+            arcs = d.sorted_arcs()
+            for budget in (500, 50, 7):
+                expected = kernel_search_reference(d.n, arcs, budget)
+                assert _kernel_py.search(d.n, arcs, budget) == expected, (d.n, arcs, budget)
+                outcomes.add((budget, expected[0]))
+        assert {(500, _kernel_py.FOUND), (500, _kernel_py.NONE), (7, _kernel_py.ABORTED)} <= outcomes
+
     def test_sparse_search_work(self, monkeypatch):
         """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
         kernel runs at most one path search per four nodes; the memo and the
@@ -323,6 +348,27 @@ class TestOracle:
         )
         assert nodes == 42037
         assert searches <= nodes // 4
+
+    def test_dense_search_work(self, monkeypatch):
+        """The same guard on the dense PINNED_RANDOM draws: a path of two arcs
+        settles most tests that neither the degree guard nor the memo
+        answers, so at most one node in ten runs a path search."""
+        searches = 0
+        reaches = _kernel_py._reaches
+
+        def counting(*args):
+            nonlocal searches
+            searches += 1
+            return reaches(*args)
+
+        monkeypatch.setattr(_kernel_py, "_reaches", counting)
+        rng = random.Random(0xD1A6)
+        nodes = sum(
+            oracle_good_decomposition(random_strong_digraph(rng, 7, density=0.75)).nodes_explored
+            for _ in PINNED_RANDOM
+        )
+        assert nodes == sum(pinned for _, pinned, _ in PINNED_RANDOM) == 1043
+        assert searches <= nodes // 10
 
     def test_invalid_kernel_result_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod._impl, "search", _overlapping_sides)
