@@ -25,14 +25,29 @@ last S that passed and the last that failed, as bit masks over the arc
 indices.  A test fails at once if t has no other out-arc or h no other
 in-arc on that side; otherwise the memo answers it if it can.  Next, an
 out-neighbour of t (other than h) that is also an in-neighbour of h is a
-path t->w->h, so the test passes; else _reaches decides, which is exact
-because the parent node, S with arcs[i:], is strong.  Every passing test is
-remembered or already covered, so choice 0 reads both its answers from the
-memo: every deeper level is undone on backtrack, and when choice 2 was
-skipped no earlier arc is on either side, so both sides equal the one
+path t->w->h, so the test passes; else a path search decides, which is
+exact because the parent node, S with arcs[i:], is strong.  Every passing
+test is remembered or already covered, so choice 0 reads both its answers
+from the memo: every deeper level is undone on backtrack, and when choice 2
+was skipped no earlier arc is on either side, so both sides equal the one
 choice 1 tested.  Choice 0 runs no search of its own.  That is why a pass
-found by the two-step path is recorded exactly as one found by _reaches:
-left out, choice 0 would read a stale entry and prune a strong node.
+found by the two-step path is recorded as one found by a search is: left
+out, choice 0 would read a stale entry and prune a strong node.
+
+A pass need not record all of S.  Let W be the arcs with index below i of a
+path from t to h in S with arcs[i+1:].  Every S' that holds W holds that
+path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes; and W
+lies inside S, so choice 0 still finds its answers.  A later side seldom
+holds all of a recorded S but often holds the few arcs of a path, so the
+levels that a large tree visits again and again are answered from the memo
+far more often.  Finding the path costs about twice a plain search, though,
+plus a table from each arc to its bit, and most levels of a small tree
+pass only a few times.  So a level and side records S for its first three
+passes, found by _reaches or the two-step path; after that a search there
+runs _witness, the kernel's arc-indexed variant of _reaches, and records W.
+_witness maps a path arc (u, v) to its bit through a dict keyed by the arcs
+themselves, built on the call's first witness, so they may come in any
+order.
 
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.  One
@@ -53,10 +68,74 @@ FOUND, NONE, ABORTED = 0, 1, 2
 _UNTRIED = -1
 
 
+def _witness(out, inn, t, h, code):
+    """The arc bits of one path from t to h != t along the out-rows out, or
+    0 if there is none: code maps each arc (u, v) to its bit.  inn holds the
+    same arcs as in-rows.
+
+    The search is _reaches's, but it keeps each side's frontier layers: a
+    vertex in forward layer j has an in-neighbour in layer j - 1, and one in
+    backward layer j an out-neighbour in layer j - 1.  Once the two sides
+    meet on an arc y->x, the path walks back from y to t and on from x to h.
+    """
+    fwd = ffront = 1 << t
+    bwd = bfront = 1 << h
+    flayers = [ffront]
+    blayers = [bfront]
+    while True:
+        nxt = 0
+        if ffront.bit_count() <= bfront.bit_count():
+            while ffront:
+                low = ffront & -ffront
+                nxt |= out[low.bit_length() - 1]
+                ffront ^= low
+            if meet := nxt & bwd:
+                x = meet.bit_length() - 1
+                y = (inn[x] & flayers[-1]).bit_length() - 1
+                break
+            ffront = nxt & ~fwd
+            if not ffront:
+                return 0
+            fwd |= ffront
+            flayers.append(ffront)
+        else:
+            while bfront:
+                low = bfront & -bfront
+                nxt |= inn[low.bit_length() - 1]
+                bfront ^= low
+            if meet := nxt & fwd:
+                y = meet.bit_length() - 1
+                x = (out[y] & blayers[-1]).bit_length() - 1
+                break
+            bfront = nxt & ~bwd
+            if not bfront:
+                return 0
+            bwd |= bfront
+            blayers.append(bfront)
+    w = code[y, x]
+    j = len(flayers) - 1
+    while not flayers[j] >> y & 1:
+        j -= 1
+    while j:
+        j -= 1
+        u = (inn[y] & flayers[j]).bit_length() - 1
+        w |= code[u, y]
+        y = u
+    j = len(blayers) - 1
+    while not blayers[j] >> x & 1:
+        j -= 1
+    while j:
+        j -= 1
+        v = (out[x] & blayers[j]).bit_length() - 1
+        w |= code[x, v]
+        x = v
+    return w
+
+
 def search(n, arcs, budget=0):
     """Search for two disjoint arc sets, both strong and spanning.
 
-    arcs: sequence of distinct (tail, head) pairs defining the assignment
+    arcs: sequence of distinct (tail, head) tuples defining the assignment
     order.
     budget: node limit, <= 0 means unlimited.  The root counts as one node,
     and so does every attempted assignment of an arc to a side.
@@ -82,12 +161,14 @@ def search(n, arcs, budget=0):
     bits = [1 << i for i in range(m)]
     assign = [_UNTRIED] * m
     # per level and side, the last arcs[:i] of that side that passed the
-    # level's test and the last that failed; every mask carries bit m, so
-    # the initial entries answer nothing
+    # level's test (or the arcs of its path, after three passes) and the
+    # last that failed; every mask carries bit m, so the initial entries
+    # answer nothing.  npass counts the passes found without _witness.
     mark = 1 << m
-    pass1, fail1 = [-1] * m, [0] * m
-    pass2, fail2 = pass1[:], fail1[:]
+    pass1, fail1, npass1 = [-1] * m, [0] * m, [0] * m
+    pass2, fail2, npass2 = pass1[:], fail1[:], npass1[:]
     ones = twos = mark  # the arcs on side 1, on side 2, and bit m
+    code = None  # the bit of each arc, built for the first _witness
     i = 0
     while i < m:
         # one visit of level i: try the choices after assign[i] until one
@@ -115,10 +196,18 @@ def search(n, arcs, budget=0):
                     i += 1
                     continue
                 if twos | (f := fail2[i]) != f:
-                    if rest_out & rest_in or _reaches(out2, in2, t, h):
+                    if rest_out & rest_in or npass2[i] < 3 and _reaches(out2, in2, t, h):
                         pass2[i] = twos
+                        npass2[i] += 1
                         i += 1
                         continue
+                    if npass2[i] > 2:
+                        if code is None:
+                            code = dict(zip(arcs, bits))
+                        if w := _witness(out2, in2, t, h, code):
+                            pass2[i] = w & (bit - 1) | mark
+                            i += 1
+                            continue
                     fail2[i] = twos
             c = 1
         if c == 1:
@@ -139,10 +228,18 @@ def search(n, arcs, budget=0):
                         i += 1
                         continue
                     if ones | (f := fail1[i]) != f:
-                        if rest_out & rest_in or _reaches(out1, in1, t, h):
+                        if rest_out & rest_in or npass1[i] < 3 and _reaches(out1, in1, t, h):
                             pass1[i] = ones
+                            npass1[i] += 1
                             i += 1
                             continue
+                        if npass1[i] > 2:
+                            if code is None:
+                                code = dict(zip(arcs, bits))
+                            if w := _witness(out1, in1, t, h, code):
+                                pass1[i] = w & (bit - 1) | mark
+                                i += 1
+                                continue
                         fail1[i] = ones
                 c = 2
             else:

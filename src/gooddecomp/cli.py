@@ -187,6 +187,8 @@ def _cmd_oracle(args) -> int:
     report = oracle_good_decomposition(d, budget=budget)
     print(f"outcome: {report.outcome}")
     print(f"nodes: {report.nodes_explored}")
+    if report.reason is not None:
+        print(f"reason: {report.reason}")
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     if report.decomposition is not None:
         sys.stdout.write(render_decomposition(report.decomposition))

@@ -116,3 +116,29 @@ def test_oracle_golden(capsys):
     outcome, nodes, doc = capsys.readouterr().out.split("\n", 2)
     assert (outcome, nodes) == ("outcome: found", "nodes: 66")
     assert hashlib.sha256(doc.encode()).hexdigest() == ORACLE_COMP
+
+
+#: two bidirected triangles joined by one digon: every degree is at least 2,
+#: but either arc of the digon is a bridge
+TWO_TRIANGLES = "6 14\n" + "".join(
+    f"{u} {v}\n{v} {u}\n" for u, v in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (["c3_k2_k2_k3.txt"], "outcome: none\nnodes: 415\nreason: exhausted\n"),
+        (["hub5.txt"], "outcome: none\nnodes: 0\nreason: degree\n"),
+        ([TWO_TRIANGLES], "outcome: none\nnodes: 0\nreason: arc-connectivity\n"),
+        (["comp_host.txt", "--budget", "1"], "outcome: aborted\nnodes: 2\n"),
+    ],
+    ids=["exhausted", "degree", "arc-connectivity", "aborted"],
+)
+def test_oracle_reports_why_none(args, expected, capsys, tmp_path):
+    """`oracle` prints a third line, the reason, for `none` only."""
+    if args[0] == TWO_TRIANGLES:
+        (tmp_path / "g.txt").write_text(TWO_TRIANGLES)
+        args = [str(tmp_path / "g.txt")]
+    assert run_command(["oracle"] + _paths(args)) == 0
+    assert capsys.readouterr().out == expected

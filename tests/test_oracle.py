@@ -25,6 +25,7 @@ from gooddecomp import (
 )
 from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
+from gooddecomp.digraph import _reaches, _rows
 from gooddecomp.oracle import enumerate_semicomplete
 
 from conftest import (
@@ -164,6 +165,22 @@ def _random_regular3(rng: random.Random, n: int) -> Digraph:
         d = Digraph(n, {(v, p[v]) for p in perms for v in range(n)})
         if is_strong(d):
             return d
+
+
+def _count_path_searches(monkeypatch) -> dict:
+    """Wrap the kernel's two path searches, _reaches and _witness, and count
+    their calls by name in the returned dict."""
+    counts = {}
+    for name in ("_reaches", "_witness"):
+        counts[name] = 0
+        search = getattr(_kernel_py, name)
+
+        def counting(*args, name=name, search=search):
+            counts[name] += 1
+            return search(*args)
+
+        monkeypatch.setattr(_kernel_py, name, counting)
+    return counts
 
 
 def _overlapping_sides(n, arcs, budget):
@@ -330,45 +347,90 @@ class TestOracle:
 
     def test_sparse_search_work(self, monkeypatch):
         """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
-        kernel runs at most one path search per four nodes; the memo and the
-        degree guard answer the rest."""
-        searches = 0
-        reaches = _kernel_py._reaches
-
-        def counting(*args):
-            nonlocal searches
-            searches += 1
-            return reaches(*args)
-
-        monkeypatch.setattr(_kernel_py, "_reaches", counting)
+        kernel runs at most one path search of either kind per twelve nodes;
+        the memo and the degree guard answer the rest.  A search at a level
+        that has passed three times records the path it found, which later
+        visits hit far more often than the whole side."""
+        searches = _count_path_searches(monkeypatch)
         rng = random.Random(0x24)
         nodes = sum(
             oracle_good_decomposition(_random_regular3(rng, 24), budget=5000).nodes_explored
             for _ in PINNED_REGULAR3_24
         )
         assert nodes == 42037
-        assert searches <= nodes // 4
+        assert searches["_reaches"] and searches["_witness"]
+        assert sum(searches.values()) <= nodes // 12
 
     def test_dense_search_work(self, monkeypatch):
         """The same guard on the dense PINNED_RANDOM draws: a path of two arcs
         settles most tests that neither the degree guard nor the memo
         answers, so at most one node in ten runs a path search."""
-        searches = 0
-        reaches = _kernel_py._reaches
-
-        def counting(*args):
-            nonlocal searches
-            searches += 1
-            return reaches(*args)
-
-        monkeypatch.setattr(_kernel_py, "_reaches", counting)
+        searches = _count_path_searches(monkeypatch)
         rng = random.Random(0xD1A6)
         nodes = sum(
             oracle_good_decomposition(random_strong_digraph(rng, 7, density=0.75)).nodes_explored
             for _ in PINNED_RANDOM
         )
         assert nodes == sum(pinned for _, pinned, _ in PINNED_RANDOM) == 1043
-        assert searches <= nodes // 10
+        assert sum(searches.values()) <= nodes // 10
+
+    def test_witness_is_a_path(self):
+        """_witness answers exactly as _reaches does, and a path it returns
+        runs from t to h over available arcs; its arcs below the level i,
+        with the arcs after i, still join t to h, which is what the kernel's
+        pass memo relies on.  Arcs come in a random order."""
+        rng = random.Random(0x3171)
+        found = missed = 0
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            arcs = rng.sample(arcs, rng.randint(1, len(arcs)))
+            i = rng.randrange(len(arcs))
+            t, h = arcs[i]
+            side = {k for k in range(i) if rng.random() < 0.6}
+            avail = side | set(range(i + 1, len(arcs)))
+            out, inn = _rows(n, [arcs[k] for k in avail])
+            code = {arc: 1 << k for k, arc in enumerate(arcs)}
+            w = _kernel_py._witness(out, inn, t, h, code)
+            assert bool(w) == _reaches(out, inn, t, h)
+            if not w:
+                missed += 1
+                continue
+            found += 1
+            path = {k for k in range(len(arcs)) if w >> k & 1}
+            assert path <= avail
+            succ = dict(arcs[k] for k in path)
+            assert len(succ) == len(path)
+            v, steps = t, 0
+            while v != h and steps <= len(path):
+                v, steps = succ[v], steps + 1
+            assert v == h and steps == len(path)
+            below = {k for k in path if k < i}
+            assert below <= side
+            out, inn = _rows(n, [arcs[k] for k in below | set(range(i + 1, len(arcs)))])
+            assert _reaches(out, inn, t, h)
+        assert found > 100 and missed > 100
+
+    def test_kernel_matches_reference_shuffled(self, monkeypatch):
+        """The kernel's full (status, a1, a2, nodes) against
+        conftest.kernel_search_reference on seeded digraphs whose arcs come
+        in a shuffled order, not sorted by tail: the paths that searches
+        record map to arc bits by tail and head, whatever the order."""
+        searches = _count_path_searches(monkeypatch)
+        rng = random.Random(0x5F1E)
+        outcomes = set()
+        for k in range(30):
+            if k % 2:
+                d = _random_regular3(rng, rng.randint(8, 12))
+            else:
+                d = random_strong_digraph(rng, rng.randint(4, 7), density=0.6)
+            arcs = rng.sample(d.sorted_arcs(), d.m)
+            for budget in (500, 50, 7):
+                expected = kernel_search_reference(d.n, arcs, budget)
+                assert _kernel_py.search(d.n, arcs, budget) == expected, (d.n, arcs, budget)
+                outcomes.add((budget, expected[0]))
+        assert {(500, _kernel_py.FOUND), (50, _kernel_py.ABORTED)} <= outcomes
+        assert searches["_witness"] > 0
 
     def test_invalid_kernel_result_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod._impl, "search", _overlapping_sides)
