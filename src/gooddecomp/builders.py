@@ -94,21 +94,25 @@ def compose(spec: CompositionSpec) -> Built:
     return _built(arcs, cmap)
 
 
+def _cartesian_arcs(g: Digraph, h: Digraph) -> set[Arc]:
+    k = h.n
+    arcs = {(x * k + z, y * k + z) for x, y in g.arcs for z in range(k)}
+    return arcs | {(x * k + z, x * k + w) for x in range(g.n) for z, w in h.arcs}
+
+
+def _strong_arcs(g: Digraph, h: Digraph) -> set[Arc]:
+    k = h.n
+    return _cartesian_arcs(g, h) | {(x * k + z, y * k + w) for x, y in g.arcs for z, w in h.arcs}
+
+
 def cartesian_product(g: Digraph, h: Digraph) -> Built:
     """G box H: move along a G-arc holding the H-coordinate, or vice versa."""
-    cmap = CoordinateMap((h.n,) * g.n)
-    off = cmap.offsets
-    arcs = {(off[x] + z, off[y] + z) for x, y in g.arcs for z in range(h.n)}
-    arcs |= {(off[x] + z, off[x] + w) for x in range(g.n) for z, w in h.arcs}
-    return _built(arcs, cmap)
+    return _built(_cartesian_arcs(g, h), CoordinateMap((h.n,) * g.n))
 
 
 def strong_product(g: Digraph, h: Digraph) -> Built:
     """Cartesian arcs plus simultaneous moves along a G-arc and an H-arc."""
-    base, cmap = cartesian_product(g, h)
-    off = cmap.offsets
-    arcs = base.arcs | {(off[x] + z, off[y] + w) for x, y in g.arcs for z, w in h.arcs}
-    return _built(arcs, cmap)
+    return _built(_strong_arcs(g, h), CoordinateMap((h.n,) * g.n))
 
 
 def lexicographic_product(g: Digraph, h: Digraph) -> Built:

@@ -261,10 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run_command(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Exit code of one command.  The parser is built on the first call and reused, so
+    _cmd_* functions are bound once; the names they call are looked up at call time."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:

@@ -19,13 +19,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from . import _kernel_py
 from .builders import (
     CompositionSpec,
     CoordinateMap,
     _check_power_order,
+    _strong_arcs,
     cartesian_product,
     compose,
     lexicographic_product,
@@ -539,12 +540,12 @@ def _remaining_sides(spec: CompositionSpec, hc: Cycle) -> Optional[Skeleton]:
 # ---------------------------------------------------------------------------
 # Cartesian products
 
-def _cycle_square_sides(cyc: Sequence[int], emb) -> tuple[set[Arc], set[Arc]]:
+def _cycle_square_sides(cyc: Sequence[int], k: int) -> tuple[set[Arc], set[Arc]]:
     """Two arc-disjoint Hamiltonian cycles partitioning C_n-square-C_n, with
-    the cycle's vertices standing in for 1..n."""
+    the cycle's vertices (of an order-k factor) standing in for 1..n."""
     n = len(cyc)
-    g_arc = lambda i, j: (emb(cyc[i], cyc[j % n]), emb(cyc[(i + 1) % n], cyc[j % n]))
-    h_arc = lambda i, j: (emb(cyc[i % n], cyc[j]), emb(cyc[i % n], cyc[(j + 1) % n]))
+    g_arc = lambda i, j: (cyc[i] * k + cyc[j % n], cyc[(i + 1) % n] * k + cyc[j % n])
+    h_arc = lambda i, j: (cyc[i % n] * k + cyc[j], cyc[i % n] * k + cyc[(j + 1) % n])
     all_arcs = {g_arc(i, j) for i in range(n) for j in range(n)}
     all_arcs |= {h_arc(i, j) for i in range(n) for j in range(n)}
     side1: set[Arc] = set()
@@ -603,11 +604,11 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
         raise ValueError("cover does not cover all vertices")
 
     ordered = _order_cover(cover)
-    host, cmap = cartesian_product(g, g)
-    emb = cmap.vid
+    host = cartesian_product(g, g).digraph
+    k = g.n
 
     first = ordered[0]
-    d1, d2 = _cycle_square_sides(first, emb)
+    d1, d2 = _cycle_square_sides(first, k)
     vset = set(first)
     arcs_so_far = set(cycle_arcs(first))
 
@@ -615,23 +616,23 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
         cyc_arcs = set(cycle_arcs(cyc))
         cset = set(cyc)
         if vset <= cset:
-            d1, d2 = _cycle_square_sides(cyc, emb)
+            d1, d2 = _cycle_square_sides(cyc, k)
         elif cset <= vset:
             pass
         else:
-            p1, p2 = _cycle_square_sides(cyc, emb)
+            p1, p2 = _cycle_square_sides(cyc, k)
             d1 |= p1
             d2 |= p2
             new = sorted(cset - vset)
             old_only = sorted(vset - cset)
             for j in new:  # copies of the current union in the new layers
                 for x, y in arcs_so_far:
-                    d1.add((emb(x, j), emb(y, j)))
-                    d1.add((emb(j, x), emb(j, y)))
+                    d1.add((x * k + j, y * k + j))
+                    d1.add((j * k + x, j * k + y))
             for j in old_only:  # copies of the new cycle in the untouched layers
                 for x, y in cyc_arcs:
-                    d2.add((emb(x, j), emb(y, j)))
-                    d2.add((emb(j, x), emb(j, y)))
+                    d2.add((x * k + j, y * k + j))
+                    d2.add((j * k + x, j * k + y))
         vset |= cset
         arcs_so_far |= cyc_arcs
     return _checked(host, d1, d2)
@@ -651,10 +652,10 @@ def decompose_cartesian_with_good_factor(
 def _times_strong(dg: Decomposition, h: Digraph) -> Decomposition:
     """The H-copy at the first vertex of G = dg.host, and side-1 copies in
     every H-layer, against the rest of G square H."""
-    host, cmap = cartesian_product(dg.host, h)
-    emb = cmap.vid
-    a1 = {(emb(0, z), emb(0, w)) for z, w in h.arcs}
-    a1 |= {(emb(x, j), emb(y, j)) for x, y in dg.a1 for j in range(h.n)}
+    host = cartesian_product(dg.host, h).digraph
+    k = h.n
+    a1 = set(h.arcs)  # the layer of G's vertex 0 keeps H's own ids
+    a1 |= {(x * k + j, y * k + j) for x, y in dg.a1 for j in range(k)}
     return _checked(host, a1, host.arcs - a1)
 
 
@@ -676,17 +677,14 @@ def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 # strong products
 
-def _boxtimes_base_side1(gcyc: Sequence[int], hcyc: Sequence[int], emb) -> set[Arc]:
-    """First side for a product of two cycles: every G-layer cycle plus one
-    diagonal arc per H-step threading the layers into a strong subdigraph."""
+def _boxtimes_base_side1(gcyc: Sequence[int], hcyc: Sequence[int], k: int) -> set[Arc]:
+    """First side for a product of two cycles, H of order k: every G-layer
+    cycle plus one diagonal arc per H-step threading the layers together."""
     n, m = len(gcyc), len(hcyc)
-    side1: set[Arc] = set()
-    for j in range(m):
-        for i in range(n):
-            side1.add((emb(gcyc[i], hcyc[j]), emb(gcyc[(i + 1) % n], hcyc[j])))
-    for j in range(m - 1):
-        side1.add((emb(gcyc[n - 1], hcyc[j]), emb(gcyc[0], hcyc[j + 1])))
-    side1.add((emb(gcyc[0], hcyc[m - 1]), emb(gcyc[1], hcyc[0])))
+    layer = [x * k for x in gcyc]  # id of (gcyc[i], 0)
+    side1 = {(layer[i] + z, layer[(i + 1) % n] + z) for z in hcyc for i in range(n)}
+    side1 |= {(layer[n - 1] + hcyc[j], layer[0] + hcyc[j + 1]) for j in range(m - 1)}
+    side1.add((layer[0] + hcyc[m - 1], layer[1] + hcyc[0]))
     return side1
 
 
@@ -697,19 +695,25 @@ def decompose_cn_boxtimes_cm(n: int, m: int) -> Decomposition:
     return decompose_strong_product(cycle(n), cycle(m))
 
 
+def _strong_sides(g: Digraph, h: Digraph, arcs: AbstractSet[Arc]) -> tuple[set[Arc], set[Arc]]:
+    """decompose_strong_product's side 1 and its complement in arcs, the arc
+    set of G strong-times H; unverified, for the callers' one _checked."""
+    p0, q0 = _some_cycle(g), _some_cycle(h)
+    k = h.n
+    a1 = _boxtimes_base_side1(p0, q0, k)
+    a1 |= {(x * k + j, y * k + j) for x, y in g.arcs - set(cycle_arcs(p0)) for j in q0}
+    a1 |= {(i * k + z, i * k + w) for z, w in h.arcs - set(cycle_arcs(q0)) for i in range(g.n)}
+    return a1, arcs - a1
+
+
 def decompose_strong_product(g: Digraph, h: Digraph) -> Decomposition:
     """Strong product of any two strong digraphs, by ear induction: side 1 is
     the base of the start cycles p0, q0 plus a copy of every later ear of g in
     each layer of q0 and of h in every layer of g, where a factor's later ears
     are its arcs off the start cycle; side 2 is the complement."""
     _require_strong(g, h)
-    p0, q0 = _some_cycle(g), _some_cycle(h)
-    host, cmap = strong_product(g, h)
-    emb = cmap.vid
-    a1 = _boxtimes_base_side1(p0, q0, emb)
-    a1 |= {(emb(x, j), emb(y, j)) for x, y in g.arcs - set(cycle_arcs(p0)) for j in q0}
-    a1 |= {(emb(i, z), emb(i, w)) for z, w in h.arcs - set(cycle_arcs(q0)) for i in range(g.n)}
-    return _checked(host, a1, host.arcs - a1)
+    host = strong_product(g, h).digraph
+    return _checked(host, *_strong_sides(g, h, host.arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +745,12 @@ def decompose_lexicographic(
             raise ValueError(f"part {k} is not strong spanning")
         claimed |= part
 
-    host, cmap = lexicographic_product(g, h)
-    emb = cmap.vid
-    base = decompose_strong_product(g, Digraph(h.n, parts_h[0]))
-    out = list(base.parts)
+    host = lexicographic_product(g, h).digraph
+    h0 = Digraph(h.n, parts_h[0])
+    out = list(_strong_sides(g, h0, _strong_arcs(g, h0)))
     shadows = [(x, x) for x in range(g.n)] + sorted(g.arcs)  # blocks, then G-arcs
     for part in parts_h[1:]:
-        out.append({(emb(x, z), emb(y, w)) for x, y in shadows for z, w in part})
+        out.append({(x * h.n + z, y * h.n + w) for x, y in shadows for z, w in part})
     return _checked(host, *out)
 
 

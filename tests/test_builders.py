@@ -5,6 +5,7 @@ import pytest
 from gooddecomp import (
     CompositionSpec,
     CoordinateMap,
+    Digraph,
     cartesian_power,
     cartesian_product,
     compose,
@@ -165,6 +166,31 @@ class TestProducts:
         assert find_isomorphism(d, complete(4)) is not None
         d, _ = strong_product(cycle(2), cycle(3))
         assert (d.n, d.m) == (6, 18)
+
+    def test_products_match_definition(self, rng):
+        # every arc and label of G box H and G strong-times H, from the
+        # definitions over coordinate pairs (x, z), numbered row by row
+        def random_digraph(n):
+            return Digraph(n, {(u, v) for u in range(n) for v in range(n)
+                               if u != v and rng.random() < 0.4})
+
+        factors = [empty(0), empty(1), empty(3), cycle(2), path(3)]
+        factors += [random_digraph(rng.randint(1, 5)) for _ in range(12)]
+        for g in factors:
+            for h in rng.sample(factors, 6):
+                verts = [(x, z) for x in range(g.n) for z in range(h.n)]
+                pairs = [(a, b) for a in verts for b in verts]
+                cart = {(a, b) for a, b in pairs
+                        if (a[0] == b[0] and (a[1], b[1]) in h.arcs)
+                        or (a[1] == b[1] and (a[0], b[0]) in g.arcs)}
+                diag = {(a, b) for a, b in pairs
+                        if (a[0], b[0]) in g.arcs and (a[1], b[1]) in h.arcs}
+                labels = [f"u{x + 1},{z + 1}" for x, z in verts]
+                for build, want in ((cartesian_product, cart), (strong_product, cart | diag)):
+                    d, cmap = build(g, h)
+                    assert d.n == len(verts) and list(d.labels) == labels
+                    assert [cmap.coord(v) for v in range(d.n)] == verts
+                    assert d.arcs == {(verts.index(a), verts.index(b)) for a, b in want}
 
     def test_lexicographic_counts(self):
         d, _ = lexicographic_product(cycle(3), empty(2))

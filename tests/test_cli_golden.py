@@ -118,6 +118,30 @@ def test_oracle_golden(capsys):
     assert hashlib.sha256(doc.encode()).hexdigest() == ORACLE_COMP
 
 
+def test_reused_parser_carries_no_budget(capsys):
+    # run_command parses every call with one parser: a --budget refused or
+    # given in one call must not reach the next
+    host = str(INSTANCES / "comp_host.txt")
+    assert run_command(["oracle", host, "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --budget must be >= 0")
+    assert run_command(["oracle", host, "--budget", "1"]) == 0
+    assert capsys.readouterr().out == "outcome: aborted\nnodes: 2\n"
+    assert run_command(["oracle", host]) == 0
+    outcome, nodes, doc = capsys.readouterr().out.split("\n", 2)
+    assert (outcome, nodes) == ("outcome: found", "nodes: 66")
+    assert hashlib.sha256(doc.encode()).hexdigest() == ORACLE_COMP
+
+
+def test_reused_parser_carries_no_factor(capsys):
+    args = ["hub8.txt", "--strategy", "strong-product", "--factor", "hub6.txt"]
+    assert run_command(["decompose"] + _paths(args[:3])) == 2
+    assert capsys.readouterr().err == "decompose: --strategy strong-product needs --factor\n"
+    assert run_command(["decompose"] + _paths(args)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (args, 0, digest) in GOLDEN
+
+
 #: two bidirected triangles joined by one digon: every degree is at least 2,
 #: but either arc of the digon is a bridge
 TWO_TRIANGLES = "6 14\n" + "".join(

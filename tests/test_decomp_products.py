@@ -29,7 +29,8 @@ from gooddecomp import (
     verify_decomposition,
 )
 
-from gooddecomp.decomp import _boxtimes_base_side1
+from gooddecomp import decomp
+from gooddecomp.decomp import ConstructionError, _boxtimes_base_side1
 
 from conftest import random_sparse_strong_digraph, random_strong_digraph
 
@@ -227,7 +228,7 @@ class TestStrongProductGeneral:
             ears_g, ears_h = ear_decomposition(g), ear_decomposition(h)
             q0 = ears_h.ears[0].vertices
             emb = strong_product(g, h).coords.vid
-            ref = _boxtimes_base_side1(ears_g.ears[0].vertices, q0, emb)
+            ref = _boxtimes_base_side1(ears_g.ears[0].vertices, q0, h.n)
             ref |= {(emb(x, j), emb(y, j))
                     for e in ears_g.ears[1:] for x, y in e.arcs() for j in q0}
             ref |= {(emb(i, z), emb(i, w))
@@ -282,6 +283,35 @@ class TestLexicographic:
             assert dec.host == host and len(dec.parts) == 2
             assert not (dec.parts[0] & dec.parts[1])
             assert all(is_strong(Digraph(host.n, p)) for p in dec.parts)
+
+
+class TestProductsFailClosed:
+    """decompose_lexicographic reads the strong product's sides unverified,
+    so its own final check is what keeps a broken side from getting out."""
+
+    HALVES = [frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})]
+
+    @pytest.mark.parametrize("build", [
+        lambda: decompose_strong_product(cycle(3), cycle(4)),
+        lambda: decompose_cn_boxtimes_cm(4, 3),
+        lambda: decompose_lexicographic(cycle(3), cycle(2)),
+        lambda: decompose_lexicographic(cycle(3), complete(3), TestProductsFailClosed.HALVES),
+    ], ids=["strong-product", "boxtimes", "lex", "lex-ell-parts"])
+    def test_side1_missing_an_arc_is_caught(self, monkeypatch, build):
+        real, calls = decomp._strong_sides, []
+
+        def broken(g, h, arcs):
+            a1, a2 = real(g, h, arcs)
+            tails = Counter(u for u, _ in a1)
+            # the tail of this arc keeps no out-arc in side 1
+            dropped = min(a for a in a1 if tails[a[0]] == 1)
+            calls.append(dropped)
+            return a1 - {dropped}, a2
+
+        monkeypatch.setattr(decomp, "_strong_sides", broken)
+        with pytest.raises(ConstructionError, match="A1 not strong"):
+            build()
+        assert len(calls) == 1
 
 
 class TestTrotterErdos:

@@ -236,6 +236,42 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: boom\n"
 
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_run_command_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(real())
+            return built[-1]
+
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert run_command(["ham-cartesian", "2", "3"]) == 0
+        assert run_command(["ham-cartesian", "2", "2"]) == 0
+        assert capsys.readouterr().out == "non-hamiltonian\nhamiltonian\n"
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        # the import is what the benchmark's set-up time measures
+        code = (
+            "import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    made.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import gooddecomp.cli\n"
+            "print(len(made), gooddecomp.cli._parser)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "0 None\n"
+
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
