@@ -12,7 +12,8 @@ digraph._reaches, the path search the oracle's 2-arc-strong precheck also
 runs: it meets in the middle, growing the closure of t along the out-rows
 and the closure of h along the in-rows, always expanding the smaller
 frontier, and stops when the two meet or either frontier runs dry.  The
-root's strongness test is the two closures of vertex 0 (digraph._closure).
+root's strongness test is digraph._unreachable_pair, behind is_strong and
+verify.
 
 At level i, whichever side loses arc i, the test is one function of that
 side's arcs S among arcs[:i]: f_i(S) says whether S together with the
@@ -40,14 +41,15 @@ path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes; and W
 lies inside S, so choice 0 still finds its answers.  A later side seldom
 holds all of a recorded S but often holds the few arcs of a path, so the
 levels that a large tree visits again and again are answered from the memo
-far more often.  Finding the path costs about twice a plain search, though,
+far more often.  Finding the path costs more than a plain search, though,
 plus a table from each arc to its bit, and most levels of a small tree
 pass only a few times.  So a level and side records S for its first three
 passes, found by _reaches or the two-step path; after that a search there
-runs _witness, the kernel's arc-indexed variant of _reaches, and records W.
-_witness maps a path arc (u, v) to its bit through a dict keyed by the arcs
-themselves, built on the call's first witness, so they may come in any
-order.
+runs _witness and records W.  _witness searches one way only: it grows the
+layers of t's closure along the out-rows until h appears, then walks back
+from h through them, so W comes from a shortest path.  It maps a path arc
+(u, v) to its bit through a dict keyed by the arcs themselves, built on the
+call's first witness, so they may come in any order.
 
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.  One
@@ -61,7 +63,7 @@ once per call.
 
 from __future__ import annotations
 
-from .digraph import _closure, _reaches, _rows
+from .digraph import _reaches, _rows, _unreachable_pair
 
 FOUND, NONE, ABORTED = 0, 1, 2
 
@@ -69,66 +71,28 @@ _UNTRIED = -1
 
 
 def _witness(out, inn, t, h, code):
-    """The arc bits of one path from t to h != t along the out-rows out, or
-    0 if there is none: code maps each arc (u, v) to its bit.  inn holds the
-    same arcs as in-rows.
-
-    The search is _reaches's, but it keeps each side's frontier layers: a
-    vertex in forward layer j has an in-neighbour in layer j - 1, and one in
-    backward layer j an out-neighbour in layer j - 1.  Once the two sides
-    meet on an arc y->x, the path walks back from y to t and on from x to h.
-    """
-    fwd = ffront = 1 << t
-    bwd = bfront = 1 << h
-    flayers = [ffront]
-    blayers = [bfront]
-    while True:
+    """The arc bits of a shortest path from t to h != t along the out-rows
+    out, or 0 if there is none: code maps each arc (u, v) to its bit.  inn
+    holds the same arcs as in-rows.  A vertex in a layer of t's closure has an
+    in-neighbour in the layer before, so the path walks back from h."""
+    seen = front = 1 << t
+    layers = []
+    while not front >> h & 1:
+        layers.append(front)
         nxt = 0
-        if ffront.bit_count() <= bfront.bit_count():
-            while ffront:
-                low = ffront & -ffront
-                nxt |= out[low.bit_length() - 1]
-                ffront ^= low
-            if meet := nxt & bwd:
-                x = meet.bit_length() - 1
-                y = (inn[x] & flayers[-1]).bit_length() - 1
-                break
-            ffront = nxt & ~fwd
-            if not ffront:
-                return 0
-            fwd |= ffront
-            flayers.append(ffront)
-        else:
-            while bfront:
-                low = bfront & -bfront
-                nxt |= inn[low.bit_length() - 1]
-                bfront ^= low
-            if meet := nxt & fwd:
-                y = meet.bit_length() - 1
-                x = (out[y] & blayers[-1]).bit_length() - 1
-                break
-            bfront = nxt & ~bwd
-            if not bfront:
-                return 0
-            bwd |= bfront
-            blayers.append(bfront)
-    w = code[y, x]
-    j = len(flayers) - 1
-    while not flayers[j] >> y & 1:
-        j -= 1
-    while j:
-        j -= 1
-        u = (inn[y] & flayers[j]).bit_length() - 1
-        w |= code[u, y]
-        y = u
-    j = len(blayers) - 1
-    while not blayers[j] >> x & 1:
-        j -= 1
-    while j:
-        j -= 1
-        v = (out[x] & blayers[j]).bit_length() - 1
-        w |= code[x, v]
-        x = v
+        while front:
+            low = front & -front
+            nxt |= out[low.bit_length() - 1]
+            front ^= low
+        front = nxt & ~seen
+        if not front:
+            return 0
+        seen |= front
+    w = 0
+    for layer in reversed(layers):
+        u = (inn[h] & layer).bit_length() - 1
+        w |= code[u, h]
+        h = u
     return w
 
 
@@ -150,8 +114,7 @@ def search(n, arcs, budget=0):
     out2, in2 = out1[:], in1[:]
 
     nodes = 1
-    full = (1 << n) - 1
-    if _closure(out1, 0) != full or _closure(in1, 0) != full:
+    if _unreachable_pair(n, out1, in1) is not None:
         return NONE, [], [], nodes
 
     tails = [t for t, _ in arcs]

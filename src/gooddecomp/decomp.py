@@ -27,6 +27,7 @@ from .builders import (
     CoordinateMap,
     _check_power_order,
     _strong_arcs,
+    cartesian_power,
     cartesian_product,
     compose,
     lexicographic_product,
@@ -590,6 +591,13 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
     """G square G via induction over an arc-disjoint cycle cover whose union
     is connected."""
     _require_strong(g)
+    sides = _square_sides(g, cover)
+    return _checked(cartesian_product(g, g).digraph, *sides)
+
+
+def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
+    """decompose_cartesian_square's two sides, unverified, for the callers'
+    one _checked; raises ValueError if cover is no such cover of g."""
     seen_arcs: set[Arc] = set()
     seen_vertices: set[int] = set()
     for k, cyc in enumerate(cover.cycles):
@@ -604,7 +612,6 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
         raise ValueError("cover does not cover all vertices")
 
     ordered = _order_cover(cover)
-    host = cartesian_product(g, g).digraph
     k = g.n
 
     first = ordered[0]
@@ -635,7 +642,7 @@ def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
                     d2.add((j * k + x, j * k + y))
         vset |= cset
         arcs_so_far |= cyc_arcs
-    return _checked(host, d1, d2)
+    return d1, d2
 
 
 def decompose_cartesian_with_good_factor(
@@ -646,17 +653,18 @@ def decompose_cartesian_with_good_factor(
         raise ValueError("dg must be a valid decomposition of g")
     if g.n < 2 or h.n < 2 or not is_strong(h):
         raise Refusal("not-covered", _NOT_STRONG)
-    return _times_strong(dg, h)
-
-
-def _times_strong(dg: Decomposition, h: Digraph) -> Decomposition:
-    """The H-copy at the first vertex of G = dg.host, and side-1 copies in
-    every H-layer, against the rest of G square H."""
-    host = cartesian_product(dg.host, h).digraph
-    k = h.n
-    a1 = set(h.arcs)  # the layer of G's vertex 0 keeps H's own ids
-    a1 |= {(x * k + j, y * k + j) for x, y in dg.a1 for j in range(k)}
+    host = cartesian_product(g, h).digraph
+    a1 = _times_strong(dg.a1, h)
     return _checked(host, a1, host.arcs - a1)
+
+
+def _times_strong(a1: AbstractSet[Arc], h: Digraph) -> set[Arc]:
+    """Side 1 of G square H from side 1 of G: the H-copy at G's first vertex
+    and copies of a1 in every H-layer; side 2 is the rest, unverified."""
+    k = h.n
+    side1 = set(h.arcs)  # the layer of G's vertex 0 keeps H's own ids
+    side1 |= {(x * k + j, y * k + j) for x, y in a1 for j in range(k)}
+    return side1
 
 
 def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
@@ -668,10 +676,11 @@ def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
     cover = cycle_cover(g)
     if cover is None:
         raise CycleCoverInfeasible(cover_cut(g))
-    dec = decompose_cartesian_square(g, cover)
+    a1, a2 = _square_sides(g, cover)
     for _ in range(k - 2):
-        dec = _times_strong(dec, g)
-    return dec
+        a1 = _times_strong(a1, g)
+    host = cartesian_power(g, k).digraph
+    return _checked(host, a1, a2 if k == 2 else host.arcs - a1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from gooddecomp import (
 )
 from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
-from gooddecomp.digraph import _reaches, _rows
+from gooddecomp.digraph import _bfs, _reaches, _rows, _tree_path
 from gooddecomp.oracle import enumerate_semicomplete
 
 from conftest import (
@@ -376,9 +376,9 @@ class TestOracle:
 
     def test_witness_is_a_path(self):
         """_witness answers exactly as _reaches does, and a path it returns
-        runs from t to h over available arcs; its arcs below the level i,
-        with the arcs after i, still join t to h, which is what the kernel's
-        pass memo relies on.  Arcs come in a random order."""
+        is a shortest path from t to h over available arcs; its arcs below
+        the level i, with the arcs after i, still join t to h, which is what
+        the kernel's pass memo relies on.  Arcs come in a random order."""
         rng = random.Random(0x3171)
         found = missed = 0
         for _ in range(400):
@@ -405,6 +405,7 @@ class TestOracle:
             while v != h and steps <= len(path):
                 v, steps = succ[v], steps + 1
             assert v == h and steps == len(path)
+            assert len(path) == len(_tree_path(_bfs(out, t), h)) - 1
             below = {k for k in path if k < i}
             assert below <= side
             out, inn = _rows(n, [arcs[k] for k in below | set(range(i + 1, len(arcs)))])
