@@ -133,11 +133,22 @@ def _check_power_order(n: int, k: int) -> None:
 
 
 def cartesian_power(g: Digraph, k: int) -> Built:
-    """Iterated Cartesian product, left-associated; k=1 returns g itself."""
+    """Iterated Cartesian product, left-associated; k=1 returns g itself.
+
+    Vertex (x, z) of G^(j-1) box G is x * n + z, so a vertex of the power is
+    a k-digit number base n, and each arc moves one digit, of weight n ** p,
+    along a G-arc while the others hold."""
     if k < 1:
         raise ValueError("power needs k >= 1")
     _check_power_order(g.n, k)
-    built = Built(g, CoordinateMap((1,) * g.n))
-    for _ in range(k - 1):
-        built = cartesian_product(built.digraph, g)
-    return built
+    if k == 1:
+        return Built(g, CoordinateMap((1,) * g.n))
+    n = g.n
+    arcs = {
+        (v + x * w, v + y * w)
+        for w in (n ** p for p in range(k))
+        for x, y in g.arcs
+        for high in range(0, n**k, w * n)
+        for v in range(high, high + w)
+    }
+    return _built(arcs, CoordinateMap((n,) * n ** (k - 1)))

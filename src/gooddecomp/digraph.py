@@ -209,21 +209,41 @@ def _rows(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
 
 def _two_arc_strong(n: int, out, inn) -> bool:
     """True iff the digraph with out-rows out and in-rows inn on n >= 2
-    vertices is 2-arc-strong.  The rows are copied, not changed.
+    vertices is 2-arc-strong.  The rows are not changed.
 
-    It is strong iff the search trees of vertex 0 along out and along inn
-    both span.  Deleting an arc outside both trees leaves both whole, so only
-    a tree arc t->h can be a bridge, and it is one iff t no longer reaches h
-    without it.
+    It is strong iff the layers of vertex 0 along out and along inn both
+    span.  A bridge p->w of a strong digraph leaves w unreachable from 0, or
+    0 unreachable from p, which is the first case along inn with p and w
+    swapped.  In the first case every path from 0 to w ends in p->w, so p is
+    the only in-neighbour of w in w's own layer or an earlier one: any other
+    such u has a shortest path from 0 that avoids w, and u->w avoids p->w.
+    So an arc into w is a candidate only if its tail is the one vertex of
+    inn[w] & seen when w's layer is expanded, and a candidate is a bridge
+    iff its tail no longer reaches its head without it.  The rows are
+    copied only if a candidate remains.
     """
-    out, inn = list(out), list(inn)
-    tree = []
-    for rows in (out, inn):
-        prev = _bfs(rows, 0)
-        if len(prev) != n:
+    cands = []
+    for fwd, back in ((out, inn), (inn, out)):
+        seen = frontier = 1
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                w = low.bit_length() - 1
+                nxt |= fwd[w]
+                p = back[w] & seen
+                if p.bit_count() == 1:
+                    p = p.bit_length() - 1
+                    cands.append((p, w) if fwd is out else (w, p))
+                frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen != (1 << n) - 1:
             return False
-        tree += [(v, w) if rows is out else (w, v) for w, v in prev.items() if w]
-    for t, h in tree:
+    if not cands:
+        return True
+    out, inn = list(out), list(inn)
+    for t, h in dict.fromkeys(cands):
         out[t] ^= 1 << h
         inn[h] ^= 1 << t
         ok = _reaches(out, inn, t, h)

@@ -9,7 +9,9 @@ Before any search the oracle refuses a digraph that is not 2-arc-strong,
 which every digraph with a good decomposition is.  Both prechecks run on
 the digraph's cached bitmask rows: the degree bound reads the rows' bit
 counts, and arc-connectivity is digraph._two_arc_strong, a strong-bridge
-test on the kernel's own path search.
+test that walks out of vertex 0 in layers and runs the kernel's own path
+search only on the few tree arcs whose end has a single neighbour in its
+own layer or an earlier one.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from gooddecomp import (
+    Built,
     CompositionSpec,
     CoordinateMap,
     Digraph,
@@ -191,6 +192,15 @@ class TestProducts:
                     assert d.n == len(verts) and list(d.labels) == labels
                     assert [cmap.coord(v) for v in range(d.n)] == verts
                     assert d.arcs == {(verts.index(a), verts.index(b)) for a, b in want}
+            # G^k is the left fold of G box G, ids, labels and coordinates too
+            fold = Built(g, CoordinateMap((1,) * g.n))
+            for k in range(1, 5):
+                if k > 1:
+                    fold = cartesian_product(fold.digraph, g)
+                power = cartesian_power(g, k)
+                assert power.digraph == fold.digraph and power.coords == fold.coords
+                assert power.digraph.labels == fold.digraph.labels
+            assert cartesian_power(g, 1).digraph is g
 
     def test_lexicographic_counts(self):
         d, _ = lexicographic_product(cycle(3), empty(2))

@@ -275,6 +275,29 @@ class TestTwoArcStrong:
             assert (out, inn) == copies
 
 
+class TestBridgeCandidates:
+    """_two_arc_strong searches only an arc into w from the one in-neighbour
+    of w in w's own layer or an earlier one (along inn, out of w to the one
+    such out-neighbour); every other in-neighbour counts only once it is
+    seen."""
+
+    def test_bridges_between_bidirected_triangles(self):
+        # two bidirected triangles joined only by 0->3 and 4->1: both are
+        # bridges, though each end of each has two more neighbours in its
+        # own triangle, so a check that counted all of them would search
+        # neither; every relabelling moves vertex 0 and the layers
+        tri = {(u, v) for u in range(3) for v in range(3) if u != v}
+        joined = tri | {(u + 3, v + 3) for u, v in tri} | {(0, 3), (4, 1)}
+        for extra, expected in (((), False), (((3, 0),), False), (((1, 4),), False),
+                                (((3, 0), (1, 4)), True)):
+            base = Digraph(6, joined | set(extra))
+            for perm in itertools.permutations(range(6)):
+                d = relabel(base, perm)
+                assert is_strong(d)
+                assert _two_arc_strong(d.n, *d.rows) == expected, (extra, perm)
+                assert arc_connectivity(d) == (2 if expected else 1)
+
+
 class TestIsomorphism:
     def test_s4_relabeled(self, rng):
         perm = list(range(4))

@@ -25,7 +25,8 @@ from gooddecomp import (
 )
 from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
-from gooddecomp.digraph import _bfs, _reaches, _rows, _tree_path
+from gooddecomp import digraph as digraph_mod
+from gooddecomp.digraph import _bfs, _reaches, _rows, _tree_path, _two_arc_strong
 from gooddecomp.oracle import enumerate_semicomplete
 
 from conftest import (
@@ -167,19 +168,20 @@ def _random_regular3(rng: random.Random, n: int) -> Digraph:
             return d
 
 
-def _count_path_searches(monkeypatch) -> dict:
-    """Wrap the kernel's two path searches, _reaches and _witness, and count
-    their calls by name in the returned dict."""
+def _count_path_searches(monkeypatch, module=_kernel_py, names=("_reaches", "_witness")) -> dict:
+    """Wrap the path searches names of module, by default the kernel's two,
+    _reaches and _witness, and count their calls by name in the returned
+    dict."""
     counts = {}
-    for name in ("_reaches", "_witness"):
+    for name in names:
         counts[name] = 0
-        search = getattr(_kernel_py, name)
+        search = getattr(module, name)
 
         def counting(*args, name=name, search=search):
             counts[name] += 1
             return search(*args)
 
-        monkeypatch.setattr(_kernel_py, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -373,6 +375,17 @@ class TestOracle:
         )
         assert nodes == sum(pinned for _, pinned, _ in PINNED_RANDOM) == 1043
         assert sum(searches.values()) <= nodes // 10
+
+    def test_precheck_search_work(self, monkeypatch):
+        """The 2-arc-strong precheck searches only the tree arcs that its
+        layer check leaves: on 20 strong 3-regular digraphs of order 24, at
+        most a third of the 2n - 2 arcs of vertex 0's two search trees, on
+        average."""
+        searches = _count_path_searches(monkeypatch, digraph_mod, ("_reaches",))
+        rng = random.Random(0x24)
+        draws = [_random_regular3(rng, 24) for _ in range(20)]
+        assert all(_two_arc_strong(d.n, *d.rows) for d in draws)
+        assert 0 < searches["_reaches"] <= len(draws) * (2 * 24 - 2) // 3
 
     def test_witness_is_a_path(self):
         """_witness answers exactly as _reaches does, and a path it returns
