@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .decomp import ConstructionError, Decomposition, verify
 from .digraph import Digraph, _two_arc_strong, is_k_arc_strong
@@ -85,33 +86,37 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
 # visits the smallest unmarked code, marks the codes of all n! relabellings,
 # and only then filters.  Both filters are invariant under isomorphism, so
 # each class is represented by its first labelled member.
+#
+# The n! images of a code are one sum of packed ints, with one fixed-width
+# field per relabelling.  A field sum is an image code, at most 3**P - 1,
+# which every field holds, so no carry crosses a field.
 
-#: base-3 digits per orbit lookup table (3**5 = 243 rows of n! images)
-_CHUNK = 5
 
-
-def _orbit_tables(n: int, pairs: list) -> list[list[array]]:
-    """tables[c][x][i]: the contribution of the digits 5c..5c+4 (counted from
-    the least significant), read as x, to the code of the i-th relabelling."""
+def _orbit(n: int, pairs: list) -> Callable[[list], array]:
+    """images(states): the codes of the n! relabellings (in itertools order) of
+    the code with these pair states, in the narrowest array type that fits."""
     P = len(pairs)
+    # C orders these types by width, so the first that fits is the narrowest
+    tc = next((tc for tc in "BHILQ" if 8 * array(tc).itemsize >= (3 ** P - 1).bit_length()), None)
+    if tc is None:
+        raise ValueError(f"no array type holds the codes of order {n}")
     weight = [[0] * n for _ in range(n)]  # place value of the pair {u, v}
     for i, (u, v) in enumerate(pairs):
         weight[u][v] = weight[v][u] = 3 ** (P - 1 - i)
     perms = list(itertools.permutations(range(n)))
-    columns = []  # per digit, least significant first: one column per state
-    for u, v in reversed(pairs):
-        columns.append((
-            [weight[p[u]][p[v]] if p[u] > p[v] else 0 for p in perms],
-            [weight[p[u]][p[v]] if p[u] < p[v] else 0 for p in perms],
-            [2 * weight[p[u]][p[v]] for p in perms],
-        ))
-    tables = []
-    for lo in range(0, P, _CHUNK):
-        rows = [array("q", bytes(8 * len(perms)))]
-        for cols in columns[lo:lo + _CHUNK]:
-            rows = [array("q", map(operator.add, row, col)) for col in cols for row in rows]
-        tables.append(rows)
-    return tables
+    columns = []  # [i][s]: what pair i in state s adds to each image, packed
+    for u, v in pairs:
+        # a relabelling that reverses the pair gives its place value to state
+        # 0 (u->v), any other to state 1 (v->u); a digon gives it twice
+        c0, c1 = (int.from_bytes(array(tc, [
+            weight[p[u]][p[v]] if (p[u] > p[v]) == down else 0 for p in perms
+        ]).tobytes(), sys.byteorder) for down in (True, False))
+        columns.append((c0, c1, 2 * (c0 + c1)))
+    width = len(perms) * array(tc).itemsize
+
+    def images(states):
+        return array(tc, sum(map(operator.getitem, columns, states)).to_bytes(width, sys.byteorder))
+    return images
 
 
 def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]:
@@ -126,21 +131,16 @@ def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]
             yield Digraph(1, [])
         return
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    tables = _orbit_tables(n, pairs)
+    images = _orbit(n, pairs)
     seen = bytearray(3 ** len(pairs))
     code = 0
     while code >= 0:
-        images = None
-        rest = code
-        for rows in tables:
-            rest, x = divmod(rest, 3 ** _CHUNK)
-            images = rows[x] if images is None else map(operator.add, images, rows[x])
-        for image in images:
-            seen[image] = 1
         states = [0] * len(pairs)
         rest = code
         for i in reversed(range(len(pairs))):
             rest, states[i] = divmod(rest, 3)
+        for image in images(states):
+            seen[image] = 1
         code = seen.find(0, code + 1)
         outdeg = [0] * n
         indeg = [0] * n

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -27,7 +28,7 @@ from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
 from gooddecomp import digraph as digraph_mod
 from gooddecomp.digraph import _bfs, _reaches, _rows, _tree_path, _two_arc_strong
-from gooddecomp.oracle import enumerate_semicomplete
+from gooddecomp.oracle import _orbit, enumerate_semicomplete
 
 from conftest import (
     canonical_form,
@@ -525,3 +526,37 @@ class TestEnumeration:
     def test_bound(self):
         with pytest.raises(ValueError):
             next(enumerate_semicomplete(7))
+
+    def test_packed_images_match_relabelling(self):
+        # order 6 needs fields wider than 16 bits, which the tier-1
+        # enumeration (n <= 5) never packs; code 0 and the all-digon code
+        # (every image 3**15 - 1) are the extremes of the field range
+        n = 6
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        P = len(pairs)
+        images = _orbit(n, pairs)
+        rng = random.Random(25)
+        codes = [0, 3 ** P - 1] + [rng.randrange(3 ** P) for _ in range(28)]
+        perms = list(itertools.permutations(range(n)))
+        state = {(True, False): 0, (False, True): 1, (True, True): 2}  # u->v, v->u, digon
+        for code in codes:
+            states = [code // 3 ** (P - 1 - i) % 3 for i in range(P)]
+            arcs = {a for (u, v), s in zip(pairs, states)
+                    for a in ([(u, v)] if s == 0 else [(v, u)] if s == 1 else [(u, v), (v, u)])}
+            want = []
+            for p in perms:
+                # x -> y is an arc of the image iff q[x] -> q[y] is an arc
+                q = sorted(range(n), key=p.__getitem__)  # the inverse of p
+                want.append(sum(
+                    3 ** (P - 1 - i) * state[(q[x], q[y]) in arcs, (q[y], q[x]) in arcs]
+                    for i, (x, y) in enumerate(pairs)
+                ))
+            assert list(images(states)) == want, code
+
+    def test_packed_field_width(self):
+        # the narrowest type that holds 3**P - 1; no type holds order 10's codes
+        for n, itemsize in ((2, 1), (3, 1), (4, 2), (5, 2)):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert _orbit(n, pairs)([2] * len(pairs)).itemsize == itemsize
+        with pytest.raises(ValueError):
+            _orbit(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
