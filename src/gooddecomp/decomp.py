@@ -8,9 +8,9 @@ is fail-closed: results are verified before they are returned and a
 ConstructionError signals an internal bug.  A decomposer whose hypothesis
 fails raises Refusal, with the machine-readable reason the CLI prints.
 
-Composition constructions build skeleton sides on a few kept vertices per
-block (plus explicitly consumed inner arcs) and _finish_composition lifts them
-to the full composition by one twin extension.
+Every composition route builds skeleton sides on kept vertices per block;
+_composition_route names the first that applies, and _finish_composition, the
+one lift and one verification of every route, extends them by twins.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import AbstractSet, Optional, Sequence
 from . import _kernel_py
 from .builders import (
     CompositionSpec,
-    CoordinateMap,
     _check_power_order,
     _strong_arcs,
     cartesian_power,
@@ -150,10 +149,9 @@ def _checked(host: Digraph, *parts) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# skeleton constructions for compositions: each route returns
-# (order, kept, side1, side2) for _finish_composition to lift.  Skeleton
-# vertices are (position, slot) pairs: position p stands for block order[p]
-# and slot s for that block's vertex kept[p][s].
+# composition routes: a skeleton is (order, kept, side1, side2), whose vertices
+# are (position, slot) pairs: position p stands for block order[p] and slot s
+# for that block's vertex kept[p][s].
 
 Skeleton = tuple[Sequence[int], Sequence[Sequence[int]], set, set]
 
@@ -196,22 +194,28 @@ def extend_by_twins(
 ) -> Decomposition:
     """Lift a decomposition of the kept sub-composition to the full one.
 
-    qstar's vertices are numbered blockwise following the kept lists; every
-    dropped vertex is re-added with the same cross-block in- and out-arcs as
-    its block's first kept vertex.
+    qstar must be the composition of spec's outer over each inner induced on
+    its kept list (ValueError otherwise), numbered blockwise in kept order;
+    every dropped vertex is re-added with the same cross-block in- and
+    out-arcs as its block's first kept vertex.
     """
     if len(kept) != spec.t or any(len(k) == 0 for k in kept):
         raise ValueError("need a nonempty kept list per block")
     for i, k in enumerate(kept):
         if len(set(k)) != len(k) or not all(0 <= j < spec.sizes[i] for j in k):
             raise ValueError(f"kept list {i} needs distinct vertices of block {i}")
-    sub_sizes = tuple(len(k) for k in kept)
-    if qstar.n != sum(sub_sizes):
-        raise ValueError("qstar order does not match the kept lists")
+    # the kept sub-spec: each inner induced on its kept list, in kept order
+    inners = tuple(
+        Digraph(len(k), [(a, b) for a, b in itertools.permutations(range(len(k)), 2)
+                         if (k[a], k[b]) in h.arcs])
+        for k, h in zip(kept, spec.inners)
+    )
+    sub, cmap = compose(CompositionSpec(spec.outer, inners))
+    if sub != qstar:
+        raise ValueError("qstar is not the composition of the kept sub-spec")
     if d.host != qstar:
         raise ValueError("decomposition host is not qstar")
-    coord = CoordinateMap(sub_sizes).coord
-    sides = ({(coord(u), coord(v)) for u, v in side} for side in d.parts)
+    sides = ({(cmap.coord(u), cmap.coord(v)) for u, v in side} for side in d.parts)
     return _finish_composition(spec, range(spec.t), kept, *sides)
 
 
@@ -345,15 +349,18 @@ def decompose_comp_strong_parts(spec: CompositionSpec) -> Optional[Decomposition
     plus all inner arcs, side 2 everything else."""
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
-    if not is_strong(spec.outer):
-        return None
+    sides = _strong_parts_sides(spec) if is_strong(spec.outer) else None
+    return None if sides is None else _finish_composition(spec, *sides)
+
+
+def _strong_parts_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     if any(h.n < 2 or not is_strong(h) for h in spec.inners):
         return None
-    q, cmap = compose(spec)
-    emb = cmap.vid
-    a1 = {(emb(u, 0), emb(v, 0)) for u, v in spec.outer.arcs}
-    a1 |= {(emb(i, u), emb(i, v)) for i, h in enumerate(spec.inners) for u, v in h.arcs}
-    return _checked(q, a1, q.arcs - a1)
+    kept = [range(n) for n in spec.sizes]  # every vertex, so the lift copies none
+    side1 = {((u, 0), (v, 0)) for u, v in spec.outer.arcs}
+    side1 |= {((i, u), (i, v)) for i, h in enumerate(spec.inners) for u, v in h.arcs}
+    cross = {((u, a), (v, b)) for u, v in spec.outer.arcs for a in kept[u] for b in kept[v]}
+    return range(spec.t), kept, side1, cross - side1
 
 
 def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
@@ -399,30 +406,32 @@ def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     return _s4_role_map(T, big), [[0, 1], [0], [0], [0]], side1, side2
 
 
-def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
-    """Decompose T[H_1..H_t] by the first route that applies: T 2-arc-strong
-    semicomplete, then with every block of order >= 2 a Hamiltonian cycle of
-    T or the characterization's remaining cases (T strong semicomplete), all
-    parts strong.  Returns None ("not covered") when no route applies, which
-    in the characterization's domain means the composition is an exception."""
+def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:
+    """Name and skeleton of the first route that applies to a strong T, else
+    None: T 2-arc-strong semicomplete, then with all blocks of order >= 2 a
+    Hamiltonian cycle or the remaining cases (T semicomplete), all parts strong."""
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
     if not is_strong(T):
         return None
     semicomplete = is_semicomplete(T)
-    sides = None
-    if semicomplete and is_k_arc_strong(T, 2):
-        sides = _part_a_sides(spec)
-    elif min(spec.sizes) >= 2 and (semicomplete or T.n <= 14):
+    if semicomplete and is_k_arc_strong(T, 2) and (sides := _part_a_sides(spec)) is not None:
+        return "composition/part-a", sides
+    if min(spec.sizes) >= 2 and (semicomplete or T.n <= 14):
         hc = (hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
-        if hc is not None:
-            sides = _hamiltonian_sides(spec, hc)
-        if sides is None and semicomplete:
-            sides = _remaining_sides(spec, hc)
-    if sides is None:
-        return decompose_comp_strong_parts(spec)
-    return _finish_composition(spec, *sides)
+        if hc is not None and (sides := _hamiltonian_sides(spec, hc)) is not None:
+            return "composition/hamiltonian", sides
+        if semicomplete and (sides := _remaining_sides(spec, hc)) is not None:
+            return "composition/remaining", sides
+    sides = _strong_parts_sides(spec)
+    return None if sides is None else ("composition/strong-parts", sides)
+
+
+def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
+    """T[H_1..H_t] by _composition_route; None ("not covered") if no route applies."""
+    route = _composition_route(spec)
+    return None if route is None else _finish_composition(spec, *route[1])
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +482,11 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     every inner of order >= 2: either an exception tag or a verified
     decomposition built by the constructive branches."""
     T = spec.outer
-    message = "requires strong semicomplete outer and nontrivial inners"
-    if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(T):
-        raise ValueError(message)
-    # decompose_composition returns None for a non-strong outer
+    if spec.t < 2 or min(spec.sizes) < 2 or not (is_semicomplete(T) and is_strong(T)):
+        raise ValueError("requires strong semicomplete outer and nontrivial inners")
     dec = decompose_composition(spec)
     if dec is not None:
         return CharacterizationResult(decomposition=dec)
-    if not is_strong(T):
-        raise ValueError(message)
     matched = match_exception(compose(spec).digraph)
     if matched is None:
         raise ConstructionError("composition is neither an exception nor decomposed")

@@ -38,6 +38,7 @@ from gooddecomp import (
     trotter_erdos_hamiltonian,
     verify_decomposition,
 )
+from gooddecomp.decomp import _composition_route
 from gooddecomp.oracle import enumerate_semicomplete
 
 from conftest import (
@@ -137,6 +138,29 @@ def test_criterion_3_characterization_matches_oracle():
     assert checked > 2500
     assert digest.hexdigest() == CRITERION_3_RESULTS
     _budget(start, 1800)
+
+
+#: the routes criterion 3's specs take: every branch of the characterization
+#: is reached, and None is exactly the ten specs composing to an exception
+CRITERION_3_ROUTES = {
+    "composition/hamiltonian": 4228,
+    "composition/part-a": 680,
+    "composition/remaining": 522,
+    None: 10,
+}
+
+
+def test_criterion_3_route_coverage():
+    """Every criterion-3 spec is tallied by the route that decomposes it;
+    strong parts, the last route, is never needed there.  Under 30 s."""
+    start = time.monotonic()
+    tally = Counter()
+    for spec in _all_small_specs():
+        route = _composition_route(spec)
+        tally[None if route is None else route[0]] += 1
+    assert tally == CRITERION_3_ROUTES
+    assert "composition/strong-parts" not in tally
+    _budget(start, 30)
 
 
 def test_criterion_4_cycle_square_hamiltonian_partition():
@@ -279,8 +303,8 @@ def test_criterion_8_cycle_cover_flow_equivalence(rng):
 def test_criterion_9_composition_conditions(rng):
     """300 random composition specs covered by one of the three constructive
     routes (2-arc-strong semicomplete outer; Hamiltonian outer with usable
-    inner structure; all parts strong) all yield verified decompositions;
-    under 10 min."""
+    inner structure; all parts strong) all yield verified decompositions,
+    and each group's tally of the routes taken is pinned; under 10 min."""
     start = time.monotonic()
     digest = hashlib.sha256()
     two_arc_strong = [
@@ -289,13 +313,19 @@ def test_criterion_9_composition_conditions(rng):
         for d in enumerate_semicomplete(n, min_arc_strong=2)
     ]
     produced = 0
+    routes = Counter()
+
+    def decompose(group, spec):
+        routes[group, _composition_route(spec)[0]] += 1
+        return decompose_composition(spec)
+
     for _ in range(100):  # route: 2-arc-strong semicomplete outer
         outer = rng.choice(two_arc_strong)
         sizes = [rng.randint(1, 3) for _ in range(outer.n)]
         if find_isomorphism(outer, s4()) is not None and all(s == 1 for s in sizes):
             sizes[0] = 2  # the one genuinely non-decomposable case
         spec = CompositionSpec(outer, tuple(empty(s) for s in sizes))
-        dec = decompose_composition(spec)
+        dec = decompose("part-a", spec)
         assert dec is not None and verify_decomposition(dec).ok
         digest.update(_parts_bytes(dec))
         produced += 1
@@ -314,7 +344,7 @@ def test_criterion_9_composition_conditions(rng):
             t = rng.choice((3, 5))
             inners = [empty(2)] + [empty(rng.randint(3, 4)) for _ in range(t - 1)]
         spec = CompositionSpec(cycle(t), tuple(inners))
-        dec = decompose_composition(spec)
+        dec = decompose("hamiltonian", spec)
         assert dec is not None and verify_decomposition(dec).ok
         digest.update(_parts_bytes(dec))
         produced += 1
@@ -328,12 +358,21 @@ def test_criterion_9_composition_conditions(rng):
             h if h.n >= 2 else cycle(2) for h in inners
         )
         spec = CompositionSpec(outer, inners)
-        dec = decompose_composition(spec)
+        dec = decompose("strong-parts", spec)
         assert dec is not None and verify_decomposition(dec).ok
         digest.update(_parts_bytes(dec))
         produced += 1
     assert produced == 300
     assert digest.hexdigest() == CRITERION_9_RESULTS
+    # the third group's outers are mostly Hamiltonian, so the earlier routes
+    # take 83 of its specs before all parts strong is tried
+    assert routes == {
+        ("part-a", "composition/part-a"): 100,
+        ("hamiltonian", "composition/hamiltonian"): 100,
+        ("strong-parts", "composition/part-a"): 3,
+        ("strong-parts", "composition/hamiltonian"): 80,
+        ("strong-parts", "composition/strong-parts"): 17,
+    }
     _budget(start, 600)
 
 

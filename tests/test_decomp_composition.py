@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -24,13 +25,15 @@ from gooddecomp import (
     verify,
     verify_decomposition,
 )
-from gooddecomp.decomp import _eq_sides, _s4_role_map
+from gooddecomp import decomp as decomp_module
+from gooddecomp.decomp import _composition_route, _eq_sides, _s4_role_map
 
 from conftest import rotational_tournament
 
 
 # no Hamiltonian cycle; neither outer is 2-arc-strong semicomplete
 BIDIRECTED_K68 = Digraph(14, [a for u in range(6) for v in range(6, 14) for a in ((u, v), (v, u))])
+BIDIRECTED_P3 = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
 STRONG_TOURNAMENT_4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 
 
@@ -140,6 +143,24 @@ class TestExtendByTwins:
         with pytest.raises(ValueError):
             extend_by_twins(dec.host, dec, spec, kept)
 
+    def test_qstar_not_the_kept_composition_rejected(self):
+        # K4 has the order of C2[K2bar, K2bar] and two inner digons more: the
+        # caller's input is at fault, not the construction
+        spec = spec_of(cycle(2), empty(2), empty(2))
+        dec = oracle_good_decomposition(complete(4)).decomposition
+        with pytest.raises(ValueError, match="not the composition of the kept sub-spec"):
+            extend_by_twins(complete(4), dec, spec, [[0, 1], [0, 1]])
+
+    def test_inners_induced_in_kept_order(self):
+        # kept [1, 0] reverses block 0's inner arc in the sub-composition
+        spec = spec_of(cycle(3), path(2), cycle(2), empty(3))
+        sub = spec_of(cycle(3), Digraph(2, [(1, 0)]), cycle(2), empty(2))
+        dec = decompose_composition(sub)
+        lifted = extend_by_twins(dec.host, dec, spec, [[1, 0], [0, 1], [0, 2]])
+        assert lifted.host == compose(spec).digraph and verify_decomposition(lifted).ok
+        with pytest.raises(ValueError, match="not the composition of the kept sub-spec"):
+            extend_by_twins(dec.host, dec, spec, [[0, 1], [0, 1], [0, 2]])
+
     def test_keeps_every_part(self):
         # a 3-part decomposition lifted with every vertex kept comes back whole
         halves = [
@@ -210,8 +231,9 @@ class TestStrongParts:
     def test_c3_of_triangles(self):
         dec = decompose_comp_strong_parts(spec_of(cycle(3), *[cycle(3)] * 3))
         assert dec is not None
-        # side 1 is the first-vertex outer copy plus all inner arcs
-        assert len(dec.a1) == 3 + 9
+        # side 1 is the first-vertex outer copy plus all inner arcs, side 2
+        # every other arc
+        assert len(dec.a1) == 3 + 9 and dec.a2 == dec.host.arcs - dec.a1
 
     def test_arcless_inner_not_applicable(self):
         assert decompose_comp_strong_parts(spec_of(cycle(2), cycle(2), empty(2))) is None
@@ -282,6 +304,31 @@ class TestDispatcher:
         assert decompose_comp_strong_parts(spec) is None
         with pytest.raises(AssertionError, match="Hamiltonian search reached"):
             decompose_composition(spec_of(outer, *[empty(2)] * outer.n))
+
+    @pytest.mark.parametrize(
+        "spec,route,search",
+        [
+            (spec_of(cycle(3), empty(2), empty(2), empty(4)), "composition/remaining",
+             "hamiltonian_cycle_semicomplete"),
+            # no Hamiltonian cycle, so the brute force fails and strong parts applies
+            (spec_of(BIDIRECTED_P3, cycle(2), cycle(2), cycle(2)), "composition/strong-parts",
+             "hamiltonian_cycle_bruteforce"),
+        ],
+        ids=["remaining", "strong-parts"],
+    )
+    def test_hamiltonian_search_runs_once(self, monkeypatch, spec, route, search):
+        calls = Counter()
+        for name in ("hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete"):
+            def counted(d, real=getattr(decomp_module, name), name=name):
+                calls[name] += 1
+                return real(d)
+
+            monkeypatch.setattr(decomp_module, name, counted)
+        assert _composition_route(spec)[0] == route
+        assert calls == {search: 1}
+        dec = decompose_composition(spec)
+        assert dec is not None and verify_decomposition(dec).ok
+        assert calls == {search: 2}
 
     def test_s4_role_map_matches_permutation_search(self):
         import itertools
