@@ -57,8 +57,8 @@ iteration is one visit of a level: it tries the choices left at that level
 in order until one passes, counting a node and checking the budget before
 each test.  When none is left it gives the arc back and backtracks at once,
 through every earlier level whose last choice was unused, to the next level
-with a choice left.  The arcs' ends and bit masks come from tables built
-once per call.
+with a choice left.  A visit or backtrack step reads one tuple of a table
+built once per call: the arc's ends, their bits and the arc's own bit.
 """
 
 from __future__ import annotations
@@ -117,11 +117,8 @@ def search(n, arcs, budget=0):
     if _unreachable_pair(n, out1, in1) is not None:
         return NONE, [], [], nodes
 
-    tails = [t for t, _ in arcs]
-    heads = [h for _, h in arcs]
-    tbits = [1 << t for t in tails]
-    hbits = [1 << h for h in heads]
     bits = [1 << i for i in range(m)]
+    levels = [(t, h, 1 << t, 1 << h, bit) for (t, h), bit in zip(arcs, bits)]
     assign = [_UNTRIED] * m
     # per level and side, the last arcs[:i] of that side that passed the
     # level's test (or the arcs of its path, after three passes) and the
@@ -139,11 +136,7 @@ def search(n, arcs, budget=0):
         # XOR with its bits removes or restores it.  The parent node is
         # strong on both sides, and deleting arc t->h from a strong digraph
         # leaves it strong iff t still reaches h.
-        t = tails[i]
-        h = heads[i]
-        tbit = tbits[i]
-        hbit = hbits[i]
-        bit = bits[i]
+        t, h, tbit, hbit, bit = levels[i]
         c = assign[i]
         if c == _UNTRIED:
             nodes += 1
@@ -237,10 +230,7 @@ def search(n, arcs, budget=0):
             i -= 1
             if assign[i]:
                 break
-            t = tails[i]
-            h = heads[i]
-            tbit = tbits[i]
-            hbit = hbits[i]
+            t, h, tbit, hbit, bit = levels[i]
 
     a1 = [k for k in range(m) if assign[k] == 1]
     a2 = [k for k in range(m) if assign[k] == 2]

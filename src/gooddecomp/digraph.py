@@ -276,11 +276,8 @@ def is_strong(d: Digraph) -> bool:
 
 def is_semicomplete(d: Digraph) -> bool:
     """At least one arc between every pair of distinct vertices."""
-    return all(
-        (u, v) in d.arcs or (v, u) in d.arcs
-        for u in range(d.n)
-        for v in range(u + 1, d.n)
-    )
+    full = (1 << d.n) - 1
+    return all(o | i | 1 << u == full for u, (o, i) in enumerate(zip(*d.rows)))
 
 
 def _max_flow(

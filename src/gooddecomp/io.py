@@ -3,6 +3,7 @@
 Edge list: a header line "n m" followed by m lines "u v"; '#' starts a
 comment line; blank lines are ignored.  Decomposition documents carry a
 section HOST (an edge list) and sections A1, ..., Ak (arc lines, k >= 2).
+No section may repeat an arc line.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def parse_decomposition(text: str) -> Decomposition:
             a = _parse_arc_line(line, lineno, host.n)
             if a not in host.arcs:
                 raise ParseError(f"{name} arc {line!r} not in HOST", lineno)
+            if a in arcs:
+                raise ParseError(f"duplicate arc {line!r}", lineno)
             arcs.add(a)
         return frozenset(arcs)
 

@@ -168,38 +168,24 @@ def hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
         raise ValueError("requires strong digraph")
     if d.n == 2:
         return (0, 1)
+    out, inn = d.rows
     cyc = list(_some_cycle(d))
     while len(cyc) < d.n:
-        outside = sorted(set(range(d.n)) - set(cyc))
-        inserted = False
-        for v in outside:
-            for i in range(len(cyc)):
-                a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-                if (a, v) in d.arcs and (v, b) in d.arcs:
-                    cyc.insert(i + 1, v)
-                    inserted = True
-                    break
-            if inserted:
-                break
-        if inserted:
+        k, on = len(cyc), sum(1 << v for v in cyc)  # on: the cycle's vertices
+        new = [v for v in range(d.n) if not on >> v & 1]
+        spot = next(((i, v) for v in new for i in range(k)
+                     if out[cyc[i]] >> v & 1 and out[v] >> cyc[(i + 1) % k] & 1), None)
+        if spot is not None:
+            cyc.insert(spot[0] + 1, spot[1])
             continue
-        # no insertable vertex: each outside vertex is fully dominated by the
-        # cycle (out-set) or fully dominates it (in-set); strongness forces an
-        # arc from the out-set to the in-set
-        out_set = [v for v in outside if all((c, v) in d.arcs for c in cyc)]
-        in_set = [v for v in outside if v not in out_set]
-        bridge = None
-        for x in out_set:
-            for y in in_set:
-                if (x, y) in d.arcs:
-                    bridge = (x, y)
-                    break
-            if bridge:
-                break
+        # no insertable vertex: each outside vertex x is fully dominated by
+        # the cycle (inn[x] holds all of on) or fully dominates it;
+        # strongness forces an arc x->y from the first kind to the second
+        bridge = next(((x, y) for x in new if inn[x] & on == on for y in new
+                       if out[x] >> y & 1 and inn[y] & on != on), None)
         if bridge is None:
             raise ConstructionError("strong semicomplete digraph must bridge out->in")
-        x, y = bridge
-        cyc[1:1] = [x, y]  # c0 -> x -> y -> c1: all arcs exist by domination
+        cyc[1:1] = bridge  # c0 -> x -> y -> c1: all arcs exist by domination
     if not is_cycle_of(d, tuple(cyc)):
         raise ConstructionError("cycle extension did not close a Hamiltonian cycle")
     return tuple(cyc)

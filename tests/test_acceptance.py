@@ -376,6 +376,23 @@ def test_criterion_9_composition_conditions(rng):
     _budget(start, 600)
 
 
+def test_criterion_9_strong_parts_route(rng):
+    """100 specs whose outer is strong of order 3-5 with no Hamiltonian cycle,
+    over strong inners of order >= 2, all take composition/strong-parts and
+    verify: no earlier route applies to them, since a strong semicomplete
+    outer is Hamiltonian."""
+    for _ in range(100):
+        while True:
+            outer = random_strong_digraph(rng, 5, density=rng.uniform(0.3, 0.6))
+            if outer.n >= 3 and hamiltonian_cycle_bruteforce(outer) is None:
+                break
+        inners = tuple(random_strong_digraph(rng, 3, density=0.8) for _ in range(outer.n))
+        spec = CompositionSpec(outer, inners)
+        assert _composition_route(spec)[0] == "composition/strong-parts"
+        dec = decompose_composition(spec)
+        assert dec is not None and verify_decomposition(dec).ok
+
+
 def test_criterion_10_arc_count_ledger():
     """Composition arc counts: a 3-cycle over (one-arc 2-block, arcless
     2-block, arcless 2-block) has 13 arcs; over (2, 2, arcless 3-block)

@@ -105,6 +105,16 @@ class TestDecompositionDocument:
         with pytest.raises(ParseError, match="not in HOST"):
             parse_decomposition(text)
 
+    def test_repeated_part_arc_rejected(self, capsys, tmp_path):
+        # a repeated arc line is an error in a part section, as in HOST
+        lines = render_decomposition(decompose_cn_square(3)).splitlines()
+        at = lines.index("A1") + 1
+        lines.insert(at + 1, lines[at])
+        doc = tmp_path / "repeated.decomp"
+        doc.write_text("\n".join(lines) + "\n")
+        assert run_command(["verify", str(doc)]) == 2
+        assert capsys.readouterr().err == f"error: line {at + 2}: duplicate arc '{lines[at]}'\n"
+
     def test_missing_middle_section_rejected(self):
         text = "HOST\n2 2\n0 1\n1 0\nA1\n0 1\nA3\n1 0\n"
         with pytest.raises(ParseError, match="missing section A2"):

@@ -19,6 +19,7 @@ from gooddecomp import (
     is_semicomplete,
     is_strong,
     path,
+    relabel,
     s4,
     validate_ear_decomposition,
 )
@@ -36,6 +37,11 @@ from conftest import (
 #: cycles drawn in test_pinned_search_outputs; any change means a search
 #: order changed
 PINNED_SEARCH_OUTPUTS = "371fe6037919f87c7d74aed06774a1127aea4bac991a4147708d90ac0523c847"
+
+#: SHA-256 of repr of the list of Hamiltonian cycles drawn in
+#: test_pinned_semicomplete_cycles; any change means the cycle extension
+#: visits its insertions or bridges in another order
+PINNED_SEMICOMPLETE_CYCLES = "376e5364444b46a22ad6e12fbd8112cc62c18df821dc6fc16d7c0d535fe3be11"
 
 
 #: digons between vertex 0 and each of 1 and 2
@@ -230,3 +236,23 @@ def test_pinned_search_outputs():
             digest.update(repr(hamiltonian_cycle_semicomplete(d)).encode())
             semicomplete += 1
     assert digest.hexdigest() == PINNED_SEARCH_OUTPUTS
+
+
+def test_pinned_semicomplete_cycles():
+    # three relabellings of every strong semicomplete class of order 2-5
+    # (530 classes), then 300 random strong semicomplete digraphs of order 6-40
+    rng = random.Random(0xC7C1E)
+    digraphs = [
+        relabel(d, rng.sample(range(n), n))
+        for n in range(2, 6)
+        for d in enumerate_semicomplete(n, min_arc_strong=1)
+        for _ in range(3)
+    ]
+    assert len(digraphs) == 1590
+    while len(digraphs) < 1890:
+        d = _random_semicomplete(rng, rng.randint(6, 40))
+        if is_strong(d):
+            digraphs.append(d)
+    cycles = [hamiltonian_cycle_semicomplete(d) for d in digraphs]
+    assert all(is_cycle_of(d, hc) and len(hc) == d.n for d, hc in zip(digraphs, cycles))
+    assert hashlib.sha256(repr(cycles).encode()).hexdigest() == PINNED_SEMICOMPLETE_CYCLES
