@@ -481,12 +481,14 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     """Full characterization for strong semicomplete outer digraphs with
     every inner of order >= 2: either an exception tag or a verified
     decomposition built by the constructive branches."""
-    T = spec.outer
-    if spec.t < 2 or min(spec.sizes) < 2 or not (is_semicomplete(T) and is_strong(T)):
-        raise ValueError("requires strong semicomplete outer and nontrivial inners")
+    message = "requires strong semicomplete outer and nontrivial inners"
+    if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(spec.outer):
+        raise ValueError(message)
     dec = decompose_composition(spec)
     if dec is not None:
         return CharacterizationResult(decomposition=dec)
+    if not is_strong(spec.outer):  # every route needs a strong outer
+        raise ValueError(message)
     matched = match_exception(compose(spec).digraph)
     if matched is None:
         raise ConstructionError("composition is neither an exception nor decomposed")

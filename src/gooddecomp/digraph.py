@@ -308,60 +308,41 @@ def _max_flow(
     return flow
 
 
-def _unit_network(d: Digraph) -> tuple[list[dict[int, int]], tuple[int, ...]]:
-    """The capacities and rows of d with unit capacities, for _max_flow."""
-    cap: list[dict[int, int]] = [{} for _ in range(d.n)]
-    for u, v in d.arcs:
-        cap[u][v] = 1
-    return cap, d.rows[0]
+def _arc_strength(d: Digraph, cap: float) -> int:
+    """min(cap, λ(d)) for n >= 2, where λ(d) is the largest k such that d
+    stays strong after deleting any k-1 arcs.
 
-
-def _arc_disjoint_paths(d: Digraph, s: int, t: int, limit: float, network=None) -> int:
-    """min(limit, max number of arc-disjoint s->t paths): _max_flow on a copy
-    of network, d's _unit_network, built here unless given."""
-    cap, rows = network or _unit_network(d)
-    return _max_flow([c.copy() for c in cap], list(rows), s, t, limit)
-
-
-def is_k_arc_strong(d: Digraph, k: int) -> bool:
-    """d stays strong after deleting any k-1 arcs.
-
-    Up to k = 2 this runs on bitmask rows: strongness is is_strong, and
-    2-arc-strongness is _two_arc_strong.  For k >= 3, by Schnorr's lemma, k
-    arc-disjoint paths from each vertex to the next in one cyclic order
-    suffice: every cut separates some consecutive pair.
+    λ is at most the minimum in- or out-degree.  Up to 2 it is read on the
+    rows: _two_arc_strong, and below 2 the closures of _unreachable_pair.
+    Above 2, by Schnorr's lemma, λ is the fewest arc-disjoint paths from a
+    vertex to the next in one cyclic order, since every cut separates some
+    consecutive pair: one _max_flow on unit capacities per vertex, each
+    capped at the minimum so far.
     """
     if d.n < 2:
         raise ValueError("undefined for trivial digraph")
-    if k <= 1:
-        return k <= 0 or is_strong(d)
-    if k == 2:
-        return _two_arc_strong(d.n, *d.rows)
-    network = _unit_network(d)
-    return all(_arc_disjoint_paths(d, v, (v + 1) % d.n, k, network) == k for v in range(d.n))
-
-
-def arc_connectivity(d: Digraph) -> int:
-    """Largest k such that d stays strong after deleting any k-1 arcs.
-
-    The answers 0, 1 and 2 come from the row tests of is_k_arc_strong, bounded
-    by the minimum in- or out-degree.  Above 2 it is the minimum of the flows
-    from each vertex to the next in one cyclic order (see is_k_arc_strong),
-    each capped at the minimum so far, which starts at the minimum degree.
-    """
-    if d.n < 2:
-        raise ValueError("undefined for trivial digraph")
-    if not is_strong(d):
-        return 0
-    best = min(min(o.bit_count(), i.bit_count()) for o, i in zip(*d.rows))
-    if best == 1 or not _two_arc_strong(d.n, *d.rows):
-        return 1
-    network = _unit_network(d)
+    best = min(cap, *(min(o.bit_count(), i.bit_count()) for o, i in zip(*d.rows)))
+    if best < 2 or not _two_arc_strong(d.n, *d.rows):
+        return best if best < 1 else int(_unreachable_pair(d.n, *d.rows) is None)
     for v in range(d.n):
         if best == 2:
             break
-        best = _arc_disjoint_paths(d, v, (v + 1) % d.n, best, network)
+        unit: list[dict[int, int]] = [{} for _ in range(d.n)]
+        for t, h in d.arcs:
+            unit[t][h] = 1
+        best = _max_flow(unit, list(d.rows[0]), v, (v + 1) % d.n, best)
     return best
+
+
+def is_k_arc_strong(d: Digraph, k: int) -> bool:
+    """d stays strong after deleting any k-1 arcs (see _arc_strength)."""
+    return _arc_strength(d, k) >= k
+
+
+def arc_connectivity(d: Digraph) -> int:
+    """Largest k such that d stays strong after deleting any k-1 arcs (see
+    _arc_strength)."""
+    return _arc_strength(d, math.inf)
 
 
 # ---------------------------------------------------------------------------

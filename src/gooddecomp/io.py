@@ -3,12 +3,11 @@
 Edge list: a header line "n m" followed by m lines "u v"; '#' starts a
 comment line; blank lines are ignored.  Decomposition documents carry a
 section HOST (an edge list) and sections A1, ..., Ak (arc lines, k >= 2).
-No section may repeat an arc line.
+No section may repeat an arc line, and no two parts may list the same arc.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Optional
 
@@ -102,23 +101,20 @@ def parse_decomposition(text: str) -> Decomposition:
         if name not in sections:
             raise ParseError(f"missing section {name}", 1)
     host = _parse_edge_lines(sections["HOST"])
-
-    def arc_set(name: str) -> frozenset[Arc]:
+    owner: dict[Arc, str] = {}  # the part that listed each arc first
+    parts = []
+    for name in names:
         arcs = set()
         for lineno, line in sections[name]:
             a = _parse_arc_line(line, lineno, host.n)
             if a not in host.arcs:
                 raise ParseError(f"{name} arc {line!r} not in HOST", lineno)
-            if a in arcs:
-                raise ParseError(f"duplicate arc {line!r}", lineno)
+            if a in owner:
+                raise ParseError(f"duplicate arc {line!r}" if owner[a] == name
+                                 else f"{name} shares arc {line!r} with {owner[a]}", lineno)
+            owner[a] = name
             arcs.add(a)
-        return frozenset(arcs)
-
-    parts = [arc_set(name) for name in names]
-    for (n1, p1), (n2, p2) in itertools.combinations(zip(names, parts), 2):
-        shared = sorted(p1 & p2)
-        if shared:
-            raise ParseError(f"{n1} and {n2} share arc {shared[0]}", 1)
+        parts.append(frozenset(arcs))
     return Decomposition(host, tuple(parts))
 
 

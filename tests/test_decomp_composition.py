@@ -492,6 +492,10 @@ class TestCharacterize:
             characterize_semicomplete_composition(spec_of(cycle(3), empty(1), empty(2), empty(2)))
         with pytest.raises(ValueError):
             characterize_semicomplete_composition(spec_of(cycle(4), *[empty(2)] * 4))
+        # strongness is tested once no route applies, with the same message
+        transitive = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="^requires strong semicomplete outer and nontrivial"):
+            characterize_semicomplete_composition(spec_of(transitive, *[empty(2)] * 3))
 
     def test_verdict_matches_oracle_sample(self, rng):
         import itertools

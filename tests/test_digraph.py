@@ -27,12 +27,21 @@ from conftest import (
 )
 from gooddecomp import digraph
 from gooddecomp.digraph import (
-    _arc_disjoint_paths,
+    _max_flow,
     _rows,
     _tree_path as tree_path,
     _two_arc_strong,
     _unreachable_pair,
 )
+
+
+def unit_flow(d, s, t, limit=math.inf):
+    """min(limit, most arc-disjoint s->t paths of d): _max_flow on a unit
+    network built here, the flow reference of the tests below."""
+    cap = [{} for _ in range(d.n)]
+    for u, v in d.arcs:
+        cap[u][v] = 1
+    return _max_flow(cap, list(d.rows[0]), s, t, limit)
 
 
 def bfs_unreachable_pair(n, arcs):
@@ -186,14 +195,49 @@ class TestArcConnectivity:
 
     def test_answers_up_to_two_run_no_flow(self, monkeypatch):
         def no_flow(*args):
-            raise AssertionError("arc_connectivity ran a flow")
+            raise AssertionError("ran a flow")
 
-        monkeypatch.setattr(digraph, "_arc_disjoint_paths", no_flow)
+        monkeypatch.setattr(digraph, "_max_flow", no_flow)
         two_k4 = Digraph(8, complete(4).arcs | {(u + 4, v + 4) for u, v in complete(4).arcs}
                          | {(0, 4), (4, 0)})
         assert min(min(two_k4.out_degree(v), two_k4.in_degree(v)) for v in range(8)) == 3
         assert arc_connectivity_bruteforce(two_k4) == 1
         assert [arc_connectivity(d) for d in (cycle(5), s4(), two_k4, path(3))] == [1, 2, 1, 0]
+        # is_k_arc_strong at k = 2 reads the rows alone, also where λ > 2
+        for d, expected in ((complete(6), True), (s4(), True), (two_k4, False), (cycle(5), False)):
+            assert is_k_arc_strong(d, 2) == expected
+
+    def test_dense_matches_bruteforce(self):
+        """Dense digraphs of order 5-6 with λ >= 3, where the flows decide:
+        the brute force stops at the minimum degree, here at most 4.  Then
+        two complete digraphs joined by a matching each way, where λ is the
+        matching's size, below the minimum degree: the reference there is
+        the fewest arc-disjoint paths over all ordered pairs."""
+        rng = random.Random(0x3A5)
+        seen = set()
+        while len(seen) < 10:
+            n = rng.randint(5, 6)
+            d = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                            if u != v and rng.random() < 0.8])
+            if not 3 <= min(min(d.out_degree(v), d.in_degree(v)) for v in range(n)) <= 4:
+                continue
+            expected = arc_connectivity_bruteforce(d)
+            if expected < 3 or d in seen:
+                continue
+            seen.add(d)
+            assert arc_connectivity(d) == expected
+            assert [is_k_arc_strong(d, k) for k in range(expected + 2)] == (
+                [True] * (expected + 1) + [False])
+        for size, links in ((5, 3), (6, 4), (6, 3)):
+            block = complete(size).arcs
+            d = Digraph(2 * size, block | {(u + size, v + size) for u, v in block}
+                        | {(i, i + size) for i in range(links)}
+                        | {(i + size, (i + 1) % size) for i in range(links)})
+            expected = min(unit_flow(d, s, t) for s, t in itertools.permutations(range(d.n), 2))
+            assert expected == links < size - 1
+            assert arc_connectivity(d) == expected
+            assert [is_k_arc_strong(d, k) for k in range(expected + 2)] == (
+                [True] * (expected + 1) + [False])
 
     def test_flows_match_bruteforce_cut(self, monkeypatch, rng):
         """Every ordered pair of the cancelling inputs and of small drawn
@@ -211,7 +255,7 @@ class TestArcConnectivity:
         for i, d in enumerate(CANCELLING + [d for d in drawn if d.m <= 12]):
             for s, t in itertools.permutations(range(d.n), 2):
                 paths.clear()
-                assert _arc_disjoint_paths(d, s, t, limit=math.inf) == min_st_cut_bruteforce(d, s, t)
+                assert unit_flow(d, s, t) == min_st_cut_bruteforce(d, s, t)
                 if any(step not in d.arcs for p in paths for step in zip(p, p[1:])):
                     cancelled.add((i, s, t))
         assert (0, 0, 1) in cancelled
@@ -255,7 +299,7 @@ class TestTwoArcStrong:
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
             d = Digraph(n, arcs)
             # two arc-disjoint paths from each vertex to the next (Schnorr)
-            expected = all(_arc_disjoint_paths(d, v, (v + 1) % n, 2) == 2 for v in range(n))
+            expected = all(unit_flow(d, v, (v + 1) % n, 2) == 2 for v in range(n))
             assert is_k_arc_strong(d, 2) == expected, (n, arcs)
             verdicts.add((n > 8, expected))
         assert verdicts == {(False, False), (False, True), (True, False), (True, True)}

@@ -100,6 +100,16 @@ class TestDecompositionDocument:
         with pytest.raises(ParseError, match="share"):
             parse_decomposition(text)
 
+    def test_shared_arc_reported_at_its_line(self):
+        # the second listing of an arc is reported, at its own line
+        text = "HOST\n2 2\n0 1\n1 0\nA1\n0 1\nA2\n0 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_decomposition(text)
+        assert (str(err.value), err.value.line) == ("line 8: A2 shares arc '0 1' with A1", 8)
+        text = "HOST\n3 3\n0 1\n1 2\n2 0\nA1\n0 1\nA2\n1 2\n# third\nA3\n2 0\n1  2\n"
+        with pytest.raises(ParseError, match=r"^line 13: A3 shares arc '1  2' with A2$"):
+            parse_decomposition(text)
+
     def test_side_arc_outside_host_rejected(self):
         text = "HOST\n3 2\n0 1\n1 2\nA1\n2 0\nA2\n"
         with pytest.raises(ParseError, match="not in HOST"):
