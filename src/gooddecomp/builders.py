@@ -73,6 +73,21 @@ class CompositionSpec:
     def sizes(self) -> tuple[int, ...]:
         return tuple(h.n for h in self.inners)
 
+    @cached_property
+    def _composition(self) -> Built:
+        """compose(self), built once and kept while the spec lives, as
+        Digraph.rows is."""
+        cmap = CoordinateMap(self.sizes)
+        off, sizes = cmap.offsets, cmap.sizes
+        arcs = {(off[i] + u, off[i] + v) for i, h in enumerate(self.inners) for u, v in h.arcs}
+        arcs |= {
+            (off[i] + j, off[p] + q)
+            for i, p in self.outer.arcs
+            for j in range(sizes[i])
+            for q in range(sizes[p])
+        }
+        return _built(arcs, cmap)
+
 
 def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
     """The digraph on cmap's vertices, vertex (i, j) labelled u{i+1},{j+1}."""
@@ -81,17 +96,9 @@ def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
 
 
 def compose(spec: CompositionSpec) -> Built:
-    """Composition T[H_1,...,H_t]: inner arcs plus full block-to-block joins."""
-    cmap = CoordinateMap(spec.sizes)
-    off, sizes = cmap.offsets, cmap.sizes
-    arcs = {(off[i] + u, off[i] + v) for i, h in enumerate(spec.inners) for u, v in h.arcs}
-    arcs |= {
-        (off[i] + j, off[p] + q)
-        for i, p in spec.outer.arcs
-        for j in range(sizes[i])
-        for q in range(sizes[p])
-    }
-    return _built(arcs, cmap)
+    """Composition T[H_1,...,H_t]: inner arcs plus full block-to-block joins.
+    Every call on one spec returns the same Built."""
+    return spec._composition
 
 
 def _cartesian_arcs(g: Digraph, h: Digraph) -> set[Arc]:

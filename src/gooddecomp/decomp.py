@@ -38,11 +38,11 @@ from .digraph import (
     cycle,
     empty,
     find_isomorphism,
-    is_k_arc_strong,
     is_semicomplete,
     is_strong,
     path,
     s4,
+    _arc_strength,
     _rows,
     _unreachable_pair,
 )
@@ -166,21 +166,22 @@ def _finish_composition(
     extension: every non-kept vertex of a block gets the same cross-block
     arcs as the block's slot 0.  Inner arcs are never copied."""
     q, cmap = compose(spec)
-    ids = [[cmap.vid(b, j) for j in kept[p]] for p, b in enumerate(order)]
-    twins = [
-        [cmap.vid(b, j) for j in range(spec.sizes[b]) if j not in kept[p]]
-        for p, b in enumerate(order)
-    ]
+    off = cmap.offsets
+    # slots[p][s]: the vertices that slot s of position p stands for; slot 0
+    # also stands for the twins, its block's vertices that are not kept
+    slots = []
+    for p, b in enumerate(order):
+        first, *rest = (off[b] + j for j in kept[p])
+        twins = [off[b] + j for j in range(cmap.sizes[b]) if j not in kept[p]]
+        slots.append([[first, *twins], *([v] for v in rest)])
 
     def lift(side) -> set[Arc]:
         out: set[Arc] = set()
         for (p1, s1), (p2, s2) in side:
-            u, v = ids[p1][s1], ids[p2][s2]
-            out.add((u, v))
-            if p1 != p2:
-                tails = [u] + twins[p1] if s1 == 0 else [u]
-                heads = [v] + twins[p2] if s2 == 0 else [v]
-                out.update((a, b) for a in tails for b in heads)
+            if p1 == p2:
+                out.add((slots[p1][s1][0], slots[p2][s2][0]))
+            else:
+                out.update(itertools.product(slots[p1][s1], slots[p2][s2]))
         return out
 
     return _checked(q, *map(lift, sides))
@@ -413,10 +414,11 @@ def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
-    if not is_strong(T):
+    lam = _arc_strength(T, 2)
+    if lam == 0:  # not strong
         return None
     semicomplete = is_semicomplete(T)
-    if semicomplete and is_k_arc_strong(T, 2) and (sides := _part_a_sides(spec)) is not None:
+    if semicomplete and lam == 2 and (sides := _part_a_sides(spec)) is not None:
         return "composition/part-a", sides
     if min(spec.sizes) >= 2 and (semicomplete or T.n <= 14):
         hc = (hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)

@@ -123,6 +123,20 @@ class TestCompose:
         with pytest.raises(ValueError):
             CompositionSpec(cycle(3), (empty(2), empty(2)))
 
+    def test_built_once_per_spec(self):
+        spec = CompositionSpec(cycle(3), (path(2), empty(2), empty(3)))
+        assert compose(spec) is compose(spec)
+        # an equal spec builds its own, equal composition
+        other = CompositionSpec(cycle(3), (path(2), empty(2), empty(3)))
+        assert compose(other) is not compose(spec) and compose(other) == compose(spec)
+
+    def test_composed_spec_equals_and_hashes_like_a_fresh_one(self):
+        spec = CompositionSpec(cycle(3), (path(2), empty(2), empty(3)))
+        compose(spec)
+        fresh = CompositionSpec(cycle(3), (path(2), empty(2), empty(3)))
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert len({spec, fresh}) == 1
+
 
 class TestProducts:
     def test_cartesian_counts(self):

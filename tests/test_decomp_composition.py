@@ -25,6 +25,7 @@ from gooddecomp import (
     verify,
     verify_decomposition,
 )
+from gooddecomp import builders as builders_module
 from gooddecomp import decomp as decomp_module
 from gooddecomp.decomp import _composition_route, _eq_sides, _s4_role_map
 
@@ -422,6 +423,29 @@ class TestCharacterize:
             ex = exception_digraph(tag)
             assert res.witness is not None
             assert all((res.witness[u], res.witness[v]) in ex.arcs for u, v in q.arcs)
+
+    def test_decomposition_host_is_the_spec_composition(self):
+        spec = spec_of(cycle(3), empty(2), empty(2), empty(4))
+        res = characterize_semicomplete_composition(spec)
+        assert res.decomposition.host is compose(spec).digraph
+
+    @pytest.mark.parametrize(
+        "inners", [(empty(2), empty(2), empty(4)), (empty(2), empty(2), empty(2))],
+        ids=["decomposed", "exception"],
+    )
+    def test_composition_built_once(self, monkeypatch, inners):
+        # the lift, the exception match and a later compose share one build
+        builds = []
+
+        def counted(arcs, cmap, real=builders_module._built):
+            builds.append(cmap)
+            return real(arcs, cmap)
+
+        monkeypatch.setattr(builders_module, "_built", counted)
+        spec = spec_of(cycle(3), *inners)
+        characterize_semicomplete_composition(spec)
+        compose(spec)
+        assert len(builds) == 1
 
     def test_exception_order_insensitive(self):
         res = characterize_semicomplete_composition(

@@ -25,7 +25,7 @@ from gooddecomp import (
     render_edge_list,
     s4,
 )
-from gooddecomp import cli
+from gooddecomp import builders, cli
 from gooddecomp.cli import run_command
 from gooddecomp.decomp import ConstructionError
 from gooddecomp.io import ParseError
@@ -255,6 +255,22 @@ class TestCli:
         assert run_command(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: boom\n"
+
+    def test_decompose_composition_builds_one_composition(self, monkeypatch, capsys):
+        # the "spec composes to FILE" check and the lift share one build
+        builds = []
+
+        def counted(arcs, cmap, real=builders._built):
+            builds.append(cmap)
+            return real(arcs, cmap)
+
+        monkeypatch.setattr(builders, "_built", counted)
+        instances = ROOT / "perfbench" / "instances"
+        argv = ["decompose", str(instances / "comp_host.txt"), "--strategy", "composition",
+                "--spec", str(instances / "comp.spec")]
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out.startswith("HOST\n")
+        assert len(builds) == 1
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
