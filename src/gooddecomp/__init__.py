@@ -25,7 +25,6 @@ from .decomp import (
     decompose_cn_boxtimes_cm,
     decompose_cn_square,
     decompose_comp_hamiltonian,
-    decompose_comp_strong_parts,
     decompose_composition,
     decompose_lexicographic,
     decompose_strong_product,

@@ -101,20 +101,24 @@ def compose(spec: CompositionSpec) -> Built:
     return spec._composition
 
 
-def _cartesian_arcs(g: Digraph, h: Digraph) -> set[Arc]:
-    k = h.n
-    arcs = {(x * k + z, y * k + z) for x, y in g.arcs for z in range(k)}
-    return arcs | {(x * k + z, x * k + w) for x in range(g.n) for z, w in h.arcs}
+def _cartesian_arcs(g_arcs, xs, h_arcs, zs, k: int) -> set[Arc]:
+    """Cartesian moves with vertex (x, z) numbered x * k + z: each g-arc x->y
+    at every z in zs, and each h-arc z->w inside every layer x in xs."""
+    arcs = {(x * k + z, y * k + z) for x, y in g_arcs for z in zs}
+    arcs |= {(x * k + z, x * k + w) for x in xs for z, w in h_arcs}
+    return arcs
 
 
 def _strong_arcs(g: Digraph, h: Digraph) -> set[Arc]:
     k = h.n
-    return _cartesian_arcs(g, h) | {(x * k + z, y * k + w) for x, y in g.arcs for z, w in h.arcs}
+    arcs = _cartesian_arcs(g.arcs, range(g.n), h.arcs, range(k), k)
+    return arcs | {(x * k + z, y * k + w) for x, y in g.arcs for z, w in h.arcs}
 
 
 def cartesian_product(g: Digraph, h: Digraph) -> Built:
     """G box H: move along a G-arc holding the H-coordinate, or vice versa."""
-    return _built(_cartesian_arcs(g, h), CoordinateMap((h.n,) * g.n))
+    arcs = _cartesian_arcs(g.arcs, range(g.n), h.arcs, range(h.n), h.n)
+    return _built(arcs, CoordinateMap((h.n,) * g.n))
 
 
 def strong_product(g: Digraph, h: Digraph) -> Built:
@@ -142,20 +146,14 @@ def _check_power_order(n: int, k: int) -> None:
 def cartesian_power(g: Digraph, k: int) -> Built:
     """Iterated Cartesian product, left-associated; k=1 returns g itself.
 
-    Vertex (x, z) of G^(j-1) box G is x * n + z, so a vertex of the power is
-    a k-digit number base n, and each arc moves one digit, of weight n ** p,
-    along a G-arc while the others hold."""
+    Vertex (x, z) of G^j box G is x * n + z; the arc sets fold from G to
+    G^k, and only the last becomes a Digraph."""
     if k < 1:
         raise ValueError("power needs k >= 1")
     _check_power_order(g.n, k)
     if k == 1:
         return Built(g, CoordinateMap((1,) * g.n))
-    n = g.n
-    arcs = {
-        (v + x * w, v + y * w)
-        for w in (n ** p for p in range(k))
-        for x, y in g.arcs
-        for high in range(0, n**k, w * n)
-        for v in range(high, high + w)
-    }
+    n, arcs = g.n, g.arcs
+    for j in range(1, k):
+        arcs = _cartesian_arcs(arcs, range(n**j), g.arcs, range(n), n)
     return _built(arcs, CoordinateMap((n,) * n ** (k - 1)))

@@ -24,6 +24,7 @@ from typing import AbstractSet, Optional, Sequence
 from . import _kernel_py
 from .builders import (
     CompositionSpec,
+    _cartesian_arcs,
     _check_power_order,
     _strong_arcs,
     cartesian_power,
@@ -76,12 +77,9 @@ class CycleCoverInfeasible(Refusal):
         self.cut = cut
 
 
-_NOT_STRONG = "digraph is not strong of order >= 2"
-
-
 def _require_strong(*factors: Digraph) -> None:
     if any(f.n < 2 or not is_strong(f) for f in factors):
-        raise Refusal("not-covered", _NOT_STRONG)
+        raise Refusal("not-covered", "digraph is not strong of order >= 2")
 
 
 @dataclass(frozen=True)
@@ -306,16 +304,15 @@ def decompose_comp_hamiltonian(
 
     Returns None when none of the three case preconditions applies.
     """
+    hcycle = tuple(hcycle)
+    if len(hcycle) != spec.t or not is_cycle_of(spec.outer, hcycle):
+        raise ValueError("hcycle is not a Hamiltonian cycle of the outer digraph")
     sides = _hamiltonian_sides(spec, hcycle)
     return None if sides is None else _finish_composition(spec, *sides)
 
 
 def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleton]:
-    t = spec.t
-    hcycle = tuple(hcycle)
-    if len(hcycle) != t or not is_cycle_of(spec.outer, hcycle):
-        raise ValueError("hcycle is not a Hamiltonian cycle of the outer digraph")
-    sizes = spec.sizes
+    t, sizes = spec.t, spec.sizes
     if any(n < 2 for n in sizes):
         return None
     order = list(hcycle)
@@ -345,16 +342,9 @@ def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleto
     return None
 
 
-def decompose_comp_strong_parts(spec: CompositionSpec) -> Optional[Decomposition]:
+def _strong_parts_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     """Strong outer and strong inners: side 1 is the first-vertex copy of T
     plus all inner arcs, side 2 everything else."""
-    if spec.t < 2:
-        raise ValueError("composition decomposer needs t >= 2")
-    sides = _strong_parts_sides(spec) if is_strong(spec.outer) else None
-    return None if sides is None else _finish_composition(spec, *sides)
-
-
-def _strong_parts_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     if any(h.n < 2 or not is_strong(h) for h in spec.inners):
         return None
     kept = [range(n) for n in spec.sizes]  # every vertex, so the lift copies none
@@ -556,8 +546,7 @@ def _cycle_square_sides(cyc: Sequence[int], k: int) -> tuple[set[Arc], set[Arc]]
     n = len(cyc)
     g_arc = lambda i, j: (cyc[i] * k + cyc[j % n], cyc[(i + 1) % n] * k + cyc[j % n])
     h_arc = lambda i, j: (cyc[i % n] * k + cyc[j], cyc[i % n] * k + cyc[(j + 1) % n])
-    all_arcs = {g_arc(i, j) for i in range(n) for j in range(n)}
-    all_arcs |= {h_arc(i, j) for i in range(n) for j in range(n)}
+    all_arcs = _cartesian_arcs(cycle_arcs(cyc), cyc, cycle_arcs(cyc), cyc, k)
     side1: set[Arc] = set()
     for j1 in range(1, n + 1):  # 1-based column index as in the construction
         skip = n - j1 - 1 if j1 <= n - 1 else n - 1  # 0-based row of the removed arc
@@ -571,8 +560,6 @@ def _cycle_square_sides(cyc: Sequence[int], k: int) -> tuple[set[Arc], set[Arc]]
 
 def decompose_cn_square(n: int) -> Decomposition:
     """C_n square C_n as two arc-disjoint Hamiltonian cycles."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
     return decompose_cartesian_square(cycle(n), CycleCover((tuple(range(n)),)))
 
 
@@ -639,16 +626,11 @@ def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
             p1, p2 = _cycle_square_sides(cyc, k)
             d1 |= p1
             d2 |= p2
-            new = sorted(cset - vset)
-            old_only = sorted(vset - cset)
-            for j in new:  # copies of the current union in the new layers
-                for x, y in arcs_so_far:
-                    d1.add((x * k + j, y * k + j))
-                    d1.add((j * k + x, j * k + y))
-            for j in old_only:  # copies of the new cycle in the untouched layers
-                for x, y in cyc_arcs:
-                    d2.add((x * k + j, y * k + j))
-                    d2.add((j * k + x, j * k + y))
+            # copies of the current union in the new layers, and of the new
+            # cycle in the untouched ones
+            new, old_only = cset - vset, vset - cset
+            d1 |= _cartesian_arcs(arcs_so_far, new, arcs_so_far, new, k)
+            d2 |= _cartesian_arcs(cyc_arcs, old_only, cyc_arcs, old_only, k)
         vset |= cset
         arcs_so_far |= cyc_arcs
     return d1, d2
@@ -660,8 +642,7 @@ def decompose_cartesian_with_good_factor(
     """G square H when G already has a good decomposition and H is strong."""
     if dg.host != g or not verify_decomposition(dg):
         raise ValueError("dg must be a valid decomposition of g")
-    if g.n < 2 or h.n < 2 or not is_strong(h):
-        raise Refusal("not-covered", _NOT_STRONG)
+    _require_strong(g, h)
     host = cartesian_product(g, h).digraph
     a1 = _times_strong(dg.a1, h)
     return _checked(host, a1, host.arcs - a1)
@@ -670,10 +651,7 @@ def decompose_cartesian_with_good_factor(
 def _times_strong(a1: AbstractSet[Arc], h: Digraph) -> set[Arc]:
     """Side 1 of G square H from side 1 of G: the H-copy at G's first vertex
     and copies of a1 in every H-layer; side 2 is the rest, unverified."""
-    k = h.n
-    side1 = set(h.arcs)  # the layer of G's vertex 0 keeps H's own ids
-    side1 |= {(x * k + j, y * k + j) for x, y in a1 for j in range(k)}
-    return side1
+    return _cartesian_arcs(a1, (0,), h.arcs, range(h.n), h.n)
 
 
 def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
@@ -700,7 +678,7 @@ def _boxtimes_base_side1(gcyc: Sequence[int], hcyc: Sequence[int], k: int) -> se
     cycle plus one diagonal arc per H-step threading the layers together."""
     n, m = len(gcyc), len(hcyc)
     layer = [x * k for x in gcyc]  # id of (gcyc[i], 0)
-    side1 = {(layer[i] + z, layer[(i + 1) % n] + z) for z in hcyc for i in range(n)}
+    side1 = _cartesian_arcs(cycle_arcs(gcyc), (), (), hcyc, k)
     side1 |= {(layer[n - 1] + hcyc[j], layer[0] + hcyc[j + 1]) for j in range(m - 1)}
     side1.add((layer[0] + hcyc[m - 1], layer[1] + hcyc[0]))
     return side1
@@ -708,8 +686,6 @@ def _boxtimes_base_side1(gcyc: Sequence[int], hcyc: Sequence[int], k: int) -> se
 
 def decompose_cn_boxtimes_cm(n: int, m: int) -> Decomposition:
     """Strong product of two directed cycles."""
-    if n < 2 or m < 2:
-        raise ValueError("needs n, m >= 2")
     return decompose_strong_product(cycle(n), cycle(m))
 
 
@@ -717,10 +693,9 @@ def _strong_sides(g: Digraph, h: Digraph, arcs: AbstractSet[Arc]) -> tuple[set[A
     """decompose_strong_product's side 1 and its complement in arcs, the arc
     set of G strong-times H; unverified, for the callers' one _checked."""
     p0, q0 = _some_cycle(g), _some_cycle(h)
-    k = h.n
-    a1 = _boxtimes_base_side1(p0, q0, k)
-    a1 |= {(x * k + j, y * k + j) for x, y in g.arcs - set(cycle_arcs(p0)) for j in q0}
-    a1 |= {(i * k + z, i * k + w) for z, w in h.arcs - set(cycle_arcs(q0)) for i in range(g.n)}
+    a1 = _boxtimes_base_side1(p0, q0, h.n)
+    a1 |= _cartesian_arcs(g.arcs - set(cycle_arcs(p0)), range(g.n),
+                          h.arcs - set(cycle_arcs(q0)), q0, h.n)
     return a1, arcs - a1
 
 

@@ -349,46 +349,36 @@ def arc_connectivity(d: Digraph) -> int:
 # small-graph isomorphism
 
 def find_isomorphism(a: Digraph, b: Digraph) -> Optional[dict[int, int]]:
-    """Arc-preserving bijection a -> b, or None.  Orders must be <= 12."""
+    """Arc-preserving bijection a -> b, or None.  Orders must be <= 12.  The
+    backtracking maps v = 0, 1, ... in turn, each to the smallest image w
+    that extends the map, so the witness is the first such map."""
     if a.n > ISO_ORDER_BOUND or b.n > ISO_ORDER_BOUND:
         raise ValueError("isomorphism bound exceeded")
     if a.n != b.n or a.m != b.m:
         return None
     n = a.n
-    deg_a = [(a.out_degree(v), a.in_degree(v)) for v in range(n)]
-    deg_b = [(b.out_degree(v), b.in_degree(v)) for v in range(n)]
+    (out_a, in_a), (out_b, in_b) = a.rows, b.rows
+    deg_a = [(out_a[v].bit_count(), in_a[v].bit_count()) for v in range(n)]
+    deg_b = [(out_b[w].bit_count(), in_b[w].bit_count()) for w in range(n)]
     if sorted(deg_a) != sorted(deg_b):
         return None
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
+    image = [0] * n
 
-    def extend(v: int) -> bool:
+    def extend(v: int, used: int) -> bool:
         if v == n:
             return True
+        # the images of v's in- and out-neighbours among 0..v-1, as bits
+        into = sum(1 << image[u] for u in range(v) if in_a[v] >> u & 1)
+        outof = sum(1 << image[u] for u in range(v) if out_a[v] >> u & 1)
         for w in range(n):
-            if used[w] or deg_a[v] != deg_b[w]:
-                continue
-            ok = True
-            for u in range(v):
-                mu = mapping[u]
-                if ((u, v) in a.arcs) != ((mu, w) in b.arcs):
-                    ok = False
-                    break
-                if ((v, u) in a.arcs) != ((w, mu) in b.arcs):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
+            if (not used >> w & 1 and deg_b[w] == deg_a[v]
+                    and in_b[w] & used == into and out_b[w] & used == outof):
+                image[v] = w
+                if extend(v + 1, used | 1 << w):
                     return True
-                mapping[v] = None
-                used[w] = False
         return False
 
-    if extend(0):
-        return {v: mapping[v] for v in range(n)}  # type: ignore[misc]
-    return None
+    return dict(enumerate(image)) if extend(0, 0) else None
 
 
 def relabel(d: Digraph, perm: Sequence[int]) -> Digraph:

@@ -166,8 +166,6 @@ def hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
         raise ValueError("requires semicomplete digraph")
     if not is_strong(d):
         raise ValueError("requires strong digraph")
-    if d.n == 2:
-        return (0, 1)
     out, inn = d.rows
     cyc = list(_some_cycle(d))
     while len(cyc) < d.n:

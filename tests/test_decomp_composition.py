@@ -12,7 +12,6 @@ from gooddecomp import (
     compose,
     cycle,
     decompose_comp_hamiltonian,
-    decompose_comp_strong_parts,
     decompose_composition,
     decompose_lexicographic,
     empty,
@@ -27,7 +26,13 @@ from gooddecomp import (
 )
 from gooddecomp import builders as builders_module
 from gooddecomp import decomp as decomp_module
-from gooddecomp.decomp import _composition_route, _eq_sides, _s4_role_map
+from gooddecomp.decomp import (
+    _composition_route,
+    _eq_sides,
+    _finish_composition,
+    _s4_role_map,
+    _strong_parts_sides,
+)
 
 from conftest import rotational_tournament
 
@@ -226,22 +231,23 @@ class TestHamiltonianCases:
 
 class TestStrongParts:
     def test_c2_of_digons(self):
-        dec = decompose_comp_strong_parts(spec_of(cycle(2), cycle(2), cycle(2)))
-        assert dec is not None and verify_decomposition(dec).ok
+        spec = spec_of(cycle(2), cycle(2), cycle(2))
+        dec = _finish_composition(spec, *_strong_parts_sides(spec))
+        assert verify_decomposition(dec).ok
 
     def test_c3_of_triangles(self):
-        dec = decompose_comp_strong_parts(spec_of(cycle(3), *[cycle(3)] * 3))
-        assert dec is not None
+        spec = spec_of(cycle(3), *[cycle(3)] * 3)
+        dec = _finish_composition(spec, *_strong_parts_sides(spec))
         # side 1 is the first-vertex outer copy plus all inner arcs, side 2
         # every other arc
         assert len(dec.a1) == 3 + 9 and dec.a2 == dec.host.arcs - dec.a1
 
     def test_arcless_inner_not_applicable(self):
-        assert decompose_comp_strong_parts(spec_of(cycle(2), cycle(2), empty(2))) is None
+        assert _strong_parts_sides(spec_of(cycle(2), cycle(2), empty(2))) is None
 
     def test_one_block_rejected(self):
         with pytest.raises(ValueError, match="needs t >= 2"):
-            decompose_comp_strong_parts(spec_of(Digraph(1, []), complete(3)))
+            decompose_composition(spec_of(Digraph(1, []), complete(3)))
 
 
 class TestDispatcher:
@@ -293,6 +299,17 @@ class TestDispatcher:
         parts = repr([sorted(p) for p in dec.parts]).encode()
         assert hashlib.sha256(parts).hexdigest() == digest
 
+    def test_hamiltonian_search_bound(self):
+        # the dispatcher runs the brute force only on a non-semicomplete outer
+        # of order <= 14; above that, a caller's own cycle still decomposes
+        spec = spec_of(cycle(14), *[empty(2)] * 14)
+        assert _composition_route(spec)[0] == "composition/hamiltonian"
+        for spec in (spec_of(cycle(16), *[empty(2)] * 16),
+                     spec_of(cycle(15), *[empty(3)] * 14, empty(2))):
+            assert _composition_route(spec) is None
+            dec = decompose_comp_hamiltonian(spec, tuple(range(spec.t)))
+            assert dec is not None and verify_decomposition(dec).ok
+
     @pytest.mark.parametrize("outer", [BIDIRECTED_K68, STRONG_TOURNAMENT_4], ids=["K68", "T4"])
     def test_trivial_block_skips_hamiltonian_search(self, monkeypatch, outer):
         def refuse(d):
@@ -302,7 +319,7 @@ class TestDispatcher:
         monkeypatch.setattr("gooddecomp.decomp.hamiltonian_cycle_semicomplete", refuse)
         spec = spec_of(outer, empty(1), *[empty(2)] * (outer.n - 1))
         assert decompose_composition(spec) is None
-        assert decompose_comp_strong_parts(spec) is None
+        assert _strong_parts_sides(spec) is None
         with pytest.raises(AssertionError, match="Hamiltonian search reached"):
             decompose_composition(spec_of(outer, *[empty(2)] * outer.n))
 

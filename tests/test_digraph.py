@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from conftest import (
     strong_by_closure,
 )
 from gooddecomp import digraph
+from gooddecomp.decomp import EXCEPTION_TAGS, exception_digraph
 from gooddecomp.digraph import (
     _max_flow,
     _rows,
@@ -33,6 +35,10 @@ from gooddecomp.digraph import (
     _two_arc_strong,
     _unreachable_pair,
 )
+
+#: test_pinned_witnesses, computed before find_isomorphism moved onto the rows
+WITNESS_COUNT = 1304
+WITNESS_SHA256 = "8192f182f5c76762bf73dc1a8b6825e428e2f848e196938b0310e1192765dfbe"
 
 
 def unit_flow(d, s, t, limit=math.inf):
@@ -368,6 +374,29 @@ class TestIsomorphism:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             find_isomorphism(empty(13), empty(13))
+
+    def test_pinned_witnesses(self):
+        # the witness is public output (CharacterizationResult.witness): the
+        # first map in ascending v and w, pinned on seeded pairs of orders
+        # 0-8 (60% relabellings, the rest random with as many arcs) and on
+        # each exception digraph under 20 relabellings
+        r = random.Random(0)
+        witnesses = []
+        for _ in range(1500):
+            n = r.randint(0, 8)
+            pairs, p = list(itertools.permutations(range(n), 2)), r.random()
+            a = Digraph(n, [arc for arc in pairs if r.random() < p])
+            if r.random() < 0.6:
+                b = relabel(a, r.sample(range(n), n))
+            else:
+                b = Digraph(n, r.sample(pairs, a.m))
+            witnesses.append(find_isomorphism(a, b))
+        for tag in EXCEPTION_TAGS:
+            ex = exception_digraph(tag)
+            for _ in range(20):
+                witnesses.append(find_isomorphism(relabel(ex, r.sample(range(ex.n), ex.n)), ex))
+        assert sum(w is not None for w in witnesses) == WITNESS_COUNT
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == WITNESS_SHA256
 
     def test_equivalence_relation(self, rng):
         pool = [random_strong_digraph(rng, 4) for _ in range(8)]

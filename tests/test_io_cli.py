@@ -44,9 +44,9 @@ PUBLIC_API = [
     "complete", "compose", "cover_cut", "cycle", "cycle_cover", "decomp",
     "decompose_cartesian_power", "decompose_cartesian_square",
     "decompose_cartesian_with_good_factor", "decompose_cn_boxtimes_cm", "decompose_cn_square",
-    "decompose_comp_hamiltonian", "decompose_comp_strong_parts", "decompose_composition",
-    "decompose_lexicographic", "decompose_strong_product", "digraph", "ear_decomposition", "empty",
-    "enumerate_semicomplete", "exception_digraph", "export_dot", "extend_by_twins",
+    "decompose_comp_hamiltonian", "decompose_composition", "decompose_lexicographic",
+    "decompose_strong_product", "digraph", "ear_decomposition", "empty", "enumerate_semicomplete",
+    "exception_digraph", "export_dot", "extend_by_twins",
     "find_isomorphism", "flows", "hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete",
     "io", "is_k_arc_strong", "is_semicomplete", "is_strong",
     "lexicographic_product", "match_exception", "oracle", "oracle_good_decomposition",
