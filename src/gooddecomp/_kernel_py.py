@@ -1,10 +1,13 @@
 """Search kernel of the exact good-decomposition oracle.
 
-Backtracks over arc assignments to (side 1, side 2, unused).  For each side
-it maintains bitmask out-rows and in-rows of "arcs still available to that
-side" (assigned to it or unassigned); a branch is pruned as soon as either
+Backtracks over arc assignments to side 1 or side 2.  No arc is left
+unused: adding an arc keeps a digraph strong, so a solution that leaves an
+arc unused stays one with that arc on side 1.  For each side it maintains
+bitmask out-rows and in-rows of "arcs still available to that side"
+(assigned to it or unassigned); a branch is pruned as soon as either
 availability digraph stops being strong, which also is the leaf test.
-Assigning to side 2 is forbidden until side 1 holds an arc (swap symmetry).
+Assigning to side 2 is forbidden until side 1 holds an arc (swap symmetry),
+so arc 0 goes to side 1 only.
 
 Every node of the tree is strong on both sides, and deleting arc t->h from a
 strong digraph leaves it strong iff t still reaches h.  That test is
@@ -18,46 +21,42 @@ verify.
 At level i, whichever side loses arc i, the test is one function of that
 side's arcs S among arcs[:i]: f_i(S) says whether S together with the
 unassigned arcs[i+1:] is strong.  It depends on nothing else, so an answer
-holds for the rest of the search.  Choice 1 asks f_i of side 2's arcs,
-choice 2 asks f_i of side 1's, and choice 0 ("unused") asks both.  Adding
-arcs keeps a digraph strong, so f_i is monotone: a superset of a passing S
-passes and a subset of a failing S fails.  Each side keeps, per level, the
-last S that passed and the last that failed, as bit masks over the arc
-indices.  A test fails at once if t has no other out-arc or h no other
-in-arc on that side; otherwise the memo answers it if it can.  Next, an
+holds for the rest of the search.  Choice 1 asks f_i of side 2's arcs and
+choice 2 asks f_i of side 1's.  Adding arcs keeps a digraph strong, so f_i
+is monotone: a superset of a passing S passes and a subset of a failing S
+fails.  Each side keeps, per level, the last two passes it recorded and the
+last S that failed, as bit masks over the arc indices, and a test reads all
+three.  A test fails at once if t has no other out-arc or h no other in-arc
+on that side; otherwise the memo answers it if it can.  Next, an
 out-neighbour of t (other than h) that is also an in-neighbour of h is a
 path t->w->h, so the test passes; else a path search decides, which is
-exact because the parent node, S with arcs[i:], is strong.  Every passing
-test is remembered or already covered, so choice 0 reads both its answers
-from the memo: every deeper level is undone on backtrack, and when choice 2
-was skipped no earlier arc is on either side, so both sides equal the one
-choice 1 tested.  Choice 0 runs no search of its own.  That is why a pass
-found by the two-step path is recorded as one found by a search is: left
-out, choice 0 would read a stale entry and prune a strong node.
+exact because the parent node, S with arcs[i:], is strong.
 
 A pass need not record all of S.  Let W be the arcs with index below i of a
 path from t to h in S with arcs[i+1:].  Every S' that holds W holds that
-path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes; and W
-lies inside S, so choice 0 still finds its answers.  A later side seldom
-holds all of a recorded S but often holds the few arcs of a path, so the
-levels that a large tree visits again and again are answered from the memo
-far more often.  Finding the path costs more than a plain search, though,
-plus a table from each arc to its bit, and most levels of a small tree
-pass only a few times.  So a level and side records S for its first three
-passes, found by _reaches or the two-step path; after that a search there
-runs _witness and records W.  _witness searches one way only: it grows the
-layers of t's closure along the out-rows until h appears, then walks back
-from h through them, so W comes from a shortest path.  It maps a path arc
-(u, v) to its bit through a dict keyed by the arcs themselves, built on the
-call's first witness, so they may come in any order.
+path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes.  A
+later side seldom holds all of a recorded S but often holds the few arcs of
+a path, so the levels that a large tree visits again and again are answered
+from the memo far more often.  Finding the path costs more than a plain
+search, though, plus a table from each arc to its bit, and most levels of a
+small tree pass only a few times.  So a level and side records S for its
+first three passes, found by _reaches or the two-step path; after that a
+search there runs _witness and records W.  A second pass slot keeps the
+previous record beside the newest, since a later visit that the newest
+misses is often answered by the one before it.  _witness searches one way
+only: it grows the layers of t's closure along the out-rows until h
+appears, then walks back from h through them, so W comes from a shortest
+path.  It maps a path arc (u, v) to its bit through a dict keyed by the arcs
+themselves, built on the call's first witness, so they may come in any
+order.
 
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.  One
-iteration is one visit of a level: it tries the choices left at that level
-in order until one passes, counting a node and checking the budget before
-each test.  When none is left it gives the arc back and backtracks at once,
-through every earlier level whose last choice was unused, to the next level
-with a choice left.  A visit or backtrack step reads one tuple of a table
+iteration is one visit of a level: it tries side 1 on a new level, then
+side 2, counting a node and checking the budget before each test.  When
+neither passes it gives the arc back to side 1 and backtracks at once,
+through every earlier level on side 2, to the next level on side 1, which
+then tries side 2.  A visit or backtrack step reads one tuple of a table
 built once per call: the arc's ends, their bits and the arc's own bit.
 """
 
@@ -66,8 +65,6 @@ from __future__ import annotations
 from .digraph import _reaches, _rows, _unreachable_pair
 
 FOUND, NONE, ABORTED = 0, 1, 2
-
-_UNTRIED = -1
 
 
 def _witness(out, inn, t, h, code):
@@ -106,9 +103,9 @@ def search(n, arcs, budget=0):
     Returns (status, a1_indices, a2_indices, nodes_explored).
     """
     m = len(arcs)
-    # at most 3^i nodes at depth i, each trying at most three choices: fewer
-    # than 3^(m+1) nodes in all
-    limit = budget if budget > 0 else 3 ** (m + 1)
+    # at most 2^i nodes at depth i, each trying at most two choices: fewer
+    # than 2^(m+1) nodes in all
+    limit = budget if budget > 0 else 2 ** (m + 1)
 
     out1, in1 = _rows(n, arcs)
     out2, in2 = out1[:], in1[:]
@@ -119,26 +116,24 @@ def search(n, arcs, budget=0):
 
     bits = [1 << i for i in range(m)]
     levels = [(t, h, 1 << t, 1 << h, bit) for (t, h), bit in zip(arcs, bits)]
-    assign = [_UNTRIED] * m
-    # per level and side, the last arcs[:i] of that side that passed the
+    assign = [0] * m  # 0 untried, else the side that holds the arc
+    # per level and side, the last two arcs[:i] of that side that passed the
     # level's test (or the arcs of its path, after three passes) and the
     # last that failed; every mask carries bit m, so the initial entries
     # answer nothing.  npass counts the passes found without _witness.
     mark = 1 << m
-    pass1, fail1, npass1 = [-1] * m, [0] * m, [0] * m
-    pass2, fail2, npass2 = pass1[:], fail1[:], npass1[:]
+    pass1, prev1, fail1, npass1 = [-1] * m, [-1] * m, [0] * m, [0] * m
+    pass2, prev2, fail2, npass2 = pass1[:], prev1[:], fail1[:], npass1[:]
     ones = twos = mark  # the arcs on side 1, on side 2, and bit m
     code = None  # the bit of each arc, built for the first _witness
     i = 0
     while i < m:
-        # one visit of level i: try the choices after assign[i] until one
-        # passes.  Arc i is on a side's rows iff that side still has it, so
-        # XOR with its bits removes or restores it.  The parent node is
-        # strong on both sides, and deleting arc t->h from a strong digraph
-        # leaves it strong iff t still reaches h.
+        # one visit of level i.  Arc i is on a side's rows iff that side
+        # still has it, so XOR with its bits removes or restores it.  The
+        # parent node is strong on both sides, and deleting arc t->h from a
+        # strong digraph leaves it strong iff t still reaches h.
         t, h, tbit, hbit, bit = levels[i]
-        c = assign[i]
-        if c == _UNTRIED:
+        if not assign[i]:
             nodes += 1
             if nodes > limit:
                 return ABORTED, [], [], nodes
@@ -148,12 +143,12 @@ def search(n, arcs, budget=0):
             out2[t] = rest_out = out2[t] ^ hbit
             in2[h] = rest_in = in2[h] ^ tbit
             if rest_out and rest_in:
-                if twos & (p := pass2[i]) == p:
+                if twos & (p := pass2[i]) == p or twos & (p := prev2[i]) == p:
                     i += 1
                     continue
                 if twos | (f := fail2[i]) != f:
                     if rest_out & rest_in or npass2[i] < 3 and _reaches(out2, in2, t, h):
-                        pass2[i] = twos
+                        prev2[i], pass2[i] = pass2[i], twos
                         npass2[i] += 1
                         i += 1
                         continue
@@ -161,76 +156,53 @@ def search(n, arcs, budget=0):
                         if code is None:
                             code = dict(zip(arcs, bits))
                         if w := _witness(out2, in2, t, h, code):
-                            pass2[i] = w & (bit - 1) | mark
+                            prev2[i], pass2[i] = pass2[i], w & (bit - 1) | mark
                             i += 1
                             continue
                     fail2[i] = twos
-            c = 1
-        if c == 1:
+        if i:  # side 1 holds arc 0, so side 2 is open
             nodes += 1
             if nodes > limit:
                 return ABORTED, [], [], nodes
+            # side 2: side 2 gets the arc back, side 1 loses it, f_i(ones)
+            assign[i] = 2
             ones ^= bit
+            twos |= bit
+            out2[t] ^= hbit
+            in2[h] ^= tbit
             out1[t] = rest_out = out1[t] ^ hbit
             in1[h] = rest_in = in1[h] ^ tbit
-            if ones != mark:
-                # side 2: side 2 gets the arc back, side 1 loses it, f_i(ones)
-                assign[i] = 2
-                twos |= bit
-                out2[t] ^= hbit
-                in2[h] ^= tbit
-                if rest_out and rest_in:
-                    if ones & (p := pass1[i]) == p:
-                        i += 1
-                        continue
-                    if ones | (f := fail1[i]) != f:
-                        if rest_out & rest_in or npass1[i] < 3 and _reaches(out1, in1, t, h):
-                            pass1[i] = ones
-                            npass1[i] += 1
-                            i += 1
-                            continue
-                        if npass1[i] > 2:
-                            if code is None:
-                                code = dict(zip(arcs, bits))
-                            if w := _witness(out1, in1, t, h, code):
-                                pass1[i] = w & (bit - 1) | mark
-                                i += 1
-                                continue
-                        fail1[i] = ones
-                c = 2
-            else:
-                # unused, side 2 not allowed yet: ones == twos, which
-                # choice 1 tested
-                assign[i] = 0
-                if twos & (p := pass2[i]) == p:
+            if rest_out and rest_in:
+                if ones & (p := pass1[i]) == p or ones & (p := prev1[i]) == p:
                     i += 1
                     continue
-        if c == 2:
-            nodes += 1
-            if nodes > limit:
-                return ABORTED, [], [], nodes
-            # unused after side 2: side 2 loses the arc too
-            assign[i] = 0
-            twos ^= bit
-            out2[t] ^= hbit
-            in2[h] ^= tbit
-            if ones & (p := pass1[i]) == p and twos & (q := pass2[i]) == q:
-                i += 1
-                continue
-        # level i is exhausted: give its arc back to both sides, and do the
-        # same for every earlier level whose last choice was unused
-        while True:
+                if ones | (f := fail1[i]) != f:
+                    if rest_out & rest_in or npass1[i] < 3 and _reaches(out1, in1, t, h):
+                        prev1[i], pass1[i] = pass1[i], ones
+                        npass1[i] += 1
+                        i += 1
+                        continue
+                    if npass1[i] > 2:
+                        if code is None:
+                            code = dict(zip(arcs, bits))
+                        if w := _witness(out1, in1, t, h, code):
+                            prev1[i], pass1[i] = pass1[i], w & (bit - 1) | mark
+                            i += 1
+                            continue
+                    fail1[i] = ones
+        # level i is exhausted: give its arc back to side 1, and do the same
+        # for every earlier level on side 2; side 1 at level 0 ends the search
+        while i:
             out1[t] ^= hbit
             in1[h] ^= tbit
-            out2[t] ^= hbit
-            in2[h] ^= tbit
-            assign[i] = _UNTRIED
-            if i == 0:
-                return NONE, [], [], nodes
+            twos ^= bit
+            assign[i] = 0
             i -= 1
-            if assign[i]:
+            if assign[i] == 1:
                 break
             t, h, tbit, hbit, bit = levels[i]
+        else:
+            return NONE, [], [], nodes
 
     a1 = [k for k in range(m) if assign[k] == 1]
     a2 = [k for k in range(m) if assign[k] == 2]

@@ -45,7 +45,7 @@ class OracleReport:
 
 
 def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
-    """Backtracking search over arc assignments to (A1, A2, unused).
+    """Backtracking search over arc assignments to (A1, A2).
 
     budget limits explored nodes (<= 0 means unlimited).  A found outcome is
     always verified before being reported, and ConstructionError is raised

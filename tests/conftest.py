@@ -159,13 +159,12 @@ class _Aborted(Exception):
 
 def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None) -> tuple:
     """Plain reference for the oracle's search kernel: the same tree (choices
-    side 1, side 2, unused in that order; side 2 only once side 1 holds an
-    earlier arc) and the same node count (the root, then every attempted
-    choice; more than budget > 0 nodes aborts), but a full strongness check
-    of both sides at every node.  Returns (status, a1, a2, nodes) with the
-    kernel's status codes 0 found, 1 none, 2 aborted.  On an abort, aborts
-    (a list, if given) receives the choice being tried: "1", "2", "0", or
-    "0 after skip" when side 2 was not yet allowed."""
+    side 1, then side 2; side 2 only once side 1 holds an earlier arc) and
+    the same node count (the root, then every attempted choice; more than
+    budget > 0 nodes aborts), but a full strongness check of both sides at
+    every node.  Returns (status, a1, a2, nodes) with the kernel's status
+    codes 0 found, 1 none, 2 aborted.  On an abort, aborts (a list, if
+    given) receives the choice being tried: "1" or "2"."""
     limit = budget if budget > 0 else math.inf
     avail = [set(arcs), set(arcs)]  # arcs still available to side 1, side 2
     assign = []
@@ -178,23 +177,17 @@ def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None) -> tup
         nonlocal nodes
         if i == len(arcs):
             return True
-        side2_allowed = 1 in assign
-        for choice in (1, 2, 0):
-            if choice == 2 and not side2_allowed:
-                continue
+        for choice in (1, 2) if 1 in assign else (1,):
             nodes += 1
             if nodes > limit:
-                skipped = choice == 0 and not side2_allowed
-                raise _Aborted("0 after skip" if skipped else str(choice))
-            dropped = [k for k in (0, 1) if k + 1 != choice]
-            for k in dropped:
-                avail[k].discard(arcs[i])
+                raise _Aborted(str(choice))
+            other = avail[2 - choice]  # the side that does not get arc i
+            other.discard(arcs[i])
             assign.append(choice)
             if strong(avail[0]) and strong(avail[1]) and extend(i + 1):
                 return True
             assign.pop()
-            for k in dropped:
-                avail[k].add(arcs[i])
+            other.add(arcs[i])
         return False
 
     if not strong(avail[0]):

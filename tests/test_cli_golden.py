@@ -152,7 +152,7 @@ TWO_TRIANGLES = "6 14\n" + "".join(
 @pytest.mark.parametrize(
     "args,expected",
     [
-        (["c3_k2_k2_k3.txt"], "outcome: none\nnodes: 415\nreason: exhausted\n"),
+        (["c3_k2_k2_k3.txt"], "outcome: none\nnodes: 170\nreason: exhausted\n"),
         (["hub5.txt"], "outcome: none\nnodes: 0\nreason: degree\n"),
         ([TWO_TRIANGLES], "outcome: none\nnodes: 0\nreason: arc-connectivity\n"),
         (["comp_host.txt", "--budget", "1"], "outcome: aborted\nnodes: 2\n"),
