@@ -23,32 +23,31 @@ side's arcs S among arcs[:i]: f_i(S) says whether S together with the
 unassigned arcs[i+1:] is strong.  It depends on nothing else, so an answer
 holds for the rest of the search.  Choice 1 asks f_i of side 2's arcs and
 choice 2 asks f_i of side 1's.  Adding arcs keeps a digraph strong, so f_i
-is monotone: a superset of a passing S passes and a subset of a failing S
-fails.  Each side keeps, per level, the last two passes it recorded and the
-last S that failed, as bit masks over the arc indices, and a test reads all
-three.  A test fails at once if t has no other out-arc or h no other in-arc
-on that side; otherwise the memo answers it if it can.  Next, an
-out-neighbour of t (other than h) that is also an in-neighbour of h is a
-path t->w->h, so the test passes; else a path search decides, which is
-exact because the parent node, S with arcs[i:], is strong.
+is monotone: a superset of a passing S passes.  Each side keeps, per level,
+two pass slots, the newest record and the one before it, as bit masks over
+the arc indices; both start empty.  A test fails at once if t has no other
+out-arc or h no other in-arc on that side; it passes if S holds either
+slot's record.  Next, an out-neighbour of t (other than h) that is also an
+in-neighbour of h is a path t->w->h, so the test passes; else a path search
+decides, which is exact because the parent node, S with arcs[i:], is strong.
+A failed test records nothing.
 
 A pass need not record all of S.  Let W be the arcs with index below i of a
 path from t to h in S with arcs[i+1:].  Every S' that holds W holds that
-path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes.  A
-later side seldom holds all of a recorded S but often holds the few arcs of
-a path, so the levels that a large tree visits again and again are answered
-from the memo far more often.  Finding the path costs more than a plain
-search, though, plus a table from each arc to its bit, and most levels of a
-small tree pass only a few times.  So a level and side records S for its
-first three passes, found by _reaches or the two-step path; after that a
-search there runs _witness and records W.  A second pass slot keeps the
-previous record beside the newest, since a later visit that the newest
-misses is often answered by the one before it.  _witness searches one way
-only: it grows the layers of t's closure along the out-rows until h
-appears, then walks back from h through them, so W comes from a shortest
-path.  It maps a path arc (u, v) to its bit through a dict keyed by the arcs
-themselves, built on the call's first witness, so they may come in any
-order.
+path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes; W may
+be empty, and then every S' passes.  A later side seldom holds all of a
+recorded S but often holds the few arcs of a path, so the levels that a
+large tree visits again and again are answered from the memo far more
+often.  Finding the path costs more than a plain search, though, plus a
+table from each arc to its bit, and most levels of a small tree pass only a
+few times.  So until a level and side has recorded two passes, filling
+both slots, a search there runs _reaches and a pass records S; after that
+it runs _witness and records W.  The two-step path always records S.
+_witness searches one way only: it grows the layers of t's closure along
+the out-rows until h appears, then walks back from h through them, so W
+comes from a shortest path.  It maps a path arc (u, v) to its bit through a
+dict keyed by the arcs themselves, built on the call's first witness, so
+they may come in any order.
 
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.  One
@@ -117,14 +116,13 @@ def search(n, arcs, budget=0):
     bits = [1 << i for i in range(m)]
     levels = [(t, h, 1 << t, 1 << h, bit) for (t, h), bit in zip(arcs, bits)]
     assign = [0] * m  # 0 untried, else the side that holds the arc
-    # per level and side, the last two arcs[:i] of that side that passed the
-    # level's test (or the arcs of its path, after three passes) and the
-    # last that failed; every mask carries bit m, so the initial entries
-    # answer nothing.  npass counts the passes found without _witness.
-    mark = 1 << m
-    pass1, prev1, fail1, npass1 = [-1] * m, [-1] * m, [0] * m, [0] * m
-    pass2, prev2, fail2, npass2 = pass1[:], prev1[:], fail1[:], npass1[:]
-    ones = twos = mark  # the arcs on side 1, on side 2, and bit m
+    # per level and side, the last two records of a passing test: the side's
+    # arcs[:i], or once prev holds a record, the arcs below i of the path a
+    # search found.  -1 is an empty slot: no mask holds it, so it answers
+    # nothing, while 0 is a path wholly in arcs[i+1:] and answers everything.
+    pass1, prev1 = [-1] * m, [-1] * m
+    pass2, prev2 = pass1[:], prev1[:]
+    ones = twos = 0  # the arcs on side 1, on side 2
     code = None  # the bit of each arc, built for the first _witness
     i = 0
     while i < m:
@@ -146,20 +144,18 @@ def search(n, arcs, budget=0):
                 if twos & (p := pass2[i]) == p or twos & (p := prev2[i]) == p:
                     i += 1
                     continue
-                if twos | (f := fail2[i]) != f:
-                    if rest_out & rest_in or npass2[i] < 3 and _reaches(out2, in2, t, h):
-                        prev2[i], pass2[i] = pass2[i], twos
-                        npass2[i] += 1
+                # p is prev2[i]: empty until the level has recorded two passes
+                if rest_out & rest_in or p < 0 and _reaches(out2, in2, t, h):
+                    prev2[i], pass2[i] = pass2[i], twos
+                    i += 1
+                    continue
+                if p >= 0:
+                    if code is None:
+                        code = dict(zip(arcs, bits))
+                    if w := _witness(out2, in2, t, h, code):
+                        prev2[i], pass2[i] = pass2[i], w & (bit - 1)
                         i += 1
                         continue
-                    if npass2[i] > 2:
-                        if code is None:
-                            code = dict(zip(arcs, bits))
-                        if w := _witness(out2, in2, t, h, code):
-                            prev2[i], pass2[i] = pass2[i], w & (bit - 1) | mark
-                            i += 1
-                            continue
-                    fail2[i] = twos
         if i:  # side 1 holds arc 0, so side 2 is open
             nodes += 1
             if nodes > limit:
@@ -176,20 +172,18 @@ def search(n, arcs, budget=0):
                 if ones & (p := pass1[i]) == p or ones & (p := prev1[i]) == p:
                     i += 1
                     continue
-                if ones | (f := fail1[i]) != f:
-                    if rest_out & rest_in or npass1[i] < 3 and _reaches(out1, in1, t, h):
-                        prev1[i], pass1[i] = pass1[i], ones
-                        npass1[i] += 1
+                # p is prev1[i]: empty until the level has recorded two passes
+                if rest_out & rest_in or p < 0 and _reaches(out1, in1, t, h):
+                    prev1[i], pass1[i] = pass1[i], ones
+                    i += 1
+                    continue
+                if p >= 0:
+                    if code is None:
+                        code = dict(zip(arcs, bits))
+                    if w := _witness(out1, in1, t, h, code):
+                        prev1[i], pass1[i] = pass1[i], w & (bit - 1)
                         i += 1
                         continue
-                    if npass1[i] > 2:
-                        if code is None:
-                            code = dict(zip(arcs, bits))
-                        if w := _witness(out1, in1, t, h, code):
-                            prev1[i], pass1[i] = pass1[i], w & (bit - 1) | mark
-                            i += 1
-                            continue
-                    fail1[i] = ones
         # level i is exhausted: give its arc back to side 1, and do the same
         # for every earlier level on side 2; side 1 at level 0 ends the search
         while i:

@@ -284,6 +284,9 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValueError, OSError, ConstructionError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return USAGE
 
 
 def main() -> None:

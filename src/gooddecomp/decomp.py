@@ -548,13 +548,13 @@ def _cycle_square_sides(cyc: Sequence[int], k: int) -> tuple[set[Arc], set[Arc]]
     h_arc = lambda i, j: (cyc[i % n] * k + cyc[j], cyc[i % n] * k + cyc[(j + 1) % n])
     all_arcs = _cartesian_arcs(cycle_arcs(cyc), cyc, cycle_arcs(cyc), cyc, k)
     side1: set[Arc] = set()
-    for j1 in range(1, n + 1):  # 1-based column index as in the construction
-        skip = n - j1 - 1 if j1 <= n - 1 else n - 1  # 0-based row of the removed arc
+    for j in range(n):
+        # column j gives up its G-arc at row skip and takes the H-arc there
+        skip = (n - j - 2) % n
         for i in range(n):
             if i != skip:
-                side1.add(g_arc(i, j1 - 1))
-    side1 |= {h_arc(n - j1 - 1, j1 - 1) for j1 in range(1, n)}
-    side1.add(h_arc(n - 1, n - 1))
+                side1.add(g_arc(i, j))
+        side1.add(h_arc(skip, j))
     return side1, all_arcs - side1
 
 

@@ -235,7 +235,8 @@ class TestCli:
         assert run_command(["ham-cartesian", "2", "3"]) == 0
         assert capsys.readouterr().out.strip() == "non-hamiltonian"
 
-    @pytest.mark.parametrize("exc", [ConstructionError("bad side"), RecursionError("too deep")])
+    @pytest.mark.parametrize("exc", [ConstructionError("bad side"), RecursionError("too deep"),
+                                     MemoryError()])
     def test_internal_errors_without_traceback(self, monkeypatch, capsys, exc):
         def broken(p, q):
             raise exc
