@@ -55,14 +55,15 @@ def _load_spec(path: str) -> CompositionSpec:
 
 def _cmd_check(args) -> int:
     d = _load_digraph(args.file)
-    print(f"order: {d.n}")
-    print(f"arcs: {d.m}")
-    print(f"strong: {'yes' if is_strong(d) else 'no'}")
-    print(f"semicomplete: {'yes' if is_semicomplete(d) else 'no'}")
-    if d.n >= 2:
-        print(f"arc-connectivity: {arc_connectivity(d)}")
-    else:
-        print("arc-connectivity: n/a")
+    # every line is computed before any is written, so a failure writes none
+    lines = [
+        f"order: {d.n}",
+        f"arcs: {d.m}",
+        f"strong: {'yes' if is_strong(d) else 'no'}",
+        f"semicomplete: {'yes' if is_semicomplete(d) else 'no'}",
+        f"arc-connectivity: {arc_connectivity(d) if d.n >= 2 else 'n/a'}",
+    ]
+    print("\n".join(lines))
     return OK
 
 

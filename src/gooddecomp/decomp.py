@@ -354,47 +354,31 @@ def _strong_parts_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     return range(spec.t), kept, side1, cross - side1
 
 
-def _s4_role_map(outer: Digraph, first_role_block: int) -> tuple[int, ...]:
-    """The permutation sending reference roles 0..3 of s4() to outer's
-    vertices, with role 0 on the given block: role 1 is its digon mate, roles
-    3 and 2 its other out- and in-neighbour.  Unique, since Aut(S_4) is
-    cyclic of order 4 and acts regularly."""
-    b, arcs = first_role_block, outer.arcs
-    mate = next(v for v in range(4) if (b, v) in arcs and (v, b) in arcs)
-    out = next(v for v in range(4) if (b, v) in arcs and v != mate)
-    inn = next(v for v in range(4) if (v, b) in arcs and v != mate)
-    return b, mate, inn, out
-
-
 def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
-    """Outer is 2-arc-strong semicomplete (all degrees >= 2), so at order 4 it
-    has >= 8 arcs, and 8 only as S_4.  None when the composition is S_4."""
-    T = spec.outer
-    if not (T.n == 4 and T.m == 8):
-        # the dispatcher ran the prechecks, and _finish_composition verifies
-        arcs = T.sorted_arcs()
-        status, i1, i2, _ = _kernel_py.search(T.n, arcs, 0)
-        if status != _kernel_py.FOUND:
-            raise ConstructionError(
-                "2-arc-strong semicomplete outer (not S_4) must decompose"
-            )
-        side1 = {((arcs[k][0], 0), (arcs[k][1], 0)) for k in i1}
-        side2 = {((arcs[k][0], 0), (arcs[k][1], 0)) for k in i2}
-        return range(spec.t), [[0]] * spec.t, side1, side2
-    if max(spec.sizes) == 1:
-        return None
-    # outer is S_4 itself: some block has >= 2 vertices, use the explicit
-    # five-vertex skeleton with that block doubled; positions are S_4's roles
-    big = min(i for i in range(spec.t) if spec.sizes[i] >= 2)
-    side1 = {
-        ((0, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (3, 0)),
-        ((3, 0), (2, 0)), ((2, 0), (0, 0)),
-    }
-    side2 = {
-        ((1, 0), (0, 0)), ((0, 0), (3, 0)), ((3, 0), (1, 0)),
-        ((1, 0), (2, 0)), ((2, 0), (0, 1)), ((0, 1), (1, 0)),
-    }
-    return _s4_role_map(T, big), [[0, 1], [0], [0], [0]], side1, side2
+    """Sides the kernel finds on one arcless skeleton, numbered blockwise as a
+    composition is: T[K_1..K_1], or, if T is S_4 (2-arc-strong semicomplete
+    of order 4 with 8 arcs), S_4 with its first block of order >= 2 as two
+    vertices.  None when the composition is S_4 itself.
+
+    The skeleton keeps no inner arc: the lift gives the twins only slot 0's
+    cross-block arcs, so an inner arc that was slot 0's only in- or out-arc
+    on a side would leave the twins without one."""
+    T, t = spec.outer, spec.t
+    c = [1] * t  # skeleton vertices per block
+    if T.n == 4 and T.m == 8:
+        if max(spec.sizes) == 1:
+            return None
+        c[next(p for p in range(t) if spec.sizes[p] >= 2)] = 2
+    coord = [(p, s) for p in range(t) for s in range(c[p])]  # blockwise
+    n = len(coord)
+    # sorted, since x and y ascend; no inner arc, since T has no loop
+    arcs = [(x, y) for x in range(n) for y in range(n) if (coord[x][0], coord[y][0]) in T.arcs]
+    # the dispatcher ran the prechecks, and _finish_composition verifies
+    status, i1, i2, _ = _kernel_py.search(n, arcs, 0)
+    if status != _kernel_py.FOUND:
+        raise ConstructionError("the part (a) skeleton must decompose")
+    side1, side2 = ({(coord[arcs[k][0]], coord[arcs[k][1]]) for k in ix} for ix in (i1, i2))
+    return range(t), [range(k) for k in c], side1, side2
 
 
 def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -30,7 +31,6 @@ from gooddecomp.decomp import (
     _composition_route,
     _eq_sides,
     _finish_composition,
-    _s4_role_map,
     _strong_parts_sides,
 )
 
@@ -48,6 +48,14 @@ ORDER9_OUTER = Digraph(9, [(u, v) for u, heads in enumerate((
     (0, 8), (4, 8), (0, 4, 5, 8), (4, 5, 6, 8), (2, 3),
 )) for v in heads])
 
+#: SHA-256 of the sorted parts of part (a) on the S_4 grid, per doubled position
+S4_OUTER_DIGESTS = (
+    "0e72ddfa87b7fd0594adc6f1cbe80077ad142fc6323979b14fff48f049202674",
+    "728dbd4d8ca93a9c42f34b8ee286df94be13d7a3db736149783c2efe1380f628",
+    "d604bbce9eb53e9e7df6fd833b5e993ddce54bb4bb0e16e31981f8f07bd465ef",
+    "6d201496aa3b1dcc7ddb78a22b09cf7b0bcacadcc8f65cda688985818f7eb499",
+)
+
 
 def spec_of(outer, *inners):
     return CompositionSpec(outer, tuple(inners))
@@ -61,8 +69,6 @@ class TestVerify:
         assert verify(d, a1, a2).ok
 
     def test_s4_no_bipartition_works(self):
-        import itertools
-
         d = s4()
         arcs = d.sorted_arcs()
         for k in range(len(arcs) + 1):
@@ -278,10 +284,24 @@ class TestDispatcher:
 
     @pytest.mark.parametrize("big", range(4))
     def test_part_a_s4_outer_with_one_doubled_block(self, big):
-        inners = [empty(1)] * 4
-        inners[big] = empty(2)
-        dec = decompose_composition(spec_of(s4(), *inners))
-        assert dec is not None and verify_decomposition(dec).ok
+        """Every relabelling of S_4 with one block of order >= 2 at position
+        big.  The order-3 inner with an arc is one that breaks a skeleton
+        keeping the doubled block's inner arcs."""
+        inners = (empty(2), empty(3), cycle(2), Digraph(3, [(0, 1)]))
+        parts = []
+        for perm in itertools.permutations(range(4)):
+            outer = Digraph(4, [(perm[u], perm[v]) for u, v in s4().arcs])
+            assert decompose_composition(spec_of(outer, *[empty(1)] * 4)) is None
+            for inner in inners:
+                blocks = [empty(1)] * 4
+                blocks[big] = inner
+                spec = spec_of(outer, *blocks)
+                assert _composition_route(spec)[0] == "composition/part-a"
+                dec = decompose_composition(spec)
+                assert dec is not None and verify_decomposition(dec).ok
+                parts.append([sorted(p) for p in dec.parts])
+        digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+        assert digest == S4_OUTER_DIGESTS[big]
 
     def test_part_a_order9_outer(self):
         """Part (a) runs the kernel with no budget, so an outer with a deep
@@ -363,19 +383,6 @@ class TestDispatcher:
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
         assert calls == {search: 2}
-
-    def test_s4_role_map_matches_permutation_search(self):
-        import itertools
-
-        base = s4()
-        for perm in itertools.permutations(range(4)):
-            outer = Digraph(4, [(perm[u], perm[v]) for u, v in base.arcs])
-            for block in range(4):
-                expected = next(
-                    p for p in itertools.permutations(range(4))
-                    if p[0] == block and all((p[u], p[v]) in outer.arcs for u, v in base.arcs)
-                )
-                assert _s4_role_map(outer, block) == expected
 
     def test_t_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -555,8 +562,6 @@ class TestCharacterize:
             characterize_semicomplete_composition(spec_of(transitive, *[empty(2)] * 3))
 
     def test_verdict_matches_oracle_sample(self, rng):
-        import itertools
-
         outers = [cycle(3), Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), complete(3)]
         pairs3 = [(u, v) for u in range(3) for v in range(3) if u != v]
         for _ in range(25):

@@ -246,6 +246,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_failed_check_writes_no_stdout(self, workdir, monkeypatch, capsys):
+        # a check that fails partway leaves no half document on stdout
+        def broken(d):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "is_strong", broken)
+        assert run_command(["check", str(workdir / "s4.el")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory\n"
+
     def test_library_usage_error_is_not_a_refusal(self, workdir, monkeypatch, capsys):
         # only a Refusal is printed as one; any other ValueError is an error
         def broken(g, k):
