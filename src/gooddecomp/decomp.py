@@ -114,19 +114,18 @@ class VerifyResult:
 
 def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
     """Check that parts A1..Ak (k >= 2) are pairwise disjoint arc sets of
-    host spanning strong subdigraphs, naming the first violation."""
+    host spanning strong subdigraphs, naming the first violation (a stray or
+    shared arc by the smallest one)."""
     if len(parts) < 2:
         return VerifyResult(False, f"needs at least two parts, got {len(parts)}")
-    named = [(f"A{k}", set(side)) for k, side in enumerate(parts, start=1)]
+    named = [(f"A{k}", frozenset(side)) for k, side in enumerate(parts, start=1)]
     for name, side in named:
-        stray = sorted(side - host.arcs)
-        if stray:
-            return VerifyResult(False, f"{name} arc {stray[0]} not in host")
+        if not side <= host.arcs:
+            return VerifyResult(False, f"{name} arc {min(side - host.arcs)} not in host")
     for (n1, s1), (n2, s2) in itertools.combinations(named, 2):
-        overlap = sorted(s1 & s2)
-        if overlap:
+        if not s1.isdisjoint(s2):
             which = "" if len(parts) == 2 else f" {n1} and {n2}"
-            return VerifyResult(False, f"sides{which} overlap on arc {overlap[0]}")
+            return VerifyResult(False, f"sides{which} overlap on arc {min(s1 & s2)}")
     for name, side in named:
         pair = _unreachable_pair(host.n, *_rows(host.n, side))
         if pair is not None:

@@ -20,15 +20,21 @@ POWER_ORDER_BOUND = 20_000
 
 
 class Digraph:
-    """Immutable digraph on vertices 0..n-1."""
+    """Immutable digraph on vertices 0..n-1.  Arcs are (int, int) pairs,
+    kept as given; an endpoint of any other type, bool included, is a
+    ValueError."""
 
     __slots__ = ("n", "arcs", "labels", "__dict__")
 
     def __init__(self, n: int, arcs: Iterable[Arc], labels: Optional[Sequence[str]] = None):
         if n < 0:
             raise ValueError("order must be nonnegative")
-        arcset = frozenset((int(u), int(v)) for u, v in arcs)
+        # built by insertion, not copied: a copied set keeps the source's
+        # table size, which can be twice what insertion needs
+        arcset = frozenset(iter(arcs))
         for u, v in arcset:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"arc ({u!r},{v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"loop ({u},{v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -154,17 +160,23 @@ def _tree_path(prev: dict[int, int], v: int) -> list[int]:
 
 def _closure(rows, v: int) -> int:
     """Bitmask of v and every vertex that v reaches along rows, where rows[u]
-    is the bitmask of u's neighbours."""
-    reach = frontier = 1 << v
+    is the bitmask of u's neighbours.  A layer of one vertex reads its row
+    directly, so a long path of such layers skips the bit loop."""
+    full = (1 << len(rows)) - 1
+    unseen = full ^ (1 << v)
+    frontier = 1 << v
     while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach
+        if frontier & (frontier - 1):
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+        else:
+            nxt = rows[frontier.bit_length() - 1]
+        frontier = nxt & unseen
+        unseen ^= frontier
+    return full ^ unseen
 
 
 def _reaches(out, inn, t: int, h: int) -> bool:

@@ -77,14 +77,23 @@ class TestVerify:
                 assert not verify(d, a1, d.arcs - a1).ok
 
     def test_overlap_diagnostic(self):
+        # two shared arcs: the smallest is named
         d = cycle(3)
-        res = verify(d, d.arcs, d.arcs)
-        assert not res.ok and "overlap" in res.reason
+        res = verify(d, d.arcs, frozenset({(2, 0), (1, 2)}))
+        assert not res.ok and res.reason == "sides overlap on arc (1, 2)"
 
     def test_stray_arc_diagnostic(self):
+        # two arcs outside the host: the smallest is named
         d = cycle(3)
-        res = verify(d, frozenset({(0, 2)}), frozenset())
-        assert not res.ok and "not in host" in res.reason
+        res = verify(d, frozenset({(1, 0), (0, 2)}), frozenset())
+        assert not res.ok and res.reason == "A1 arc (0, 2) not in host"
+
+    def test_parts_as_set_and_list(self):
+        d = complete(3)
+        a1, a2 = [(0, 1), (1, 2), (2, 0)], [(0, 2), (2, 1), (1, 0)]
+        for p1, p2 in [(a1, a2), (a1, a2 + [(1, 2)]), (a1[:2], a2 + [(2, 0)])]:
+            want = verify(d, frozenset(p1), frozenset(p2))
+            assert verify(d, set(p1), list(p2)) == want
 
     def test_non_strong_diagnostic(self):
         d = complete(3)

@@ -84,6 +84,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Digraph(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "n, arcs, exc, message",
+        [
+            (-1, [], ValueError, "order must be nonnegative"),
+            (2, [(0, 1), (1, 1)], ValueError, "loop (1,1) not allowed"),
+            (2, [(0, 1), (1, 2)], ValueError, "arc (1,2) out of range for order 2"),
+            (2, [(0, True)], ValueError, "arc (0,True) has an endpoint that is not an int"),
+            (2, [(0.0, 1)], ValueError, "arc (0.0,1) has an endpoint that is not an int"),
+            (2, [("1", 0)], ValueError, "arc ('1',0) has an endpoint that is not an int"),
+            (2, [(0,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+            (2, [5], TypeError, "cannot unpack non-iterable int object"),
+        ],
+        ids=["negative-order", "loop", "out-of-range", "bool", "float", "str", "short", "int"],
+    )
+    def test_input_contract(self, n, arcs, exc, message):
+        with pytest.raises(exc) as info:
+            Digraph(n, arcs)
+        assert str(info.value) == message
+
+    def test_any_iterable_of_int_pairs(self):
+        arcs = [(0, 1), (1, 2), (2, 0), (0, 2)]
+        built = [Digraph(3, arcs), Digraph(3, set(arcs)), Digraph(3, frozenset(arcs)),
+                 Digraph(3, (a for a in arcs))]
+        assert all(d == built[0] for d in built)
+
     def test_opposite_arcs_coexist(self):
         d = Digraph(2, [(0, 1), (1, 0)])
         assert d.m == 2
@@ -134,6 +159,12 @@ class TestStrong:
             ]
             d = Digraph(n, arcs)
             assert is_strong(d) == strong_by_closure(d)
+        # a vertex-shuffled C_200 and P_200: every closure layer is one vertex
+        n = 200
+        p = rng.sample(range(n), n)
+        for k, strong in ((n, True), (n - 1, False)):
+            d = Digraph(n, [(p[i], p[(i + 1) % n]) for i in range(k)])
+            assert is_strong(d) == strong_by_closure(d) == strong
 
     def test_unreachable_pair_matches_bfs_reference(self, rng):
         # orders 65 and 130 need bitmask rows wider than one 64-bit word
