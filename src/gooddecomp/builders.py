@@ -2,9 +2,10 @@
 
 Every builder returns the constructed digraph together with a CoordinateMap so
 callers can address vertices by (block, inner) or (left, right) coordinates.
-Vertex numbering is fixed: composition vertex (i, j) gets id sum(n_p, p<i) + j;
-a product of G and H is |V(G)| blocks of |V(H)| vertices, so vertex (x, x')
-gets id x * |V(H)| + x'.
+The digraph names its vertices only by id; CoordinateMap.coord is the one way
+back to coordinates.  Vertex numbering is fixed: composition vertex (i, j) gets
+id sum(n_p, p<i) + j; a product of G and H is |V(G)| blocks of |V(H)|
+vertices, so vertex (x, x') gets id x * |V(H)| + x'.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ class CompositionSpec:
 
 
 def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
-    """The digraph on cmap's vertices, vertex (i, j) labelled u{i+1},{j+1}."""
-    labels = [f"u{i+1},{j+1}" for i, ni in enumerate(cmap.sizes) for j in range(ni)]
-    return Built(Digraph(cmap.offsets[-1], arcs, labels), cmap)
+    """The digraph on cmap's vertices; cmap alone names vertex (i, j)."""
+    return Built(Digraph(cmap.offsets[-1], arcs), cmap)
 
 
 def compose(spec: CompositionSpec) -> Built:

@@ -132,15 +132,12 @@ _PART_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cyan",
 
 
 def export_dot(d: Digraph, highlight: Optional[Decomposition] = None) -> str:
-    """DOT text; with a decomposition, A1 arcs are red, A2 blue, A3 darkgreen,
-    further parts orange, purple, brown, cyan and magenta (then repeating),
-    unused arcs gray."""
+    """DOT text, each vertex named by its id on a line of its own; with a
+    decomposition, A1 arcs are red, A2 blue, A3 darkgreen, further parts
+    orange, purple, brown, cyan and magenta (then repeating), unused arcs gray."""
     if highlight is not None and highlight.host != d:
         raise ValueError("highlight decomposition host does not match digraph")
-    lines = ["digraph {"]
-    for v in range(d.n):
-        label = d.label(v).replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {v} [label="{label}"];')
+    lines = ["digraph {"] + [f"  {v};" for v in range(d.n)]
     for u, v in d.sorted_arcs():
         if highlight is None:
             lines.append(f"  {u} -> {v};")

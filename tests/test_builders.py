@@ -46,12 +46,11 @@ class TestCoordinateMap:
     def test_product_ids(self):
         g, h = cycle(3), path(4)
         for build in (cartesian_product, strong_product, lexicographic_product):
-            d, cmap = build(g, h)
+            cmap = build(g, h).coords
             for x in range(g.n):
                 for y in range(h.n):
                     assert cmap.vid(x, y) == x * h.n + y
                     assert cmap.coord(x * h.n + y) == (x, y)
-                    assert d.label(x * h.n + y) == f"u{x + 1},{y + 1}"
 
     @pytest.mark.parametrize("bad", [(-1, 0), (3, 0), (1, 2), (0, -1)])
     def test_out_of_range_coordinates(self, bad):
@@ -183,7 +182,7 @@ class TestProducts:
         assert (d.n, d.m) == (6, 18)
 
     def test_products_match_definition(self, rng):
-        # every arc and label of G box H and G strong-times H, from the
+        # every arc and coordinate of G box H and G strong-times H, from the
         # definitions over coordinate pairs (x, z), numbered row by row
         def random_digraph(n):
             return Digraph(n, {(u, v) for u in range(n) for v in range(n)
@@ -200,20 +199,18 @@ class TestProducts:
                         or (a[1] == b[1] and (a[0], b[0]) in g.arcs)}
                 diag = {(a, b) for a, b in pairs
                         if (a[0], b[0]) in g.arcs and (a[1], b[1]) in h.arcs}
-                labels = [f"u{x + 1},{z + 1}" for x, z in verts]
                 for build, want in ((cartesian_product, cart), (strong_product, cart | diag)):
                     d, cmap = build(g, h)
-                    assert d.n == len(verts) and list(d.labels) == labels
+                    assert d.n == len(verts)
                     assert [cmap.coord(v) for v in range(d.n)] == verts
                     assert d.arcs == {(verts.index(a), verts.index(b)) for a, b in want}
-            # G^k is the left fold of G box G, ids, labels and coordinates too
+            # G^k is the left fold of G box G, ids and coordinates too
             fold = Built(g, CoordinateMap((1,) * g.n))
             for k in range(1, 5):
                 if k > 1:
                     fold = cartesian_product(fold.digraph, g)
                 power = cartesian_power(g, k)
                 assert power.digraph == fold.digraph and power.coords == fold.coords
-                assert power.digraph.labels == fold.digraph.labels
             assert cartesian_power(g, 1).digraph is g
 
     def test_lexicographic_counts(self):

@@ -88,6 +88,8 @@ class TestConstruction:
         "n, arcs, exc, message",
         [
             (-1, [], ValueError, "order must be nonnegative"),
+            (2.5, [(0, 1), (1, 0)], ValueError, "order 2.5 is not an int"),
+            (True, [], ValueError, "order True is not an int"),
             (2, [(0, 1), (1, 1)], ValueError, "loop (1,1) not allowed"),
             (2, [(0, 1), (1, 2)], ValueError, "arc (1,2) out of range for order 2"),
             (2, [(0, True)], ValueError, "arc (0,True) has an endpoint that is not an int"),
@@ -96,7 +98,8 @@ class TestConstruction:
             (2, [(0,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
             (2, [5], TypeError, "cannot unpack non-iterable int object"),
         ],
-        ids=["negative-order", "loop", "out-of-range", "bool", "float", "str", "short", "int"],
+        ids=["negative-order", "float-order", "bool-order", "loop", "out-of-range", "bool",
+             "float", "str", "short", "int"],
     )
     def test_input_contract(self, n, arcs, exc, message):
         with pytest.raises(exc) as info:
