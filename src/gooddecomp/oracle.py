@@ -12,6 +12,11 @@ counts, and arc-connectivity is digraph._two_arc_strong, a strong-bridge
 test that walks out of vertex 0 in layers and runs the kernel's own path
 search only on the few tree arcs whose end has a single neighbour in its
 own layer or an earlier one.
+
+The search runs in two arc orders (see gooddecomp._kernel_py): sorted arcs
+up to 1,024 nodes, below which every census, criterion-3 and CLI golden
+tree ends, then the maximum-cardinality-search order with the budget that
+remains.  The report's order names the step that settled the search.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ class OracleReport:
     nodes_explored: int
     elapsed: float
     reason: Optional[str] = None  # for "none": "degree" | "arc-connectivity" | "exhausted"
+    order: Optional[str] = None  # the kernel step that settled it: "sorted" | "mcs"
 
 
 def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
@@ -62,8 +68,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         return OracleReport("none", None, 0, time.perf_counter() - start, "degree")
     if not _two_arc_strong(d.n, out, inn):
         return OracleReport("none", None, 0, time.perf_counter() - start, "arc-connectivity")
-    arcs = d.sorted_arcs()
-    status, i1, i2, nodes = _impl.search(d.n, arcs, budget)
+    status, arcs, i1, i2, nodes, order = _impl._search_two_orders(d.n, d.sorted_arcs(), budget)
     elapsed = time.perf_counter() - start
     if status == _impl.FOUND:
         a1 = frozenset(arcs[i] for i in i1)
@@ -71,10 +76,10 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         check = verify(d, a1, a2)
         if not check.ok:
             raise ConstructionError(f"kernel returned invalid decomposition: {check.reason}")
-        return OracleReport("found", Decomposition(d, (a1, a2)), nodes, elapsed)
+        return OracleReport("found", Decomposition(d, (a1, a2)), nodes, elapsed, order=order)
     if status == _impl.ABORTED:
-        return OracleReport("aborted", None, nodes, elapsed)
-    return OracleReport("none", None, nodes, elapsed, "exhausted")
+        return OracleReport("aborted", None, nodes, elapsed, order=order)
+    return OracleReport("none", None, nodes, elapsed, "exhausted", order=order)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from gooddecomp import Digraph, is_strong
+from gooddecomp import Digraph, cartesian_product, cycle, is_strong
 
 
 def strong_by_closure(d: Digraph) -> bool:
@@ -264,6 +264,15 @@ def random_strong_digraph(rng: random.Random, max_order: int, density: float = 0
 def rotational_tournament(n: int) -> Digraph:
     """The tournament on Z_n (n odd) with arcs i -> i+1 .. i+(n-1)/2."""
     return Digraph(n, [(i, (i + k) % n) for i in range(n) for k in range(1, n // 2 + 1)])
+
+
+def shuffled_c12_square(seed: int) -> Digraph:
+    """C12□C12 with its vertices relabelled by random.Random(seed).sample:
+    144 vertices, 288 arcs, and a sorted arc order that splits each vertex's
+    in-arcs far apart."""
+    d = cartesian_product(cycle(12), cycle(12)).digraph
+    perm = random.Random(seed).sample(range(d.n), d.n)
+    return Digraph(d.n, {(perm[u], perm[v]) for u, v in d.arcs})
 
 
 def random_sparse_strong_digraph(rng: random.Random, n: int, max_arcs: int) -> Digraph:

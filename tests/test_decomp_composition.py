@@ -42,7 +42,7 @@ BIDIRECTED_K68 = Digraph(14, [a for u in range(6) for v in range(6, 14) for a in
 BIDIRECTED_P3 = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
 STRONG_TOURNAMENT_4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 #: a 2-arc-strong semicomplete digraph of order 9 with a deep part (a) search:
-#: the kernel settles it in 890,839 nodes
+#: its sorted tree ends after 890,839 nodes, its MCS tree after 87
 ORDER9_OUTER = Digraph(9, [(u, v) for u, heads in enumerate((
     (2, 3, 5, 7, 8), (0, 2, 4, 5, 6, 7, 8), (1, 3, 4, 5, 6, 7), (1, 4, 5, 6, 7, 8),
     (0, 8), (4, 8), (0, 4, 5, 8), (4, 5, 6, 8), (2, 3),
@@ -314,11 +314,12 @@ class TestDispatcher:
 
     def test_part_a_order9_outer(self):
         """Part (a) runs the kernel with no budget, so an outer with a deep
-        search tree would hang it.  This outer's tree ends after 890,839
-        nodes: the oracle, which runs the same search, finds a
-        decomposition, and part (a) lifts it."""
+        search tree would hang it.  This outer's sorted tree runs past the
+        1,024-node cap (it ends after 890,839 nodes), and its MCS tree ends
+        after 87: the oracle, which runs the same two steps, finds a
+        decomposition in MCS order, and part (a) lifts it."""
         rep = oracle_good_decomposition(ORDER9_OUTER)
-        assert (rep.outcome, rep.nodes_explored) == ("found", 890839)
+        assert (rep.outcome, rep.nodes_explored, rep.order) == ("found", 1024 + 87, "mcs")
         dec = decompose_composition(spec_of(ORDER9_OUTER, *[empty(2)] * 9))
         assert dec is not None and verify_decomposition(dec).ok
 

@@ -17,19 +17,21 @@ from gooddecomp import (
     decompose_lexicographic,
     empty,
     export_dot,
+    oracle_good_decomposition,
     parse_decomposition,
     parse_edge_list,
     path,
     render_decomposition,
     render_edge_list,
     s4,
+    verify_decomposition,
 )
 from gooddecomp import builders, cli
 from gooddecomp.cli import run_command
 from gooddecomp.decomp import ConstructionError
 from gooddecomp.io import ParseError
 
-from conftest import random_strong_digraph, rotational_tournament
+from conftest import random_strong_digraph, rotational_tournament, shuffled_c12_square
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -227,6 +229,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "not-covered\ndigraph is not strong of order >= 2\n"
         assert captured.err == ""
+
+    def test_decompose_shuffled_c12_square(self, tmp_path, capsys):
+        """auto with no --budget settles the vertex-shuffled C12□C12 (seed 3):
+        its sorted tree runs past the 1,024-node cap, and the kernel in MCS
+        order finds the sides after 1,923 more nodes."""
+        d = shuffled_c12_square(3)
+        (tmp_path / "c12sq.el").write_text(render_edge_list(d))
+        assert run_command(["decompose", str(tmp_path / "c12sq.el")]) == 0
+        dec = parse_decomposition(capsys.readouterr().out)
+        assert dec.host == d and verify_decomposition(dec).ok
+        rep = oracle_good_decomposition(d)
+        assert (rep.outcome, rep.nodes_explored, rep.order) == ("found", 2947, "mcs")
 
     def test_ham_cartesian(self, capsys):
         assert run_command(["ham-cartesian", "2", "3"]) == 0

@@ -36,7 +36,9 @@ from conftest import (
     kernel_search_reference,
     random_strong_digraph,
     semicomplete_class_count,
+    shuffled_c12_square,
 )
+from test_acceptance import _all_small_specs
 
 #: (outcome, nodes_explored, side of each arc of sorted_arcs() when found)
 #: recorded for fixed instances; any change means the search tree changed
@@ -94,26 +96,27 @@ PINNED_RANDOM = [
 
 #: (outcome, nodes_explored, first 16 hex digits of the SHA-256 of the sides
 #: string) at budget 5,000 for the draws of _random_regular3(rng, 24), rng
-#: seeded 0x24; the sparse regime with the largest trees
+#: seeded 0x24; the sparse regime with the largest trees.  A draw above
+#: 1,024 nodes ran past the sorted step's cap and was settled in MCS order.
 PINNED_REGULAR3_24 = [
     ("found", 837, "971a45529c39e02c"),
     ("found", 102, "3f36e82776e3c115"),
     ("found", 159, "99d48c9e115b6425"),
-    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 1124, "72c56983fddb1909"),
     ("found", 115, "ee57442d1cb14067"),
     ("found", 104, "dbdcecaf54b8fb3b"),
     ("found", 105, "045012d3668f3760"),
-    ("found", 1201, "12da652bd83ca65d"),
+    ("found", 1125, "30473e225cd091cb"),
     ("found", 128, "f4fc0c53ce308df3"),
-    ("aborted", 5001, "e3b0c44298fc1c14"),
-    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 1127, "a7e21ea138fd43ab"),
+    ("found", 1125, "6492b99c08553772"),
     ("found", 790, "2bcac42926de7bf9"),
     ("found", 756, "a16d81eba8a806da"),
     ("found", 100, "5ddf15e80fbb0d40"),
     ("found", 102, "c8c834fa5b81a103"),
     ("found", 112, "b974beeee1eb2661"),
     ("found", 398, "c25aa53eef970d2e"),
-    ("aborted", 5001, "e3b0c44298fc1c14"),
+    ("found", 1125, "3469a47675701d96"),
     ("found", 134, "9640139b24734a17"),
     ("found", 131, "7d98614ac9e36c47"),
 ]
@@ -186,6 +189,21 @@ def _count_path_searches(monkeypatch, module=_kernel_py, names=("_reaches", "_wi
     return counts
 
 
+def _mcs_reference(n: int, arcs: set) -> list:
+    """The MCS arc order from its definition: vertex 0 first, then the
+    unplaced vertex with the most arcs, either way, to placed ones (the lower
+    id on ties); arcs by their later end's place, then the earlier end's,
+    then the arc."""
+    placed = [0] if n else []
+    while len(placed) < n:
+        weight = {v: sum(((u, v) in arcs) + ((v, u) in arcs) for u in placed)
+                  for v in range(n) if v not in placed}
+        placed.append(max(weight, key=lambda v: (weight[v], -v)))
+    place = {v: k for k, v in enumerate(placed)}
+    return sorted(arcs, key=lambda a: (max(place[a[0]], place[a[1]]),
+                                       min(place[a[0]], place[a[1]]), a))
+
+
 def _overlapping_sides(n, arcs, budget):
     return _kernel_py.FOUND, [0], [0], 1
 
@@ -222,7 +240,7 @@ class TestOracle:
     def test_prechecks_match_flows(self):
         """(outcome, reason, nodes_explored) equals what the degree bound read
         from the adjacency and arc_connectivity's flows give before the same
-        kernel search, refusals by either precheck included."""
+        two-order kernel search, refusals by either precheck included."""
         rng = random.Random(0xF10)
         seen = set()
         for trial in range(150):
@@ -242,7 +260,8 @@ class TestOracle:
             elif arc_connectivity(d) < 2:
                 expected = ("none", "arc-connectivity", 0)
             else:
-                status, _, _, nodes = _kernel_py.search(n, d.sorted_arcs(), 2000)
+                status, _, _, _, nodes, _ = _kernel_py._search_two_orders(
+                    n, d.sorted_arcs(), 2000)
                 outcome = ("found", "none", "aborted")[status]
                 expected = (outcome, "exhausted" if outcome == "none" else None, nodes)
             rep = oracle_good_decomposition(d, budget=2000)
@@ -284,7 +303,8 @@ class TestOracle:
             outcome, nodes, sides = _signature(_random_regular3(rng, 24), budget=5000)
             drawn.append((outcome, nodes, hashlib.sha256(sides.encode()).hexdigest()[:16]))
         assert drawn == PINNED_REGULAR3_24
-        assert {outcome for outcome, _, _ in PINNED_REGULAR3_24} >= {"found", "aborted"}
+        # some pinned trees come from the MCS step
+        assert max(nodes for _, nodes, _ in PINNED_REGULAR3_24) > _kernel_py._SORTED_CAP
 
     def test_kernel_matches_reference(self):
         """The full (status, a1, a2, nodes) of the kernel equals that of the
@@ -349,21 +369,27 @@ class TestOracle:
 
     def test_sparse_search_work(self, monkeypatch):
         """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
-        kernel runs at most one path search of either kind per nine nodes;
-        the memo and the degree guard answer the rest.  A search at a level
-        that has passed twice records the path it found, which later visits
-        hit far more often than the whole side, and the two last passes of a
-        level are both kept.  A failed test records nothing: there is no
-        fail memo."""
+        kernel, searching sorted arcs at budget 5,000, runs at most one path
+        search of either kind per nine nodes; the memo and the degree guard
+        answer the rest.  A search at a level that has passed twice records
+        the path it found, which later visits hit far more often than the
+        whole side, and the two last passes of a level are both kept.  A
+        failed test records nothing: there is no fail memo.
+
+        The oracle's two steps cut those trees short, and short trees leave
+        the memo little to answer, so its searches on the same draws are
+        pinned exactly instead."""
         searches = _count_path_searches(monkeypatch)
         rng = random.Random(0x24)
-        nodes = sum(
-            oracle_good_decomposition(_random_regular3(rng, 24), budget=5000).nodes_explored
-            for _ in PINNED_REGULAR3_24
-        )
+        draws = [_random_regular3(rng, 24) for _ in PINNED_REGULAR3_24]
+        nodes = sum(_kernel_py.search(d.n, d.sorted_arcs(), 5000)[3] for d in draws)
         assert nodes == 25278
         assert searches["_reaches"] and searches["_witness"]
         assert sum(searches.values()) <= nodes // 9
+        searches["_reaches"] = searches["_witness"] = 0
+        nodes = sum(oracle_good_decomposition(d, budget=5000).nodes_explored for d in draws)
+        assert nodes == sum(pinned for _, pinned, _ in PINNED_REGULAR3_24) == 9699
+        assert searches == {"_reaches": 1971, "_witness": 318}
 
     def test_dense_search_work(self, monkeypatch):
         """The same guard on the dense PINNED_RANDOM draws: a path of two arcs
@@ -492,6 +518,97 @@ class TestOracle:
 
     def test_backend_reported(self):
         assert oracle_mod.BACKEND == "python"
+
+
+class TestTwoOrders:
+    """The oracle's kernel runs sorted arcs up to _SORTED_CAP nodes, then the
+    MCS arc order with the budget that remains."""
+
+    def test_mcs_order_matches_definition(self):
+        """_mcs_order is a permutation of the arcs, the same whatever order
+        they come in, and equals the order built from its definition, on
+        digraphs that need not be strong or connected."""
+        rng = random.Random(0x3C5)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            density = rng.uniform(0.1, 0.8)
+            d = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                            if u != v and rng.random() < density])
+            arcs = d.sorted_arcs()
+            order = _kernel_py._mcs_order(n, arcs)
+            assert sorted(order) == arcs
+            assert _kernel_py._mcs_order(n, rng.sample(arcs, len(arcs))) == order
+            assert order == _mcs_reference(n, d.arcs), (n, arcs)
+
+    def test_trees_below_cap_unchanged(self):
+        """Where the sorted tree ends within the cap, the oracle reports what
+        bare sorted search gives, (outcome, nodes, sides): on every
+        2-arc-strong semicomplete class of order 2-5 and on every 20th
+        criterion-3 composition, all of which pass the prechecks."""
+        hosts = [d for n in range(2, 6) for d in enumerate_semicomplete(n, min_arc_strong=2)]
+        hosts += [compose(spec).digraph for spec in itertools.islice(_all_small_specs(), 0, None, 20)]
+        assert len(hosts) == 204 + 272
+        for d in hosts:
+            arcs = d.sorted_arcs()
+            status, i1, i2, nodes = _kernel_py.search(d.n, arcs)
+            assert nodes <= _kernel_py._SORTED_CAP
+            sides = ""
+            if status == _kernel_py.FOUND:
+                sides = "".join("1" if k in i1 else "2" for k in range(len(arcs)))
+            assert _signature(d) == (("found", "none")[status], nodes, sides)
+            assert oracle_good_decomposition(d).order == "sorted"
+
+    def test_outcomes_match_bruteforce(self, monkeypatch):
+        """The oracle's verdicts agree with the brute-force reference on
+        seeded small digraphs, at the real cap and at a cap of 2, where the
+        MCS step settles nearly every search."""
+        rng = random.Random(0x3C6)
+        for cap in (_kernel_py._SORTED_CAP, 2):
+            monkeypatch.setattr(_kernel_py, "_SORTED_CAP", cap)
+            orders = set()
+            checked = 0
+            while checked < 30:
+                d = random_strong_digraph(rng, 5, density=0.6)
+                if d.m > 12:
+                    continue
+                rep = oracle_good_decomposition(d)
+                assert rep.outcome in ("found", "none")
+                assert (rep.outcome == "found") == good_decomposition_exists_bruteforce(d)
+                orders.add((rep.outcome, rep.order))
+                checked += 1
+            assert ("found", "mcs" if cap == 2 else "sorted") in orders
+
+    def test_nodes_within_budget(self):
+        """At any budget B > 0 the report counts at most B + 1 nodes, and
+        exactly B + 1 iff it aborts, on either side of the cap."""
+        rng = random.Random(0x24)
+        draws = [_random_regular3(rng, 24) for _ in range(12)]
+        aborts = set()
+        for d in draws:
+            for budget in (1, 2, 10, 1023, 1024, 1025, 1100, 3000):
+                rep = oracle_good_decomposition(d, budget)
+                assert rep.nodes_explored <= budget + 1
+                assert (rep.outcome == "aborted") == (rep.nodes_explored == budget + 1)
+                if rep.outcome == "aborted":
+                    aborts.add((budget, rep.order))
+        assert {(1024, "sorted"), (1025, "mcs"), (1100, "mcs")} <= aborts
+
+    def test_abort_after_both_orders(self):
+        """Above the cap both steps can abort: the shuffled C12□C12's sorted
+        tree runs past 1,024 nodes and its MCS tree past the 976 that budget
+        2,000 leaves, so the report reads aborted with budget + 1 nodes.  At
+        a budget of 1,024 there is no second step."""
+        d = shuffled_c12_square(3)
+        for budget, order in ((2000, "mcs"), (1024, "sorted")):
+            rep = oracle_good_decomposition(d, budget)
+            assert (rep.outcome, rep.nodes_explored, rep.order) == ("aborted", budget + 1, order)
+            assert rep.decomposition is None and rep.reason is None
+
+    def test_order_reported(self):
+        assert oracle_good_decomposition(complete(5)).order == "sorted"
+        assert oracle_good_decomposition(s4()).order == "sorted"
+        assert oracle_good_decomposition(cycle(5)).order is None  # the degree precheck
+        assert oracle_good_decomposition(Digraph(1, [])).order is None
 
 
 class TestEnumeration:
