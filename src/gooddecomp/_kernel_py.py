@@ -16,7 +16,9 @@ runs: it meets in the middle, growing the closure of t along the out-rows
 and the closure of h along the in-rows, always expanding the smaller
 frontier, and stops when the two meet or either frontier runs dry.  The
 root's strongness test is digraph._unreachable_pair, behind is_strong and
-verify.
+verify.  It runs only when search builds the rows itself: a caller that
+has already shown the digraph strong passes its rows, which search copies,
+and the oracle and part (a) do.
 
 At level i, whichever side loses arc i, the test is one function of that
 side's arcs S among arcs[:i]: f_i(S) says whether S together with the
@@ -26,11 +28,12 @@ choice 2 asks f_i of side 1's.  Adding arcs keeps a digraph strong, so f_i
 is monotone: a superset of a passing S passes.  Each side keeps, per level,
 two pass slots, the newest record and the one before it, as bit masks over
 the arc indices; both start empty.  A test fails at once if t has no other
-out-arc or h no other in-arc on that side; it passes if S holds either
-slot's record.  Next, an out-neighbour of t (other than h) that is also an
-in-neighbour of h is a path t->w->h, so the test passes; else a path search
-decides, which is exact because the parent node, S with arcs[i:], is strong.
-A failed test records nothing.
+out-arc or h no other in-arc on that side, read before the side's rows are
+written, so a side that fails this degree guard changes nothing; it passes
+if S holds either slot's record.  Next, an out-neighbour of t (other than
+h) that is also an in-neighbour of h is a path t->w->h, so the test passes;
+else a path search decides, which is exact because the parent node, S with
+arcs[i:], is strong.  A failed test records nothing.
 
 A pass need not record all of S.  Let W be the arcs with index below i of a
 path from t to h in S with arcs[i+1:].  Every S' that holds W holds that
@@ -41,8 +44,10 @@ large tree visits again and again are answered from the memo far more
 often.  Finding the path costs more than a plain search, though, plus a
 table from each arc to its bit, and most levels of a small tree pass only a
 few times.  So until a level and side has recorded two passes, filling
-both slots, a search there runs _reaches and a pass records S; after that
-it runs _witness and records W.  The two-step path always records S.
+both slots, a search there first reads a path of three arcs off the rows,
+the out-rows of t's out-neighbours against h's in-row, then runs _reaches,
+and a pass records S; after that it runs _witness and records W.  The
+two-arc path always records S.
 _witness searches one way only: it grows the layers of t's closure along
 the out-rows until h appears, then walks back from h through them, so W
 comes from a shortest path.  It maps a path arc (u, v) to its bit through a
@@ -52,11 +57,14 @@ they may come in any order.
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.  One
 iteration is one visit of a level: it tries side 1 on a new level, then
-side 2, counting a node and checking the budget before each test.  When
-neither passes it gives the arc back to side 1 and backtracks at once,
-through every earlier level on side 2, to the next level on side 1, which
-then tries side 2.  A visit or backtrack step reads one tuple of a table
-built once per call: the arc's ends, their bits and the arc's own bit.
+side 2, counting a node and checking the budget before each test.  A side
+that passes the degree guard but fails its test restores its rows at once,
+so the next choice starts from the parent's rows.  When neither passes it
+backtracks at once, giving arcs back to side 1: only the earlier levels on
+side 2 wrote side 1's rows, and the level on side 1 that it stops at gives
+its arc back to side 2's rows and then tries side 2.  A visit or backtrack
+step reads one tuple of a table built once per call: the arc's ends, their
+bits and the arc's own bit.
 
 The oracle and part (a) call _search_two_orders, which runs search in two
 arc orders; any order gives an exact search.  Sorted order keeps a vertex's
@@ -73,7 +81,8 @@ search that runs past the cap goes on in MCS order with the budget that
 remains.  On the benchmark's 3-regular digraphs of order 24 the MCS step
 settled every sorted tree that aborted at 5,000 nodes, in at most 1,287
 more, and the order-9 part (a) witness takes 87 MCS nodes after 1,024
-sorted ones, where its sorted tree ends after 890,839.
+sorted ones, where its sorted tree ends after 890,839.  The rows a caller
+passes serve both steps and the MCS order.
 """
 
 from __future__ import annotations
@@ -112,13 +121,17 @@ def _witness(out, inn, t, h, code):
     return w
 
 
-def search(n, arcs, budget=0):
+def search(n, arcs, budget=0, rows=None):
     """Search for two disjoint arc sets, both strong and spanning.
 
     arcs: sequence of distinct (tail, head) tuples defining the assignment
     order.
     budget: node limit, <= 0 means unlimited.  The root counts as one node,
     and so does every attempted assignment of an arc to a side.
+    rows: the out-rows and in-rows of (n, arcs), from a digraph the caller
+    has shown to be strong; they are copied, not changed, and the root's
+    strongness test is skipped.  Without them the rows are built here and a
+    digraph that is not strong is NONE after the root.
     Returns (status, a1_indices, a2_indices, nodes_explored).
     """
     m = len(arcs)
@@ -126,15 +139,18 @@ def search(n, arcs, budget=0):
     # than 2^(m+1) nodes in all
     limit = budget if budget > 0 else 2 ** (m + 1)
 
-    out1, in1 = _rows(n, arcs)
+    nodes = 1
+    if rows is None:
+        out1, in1 = _rows(n, arcs)
+        if _unreachable_pair(n, out1, in1) is not None:
+            return NONE, [], [], nodes
+    else:
+        out1, in1 = list(rows[0]), list(rows[1])
     out2, in2 = out1[:], in1[:]
 
-    nodes = 1
-    if _unreachable_pair(n, out1, in1) is not None:
-        return NONE, [], [], nodes
-
+    vbit = [1 << v for v in range(n)]
     bits = [1 << i for i in range(m)]
-    levels = [(t, h, 1 << t, 1 << h, bit) for (t, h), bit in zip(arcs, bits)]
+    levels = [(t, h, vbit[t], vbit[h], bit) for (t, h), bit in zip(arcs, bits)]
     assign = [0] * m  # 0 untried, else the side that holds the arc
     # per level and side, the last two records of a passing test: the side's
     # arcs[:i], or once prev holds a record, the arcs below i of the path a
@@ -149,7 +165,9 @@ def search(n, arcs, budget=0):
         # one visit of level i.  Arc i is on a side's rows iff that side
         # still has it, so XOR with its bits removes or restores it.  The
         # parent node is strong on both sides, and deleting arc t->h from a
-        # strong digraph leaves it strong iff t still reaches h.
+        # strong digraph leaves it strong iff t still reaches h.  A side
+        # writes its rows only once the degree guard has passed, and a test
+        # that fails after the write restores them before the next choice.
         t, h, tbit, hbit, bit = levels[i]
         if not assign[i]:
             nodes += 1
@@ -158,77 +176,104 @@ def search(n, arcs, budget=0):
             # side 1: side 2 loses the arc, f_i(twos)
             assign[i] = 1
             ones |= bit
-            out2[t] = rest_out = out2[t] ^ hbit
-            in2[h] = rest_in = in2[h] ^ tbit
-            if rest_out and rest_in:
+            if (rest_out := out2[t] ^ hbit) and (rest_in := in2[h] ^ tbit):
+                out2[t] = rest_out
+                in2[h] = rest_in
                 if twos & (p := pass2[i]) == p or twos & (p := prev2[i]) == p:
                     i += 1
                     continue
-                # p is prev2[i]: empty until the level has recorded two passes
-                if rest_out & rest_in or p < 0 and _reaches(out2, in2, t, h):
+                if rest_out & rest_in:
                     prev2[i], pass2[i] = pass2[i], twos
                     i += 1
                     continue
-                if p >= 0:
+                # p is prev2[i]: empty until the level has recorded two passes
+                if p < 0:
+                    mid = 0  # the out-neighbours of t's out-neighbours
+                    while rest_out:
+                        low = rest_out & -rest_out
+                        mid |= out2[low.bit_length() - 1]
+                        rest_out ^= low
+                    if mid & rest_in or _reaches(out2, in2, t, h):
+                        prev2[i], pass2[i] = pass2[i], twos
+                        i += 1
+                        continue
+                else:
                     if code is None:
                         code = dict(zip(arcs, bits))
                     if w := _witness(out2, in2, t, h, code):
                         prev2[i], pass2[i] = pass2[i], w & (bit - 1)
                         i += 1
                         continue
+                out2[t] ^= hbit
+                in2[h] ^= tbit
         if i:  # side 1 holds arc 0, so side 2 is open
             nodes += 1
             if nodes > limit:
                 return ABORTED, [], [], nodes
-            # side 2: side 2 gets the arc back, side 1 loses it, f_i(ones)
+            # side 2: side 1 loses the arc, f_i(ones)
             assign[i] = 2
             ones ^= bit
             twos |= bit
-            out2[t] ^= hbit
-            in2[h] ^= tbit
-            out1[t] = rest_out = out1[t] ^ hbit
-            in1[h] = rest_in = in1[h] ^ tbit
-            if rest_out and rest_in:
+            if (rest_out := out1[t] ^ hbit) and (rest_in := in1[h] ^ tbit):
+                out1[t] = rest_out
+                in1[h] = rest_in
                 if ones & (p := pass1[i]) == p or ones & (p := prev1[i]) == p:
                     i += 1
                     continue
-                # p is prev1[i]: empty until the level has recorded two passes
-                if rest_out & rest_in or p < 0 and _reaches(out1, in1, t, h):
+                if rest_out & rest_in:
                     prev1[i], pass1[i] = pass1[i], ones
                     i += 1
                     continue
-                if p >= 0:
+                # p is prev1[i]: empty until the level has recorded two passes
+                if p < 0:
+                    mid = 0  # the out-neighbours of t's out-neighbours
+                    while rest_out:
+                        low = rest_out & -rest_out
+                        mid |= out1[low.bit_length() - 1]
+                        rest_out ^= low
+                    if mid & rest_in or _reaches(out1, in1, t, h):
+                        prev1[i], pass1[i] = pass1[i], ones
+                        i += 1
+                        continue
+                else:
                     if code is None:
                         code = dict(zip(arcs, bits))
                     if w := _witness(out1, in1, t, h, code):
                         prev1[i], pass1[i] = pass1[i], w & (bit - 1)
                         i += 1
                         continue
-        # level i is exhausted: give its arc back to side 1, and do the same
-        # for every earlier level on side 2; side 1 at level 0 ends the search
+                out1[t] ^= hbit
+                in1[h] ^= tbit
+        # level i is exhausted, and both sides' rows hold its arc again:
+        # unassign it, and give side 1 back the arc of every earlier level on
+        # side 2; the first earlier level on side 1 gives side 2 its arc back
+        # and then tries side 2; side 1 at level 0 ends the search
         while i:
-            out1[t] ^= hbit
-            in1[h] ^= tbit
             twos ^= bit
             assign[i] = 0
             i -= 1
-            if assign[i] == 1:
-                break
             t, h, tbit, hbit, bit = levels[i]
+            if assign[i] == 1:
+                out2[t] ^= hbit
+                in2[h] ^= tbit
+                break
+            out1[t] ^= hbit
+            in1[h] ^= tbit
         else:
             return NONE, [], [], nodes
 
-    a1 = [k for k in range(m) if assign[k] == 1]
-    a2 = [k for k in range(m) if assign[k] == 2]
+    a1 = [k for k, side in enumerate(assign) if side == 1]
+    a2 = [k for k, side in enumerate(assign) if side == 2]
     return FOUND, a1, a2, nodes
 
 
-def _mcs_order(n, arcs):
+def _mcs_order(n, arcs, rows):
     """arcs in maximum-cardinality-search order: vertex 0 first, then
     always the unplaced vertex with the most arcs, either way, to placed
     ones (the lower id on ties); arcs by their later end's place, then the
-    earlier end's, then the arc."""
-    out, inn = _rows(n, arcs)
+    earlier end's, then the arc.  rows are the out-rows and in-rows of (n,
+    arcs)."""
+    out, inn = rows
     weight = [0] * n  # arcs to placed vertices; -1 once placed
     place = [0] * n
     u = 0
@@ -242,7 +287,7 @@ def _mcs_order(n, arcs):
             if weight[v] >= 0:
                 weight[v] += (out[u] >> v & 1) + (inn[u] >> v & 1)
             both ^= low
-        u = max(range(n), key=weight.__getitem__)  # the first of the maxima
+        u = weight.index(max(weight))  # the first of the maxima
 
     def key(arc):
         a, b = place[arc[0]], place[arc[1]]
@@ -250,17 +295,19 @@ def _mcs_order(n, arcs):
     return sorted(arcs, key=key)
 
 
-def _search_two_orders(n, arcs, budget=0):
+def _search_two_orders(n, arcs, budget, rows):
     """search on arcs, which the callers pass sorted, up to _SORTED_CAP
     nodes or the budget if smaller; if that aborts with budget left, search
-    again in MCS order with the nodes that remain.  Returns (status, order, a1, a2, nodes,
-    name): a1 and a2 index order, the arc order of the step that settled
-    it, named "sorted" or "mcs"; nodes counts at most _SORTED_CAP from the
-    first step, so an abort reports budget + 1."""
+    again in MCS order with the nodes that remain.  rows are those of a
+    strong digraph, as search takes them: both steps and the MCS order read
+    them.  Returns (status,
+    order, a1, a2, nodes, name): a1 and a2 index order, the arc order of the
+    step that settled it, named "sorted" or "mcs"; nodes counts at most
+    _SORTED_CAP from the first step, so an abort reports budget + 1."""
     cap = _SORTED_CAP if budget <= 0 else min(_SORTED_CAP, budget)
-    status, a1, a2, nodes = search(n, arcs, cap)
+    status, a1, a2, nodes = search(n, arcs, cap, rows)
     if status != ABORTED or 0 < budget <= _SORTED_CAP:
         return status, arcs, a1, a2, nodes, "sorted"
-    order = _mcs_order(n, arcs)
-    status, a1, a2, nodes = search(n, order, budget - cap if budget > 0 else 0)
+    order = _mcs_order(n, arcs, rows)
+    status, a1, a2, nodes = search(n, order, budget - cap if budget > 0 else 0, rows)
     return status, order, a1, a2, cap + nodes, "mcs"

@@ -372,8 +372,9 @@ def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
     n = len(coord)
     # sorted, since x and y ascend; no inner arc, since T has no loop
     arcs = [(x, y) for x in range(n) for y in range(n) if (coord[x][0], coord[y][0]) in T.arcs]
-    # the dispatcher ran the prechecks, and _finish_composition verifies
-    status, arcs, i1, i2, _, _ = _kernel_py._search_two_orders(n, arcs)
+    # the dispatcher showed T 2-arc-strong, so the skeleton is strong, and
+    # _finish_composition verifies
+    status, arcs, i1, i2, _, _ = _kernel_py._search_two_orders(n, arcs, 0, _rows(n, arcs))
     if status != _kernel_py.FOUND:
         raise ConstructionError("the part (a) skeleton must decompose")
     side1, side2 = ({(coord[arcs[k][0]], coord[arcs[k][1]]) for k in ix} for ix in (i1, i2))

@@ -17,6 +17,9 @@ The search runs in two arc orders (see gooddecomp._kernel_py): sorted arcs
 up to 1,024 nodes, below which every census, criterion-3 and CLI golden
 tree ends, then the maximum-cardinality-search order with the budget that
 remains.  The report's order names the step that settled the search.
+Both steps and the MCS order read the digraph's cached rows, which the
+prechecks have shown strong, so the kernel builds no rows of its own and
+skips its root strongness test.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         return OracleReport("none", None, 0, time.perf_counter() - start, "degree")
     if not _two_arc_strong(d.n, out, inn):
         return OracleReport("none", None, 0, time.perf_counter() - start, "arc-connectivity")
-    status, arcs, i1, i2, nodes, order = _impl._search_two_orders(d.n, d.sorted_arcs(), budget)
+    # the prechecks showed d strong, so the kernel takes its rows as they are
+    status, arcs, i1, i2, nodes, order = _impl._search_two_orders(
+        d.n, d.sorted_arcs(), budget, d.rows)
     elapsed = time.perf_counter() - start
     if status == _impl.FOUND:
-        a1 = frozenset(arcs[i] for i in i1)
-        a2 = frozenset(arcs[i] for i in i2)
+        a1 = frozenset(map(arcs.__getitem__, i1))
+        a2 = frozenset(map(arcs.__getitem__, i2))
         check = verify(d, a1, a2)
         if not check.ok:
             raise ConstructionError(f"kernel returned invalid decomposition: {check.reason}")

@@ -202,6 +202,22 @@ class TestCli:
         assert run_command(["check", str(workdir / "k1.el")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "arc-connectivity: n/a"
 
+    def test_check_huge_arcless_order(self, tmp_path, capsys, monkeypatch):
+        """An arcless digraph of order 10^9 is not strong, not semicomplete and
+        0-arc-strong, all read from its order and arc count: building its rows
+        would take about 16 GB, so here it raises."""
+        def no_rows(n, arcs):
+            raise AssertionError(f"rows built for order {n}")
+
+        monkeypatch.setattr(gooddecomp.digraph, "_rows", no_rows)
+        (tmp_path / "huge.el").write_text("1000000000 0\n")
+        assert run_command(["check", str(tmp_path / "huge.el")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "order: 1000000000\narcs: 0\nstrong: no\nsemicomplete: no\narc-connectivity: 0\n"
+        )
+        assert captured.err == ""
+
     def test_decompose_s4_refused(self, workdir, capsys):
         assert run_command(["decompose", str(workdir / "s4.el")]) == 1
         assert capsys.readouterr().out.splitlines()[0] == "exception:S4"

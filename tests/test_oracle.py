@@ -204,7 +204,7 @@ def _mcs_reference(n: int, arcs: set) -> list:
                                        min(place[a[0]], place[a[1]]), a))
 
 
-def _overlapping_sides(n, arcs, budget):
+def _overlapping_sides(n, arcs, budget, rows):
     return _kernel_py.FOUND, [0], [0], 1
 
 
@@ -261,7 +261,7 @@ class TestOracle:
                 expected = ("none", "arc-connectivity", 0)
             else:
                 status, _, _, _, nodes, _ = _kernel_py._search_two_orders(
-                    n, d.sorted_arcs(), 2000)
+                    n, d.sorted_arcs(), 2000, d.rows)
                 outcome = ("found", "none", "aborted")[status]
                 expected = (outcome, "exhausted" if outcome == "none" else None, nodes)
             rep = oracle_good_decomposition(d, budget=2000)
@@ -389,7 +389,7 @@ class TestOracle:
         searches["_reaches"] = searches["_witness"] = 0
         nodes = sum(oracle_good_decomposition(d, budget=5000).nodes_explored for d in draws)
         assert nodes == sum(pinned for _, pinned, _ in PINNED_REGULAR3_24) == 9699
-        assert searches == {"_reaches": 1971, "_witness": 318}
+        assert searches == {"_reaches": 1496, "_witness": 318}
 
     def test_dense_search_work(self, monkeypatch):
         """The same guard on the dense PINNED_RANDOM draws: a path of two arcs
@@ -488,7 +488,7 @@ class TestOracle:
         code = (
             "import sys\n"
             "from gooddecomp import ConstructionError, complete, oracle\n"
-            "oracle._impl.search = lambda n, arcs, budget: (oracle._impl.FOUND, [0], [0], 1)\n"
+            "oracle._impl.search = lambda n, arcs, budget, rows: (oracle._impl.FOUND, [0], [0], 1)\n"
             "try:\n"
             "    oracle.oracle_good_decomposition(complete(3))\n"
             "except ConstructionError as exc:\n"
@@ -535,9 +535,9 @@ class TestTwoOrders:
             d = Digraph(n, [(u, v) for u in range(n) for v in range(n)
                             if u != v and rng.random() < density])
             arcs = d.sorted_arcs()
-            order = _kernel_py._mcs_order(n, arcs)
+            order = _kernel_py._mcs_order(n, arcs, d.rows)
             assert sorted(order) == arcs
-            assert _kernel_py._mcs_order(n, rng.sample(arcs, len(arcs))) == order
+            assert _kernel_py._mcs_order(n, rng.sample(arcs, len(arcs)), d.rows) == order
             assert order == _mcs_reference(n, d.arcs), (n, arcs)
 
     def test_trees_below_cap_unchanged(self):
@@ -557,6 +557,30 @@ class TestTwoOrders:
                 sides = "".join("1" if k in i1 else "2" for k in range(len(arcs)))
             assert _signature(d) == (("found", "none")[status], nodes, sides)
             assert oracle_good_decomposition(d).order == "sorted"
+
+    def test_given_rows_change_nothing(self):
+        """search(n, arcs, budget, rows) answers as search(n, arcs, budget), in
+        status, sides and nodes, on strong digraphs, and leaves the rows as it
+        found them: on every 2-arc-strong semicomplete class of order 2-5 and
+        every 20th criterion-3 composition, and on the PINNED_REGULAR3_24
+        draws at budgets 5,000, 200 and 30, in sorted, shuffled and MCS
+        order."""
+        hosts = [d for n in range(2, 6) for d in enumerate_semicomplete(n, min_arc_strong=2)]
+        hosts += [compose(spec).digraph for spec in itertools.islice(_all_small_specs(), 0, None, 20)]
+        cases = [(d, d.sorted_arcs(), 0) for d in hosts]
+        rng = random.Random(0x24)
+        for d in [_random_regular3(rng, 24) for _ in PINNED_REGULAR3_24]:
+            arcs = d.sorted_arcs()
+            for order in (arcs, rng.sample(arcs, d.m), _kernel_py._mcs_order(d.n, arcs, d.rows)):
+                cases += [(d, order, budget) for budget in (5000, 200, 30)]
+        statuses = set()
+        for d, arcs, budget in cases:
+            rows = tuple(map(list, d.rows))
+            expected = _kernel_py.search(d.n, arcs, budget)
+            assert _kernel_py.search(d.n, arcs, budget, rows) == expected, (d.n, arcs, budget)
+            assert rows == tuple(map(list, d.rows))
+            statuses.add(expected[0])
+        assert statuses == {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.ABORTED}
 
     def test_outcomes_match_bruteforce(self, monkeypatch):
         """The oracle's verdicts agree with the brute-force reference on
