@@ -12,13 +12,14 @@ so arc 0 goes to side 1 only.
 Every node of the tree is strong on both sides, and deleting arc t->h from a
 strong digraph leaves it strong iff t still reaches h.  That test is
 digraph._reaches, the path search the oracle's 2-arc-strong precheck also
-runs: it meets in the middle, growing the closure of t along the out-rows
-and the closure of h along the in-rows, always expanding the smaller
-frontier, and stops when the two meet or either frontier runs dry.  The
-root's strongness test is digraph._unreachable_pair, behind is_strong and
-verify.  It runs only when search builds the rows itself: a caller that
-has already shown the digraph strong passes its rows, which search copies,
-and the oracle and part (a) do.
+runs: it meets in the middle, growing a closure of t along the out-rows and
+a closure of h along the in-rows from the layers its caller has read,
+always expanding the smaller frontier, and stops when the two meet or
+either frontier runs dry.  The root's strongness test is
+digraph._unreachable_pair, behind is_strong and verify.  It runs only when
+search builds the rows itself: a caller that has already shown the digraph
+strong passes its rows, which search copies, and the oracle and part (a)
+do.
 
 At level i, whichever side loses arc i, the test is one function of that
 side's arcs S among arcs[:i]: f_i(S) says whether S together with the
@@ -45,9 +46,11 @@ often.  Finding the path costs more than a plain search, though, plus a
 table from each arc to its bit, and most levels of a small tree pass only a
 few times.  So until a level and side has recorded two passes, filling
 both slots, a search there first reads a path of three arcs off the rows,
-the out-rows of t's out-neighbours against h's in-row, then runs _reaches,
-and a pass records S; after that it runs _witness and records W.  The
-two-arc path always records S.
+the out-rows of t's out-neighbours against h's in-row, and then runs
+_reaches from what the level has read: t's closure to distance 2, with the
+out-neighbours of t's out-neighbours as its frontier, and h with its
+in-neighbours, so no row is read twice.  A pass records S; after two it
+runs _witness and records W.  The two-arc path always records S.
 _witness searches one way only: it grows the layers of t's closure along
 the out-rows until h appears, then walks back from h through them, so W
 comes from a shortest path.  It maps a path arc (u, v) to its bit through a
@@ -188,12 +191,14 @@ def search(n, arcs, budget=0, rows=None):
                     continue
                 # p is prev2[i]: empty until the level has recorded two passes
                 if p < 0:
+                    near = tbit | rest_out  # t's closure to distance 1
                     mid = 0  # the out-neighbours of t's out-neighbours
                     while rest_out:
                         low = rest_out & -rest_out
                         mid |= out2[low.bit_length() - 1]
                         rest_out ^= low
-                    if mid & rest_in or _reaches(out2, in2, t, h):
+                    if mid & rest_in or _reaches(out2, in2, near | mid, mid & ~near,
+                                                 hbit | rest_in, rest_in):
                         prev2[i], pass2[i] = pass2[i], twos
                         i += 1
                         continue
@@ -226,12 +231,14 @@ def search(n, arcs, budget=0, rows=None):
                     continue
                 # p is prev1[i]: empty until the level has recorded two passes
                 if p < 0:
+                    near = tbit | rest_out  # t's closure to distance 1
                     mid = 0  # the out-neighbours of t's out-neighbours
                     while rest_out:
                         low = rest_out & -rest_out
                         mid |= out1[low.bit_length() - 1]
                         rest_out ^= low
-                    if mid & rest_in or _reaches(out1, in1, t, h):
+                    if mid & rest_in or _reaches(out1, in1, near | mid, mid & ~near,
+                                                 hbit | rest_in, rest_in):
                         prev1[i], pass1[i] = pass1[i], ones
                         i += 1
                         continue

@@ -51,10 +51,10 @@ from .flows import CycleCover, cover_cut, cycle_cover
 from .structure import (
     ConstructionError,
     Cycle,
+    _hamiltonian_cycle_semicomplete,
     _some_cycle,
     cycle_arcs,
     hamiltonian_cycle_bruteforce,
-    hamiltonian_cycle_semicomplete,
     is_cycle_of,
 )
 
@@ -395,7 +395,7 @@ def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:
     if semicomplete and lam == 2 and (sides := _part_a_sides(spec)) is not None:
         return "composition/part-a", sides
     if min(spec.sizes) >= 2 and (semicomplete or T.n <= 14):
-        hc = (hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
+        hc = (_hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
         if hc is not None and (sides := _hamiltonian_sides(spec, hc)) is not None:
             return "composition/hamiltonian", sides
         if semicomplete and (sides := _remaining_sides(spec, hc)) is not None:

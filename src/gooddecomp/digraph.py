@@ -172,14 +172,15 @@ def _closure(rows, v: int) -> int:
     return full ^ unseen
 
 
-def _reaches(out, inn, t: int, h: int) -> bool:
-    """True iff t reaches h != t along out-rows; inn holds the same arcs as
-    in-rows.  Grows both ends at once and stops when they meet; the first
-    layers are t's out-row and h's in-row, read directly."""
-    a_front, b_front = out[t], inn[h]
-    if a_front & (b_front | 1 << h):
-        return True
-    a, b = a_front | 1 << t, b_front | 1 << h
+def _reaches(out, inn, a: int, a_front: int, b: int, b_front: int) -> bool:
+    """True iff a vertex of a reaches one of b along the out-rows out, where
+    a and b are disjoint vertex sets; inn holds the same arcs as in-rows.
+    a_front is a's last layer: every out-neighbour of a vertex of a outside
+    a_front lies in a; likewise b_front along inn.  So a test whether t
+    reaches h passes t's closure and h's in-closure as deep as it has read
+    them already, and the search reads only the rows of frontier vertices.
+    Grows both ends at once, always the smaller frontier, and stops when
+    they meet or either frontier runs dry."""
     # a is the end with the smaller frontier; swap name by name (a tuple swap ran 15% slower)
     a_rows, b_rows = out, inn
     while a_front and b_front:
@@ -220,8 +221,14 @@ def _two_arc_strong(n: int, out, inn) -> bool:
     such u has a shortest path from 0 that avoids w, and u->w avoids p->w.
     So an arc into w is a candidate only if its tail is the one vertex of
     inn[w] & seen when w's layer is expanded, and a candidate is a bridge
-    iff its tail no longer reaches its head without it.  The rows are
-    copied only if a candidate remains.
+    iff its tail no longer reaches its head without it.  The tail lies in
+    the layer just before the head's, its one in-neighbour there, so no
+    other out-neighbour of the tail is an in-neighbour of the head: that
+    vertex would lie in the head's layer or an earlier one.  So the tail
+    with its other out-neighbours and the head with its other in-neighbours
+    are disjoint start sets of _reaches, which reads the rows of the tail
+    and the head only as these first frontiers, the candidate masked out:
+    no row is copied or written.
     """
     cands = []
     for fwd, back in ((out, inn), (inn, out)):
@@ -241,16 +248,9 @@ def _two_arc_strong(n: int, out, inn) -> bool:
             seen |= frontier
         if seen != (1 << n) - 1:
             return False
-    if not cands:
-        return True
-    out, inn = list(out), list(inn)
     for t, h in dict.fromkeys(cands):
-        out[t] ^= 1 << h
-        inn[h] ^= 1 << t
-        ok = _reaches(out, inn, t, h)
-        out[t] |= 1 << h
-        inn[h] |= 1 << t
-        if not ok:
+        rest_out, rest_in = out[t] ^ 1 << h, inn[h] ^ 1 << t
+        if not _reaches(out, inn, rest_out | 1 << t, rest_out, rest_in | 1 << h, rest_in):
             return False
     return True
 
@@ -331,16 +331,17 @@ def _arc_strength(d: Digraph, cap: float) -> int:
         raise ValueError("undefined for trivial digraph")
     if d.m < d.n:
         return min(cap, 0)
-    best = min(cap, *(min(o.bit_count(), i.bit_count()) for o, i in zip(*d.rows)))
-    if best < 2 or not _two_arc_strong(d.n, *d.rows):
-        return best if best < 1 else int(_unreachable_pair(d.n, *d.rows) is None)
+    out, inn = d.rows
+    best = min(cap, min(map(int.bit_count, out)), min(map(int.bit_count, inn)))
+    if best < 2 or not _two_arc_strong(d.n, out, inn):
+        return best if best < 1 else int(_unreachable_pair(d.n, out, inn) is None)
     for v in range(d.n):
         if best == 2:
             break
         unit: list[dict[int, int]] = [{} for _ in range(d.n)]
         for t, h in d.arcs:
             unit[t][h] = 1
-        best = _max_flow(unit, list(d.rows[0]), v, (v + 1) % d.n, best)
+        best = _max_flow(unit, list(out), v, (v + 1) % d.n, best)
     return best
 
 

@@ -1,9 +1,10 @@
 """Edge-list and decomposition file formats plus DOT export.
 
-Edge list: a header line "n m" followed by m lines "u v"; '#' starts a
-comment line; blank lines are ignored.  Decomposition documents carry a
-section HOST (an edge list) and sections A1, ..., Ak (arc lines, k >= 2).
-No section may repeat an arc line, and no two parts may list the same arc.
+Edge list: a header line "n m" followed by m lines "u v", every number
+ASCII decimal digits; '#' starts a comment line; blank lines are ignored.
+Decomposition documents carry a section HOST (an edge list) and sections
+A1, ..., Ak (arc lines, k >= 2).  No section may repeat an arc line, and no
+two parts may list the same arc.
 """
 
 from __future__ import annotations
@@ -30,12 +31,21 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _decimal(token: str) -> int:
+    """The value of token if it is ASCII decimal digits only, else
+    ValueError: int() alone also takes a sign, underscores and non-ASCII
+    digits."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(token)
+
+
 def _parse_arc_line(line: str, lineno: int, n: int) -> Arc:
     parts = line.split()
     if len(parts) != 2:
         raise ParseError(f"expected 'u v', got {line!r}", lineno)
     try:
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _decimal(parts[0]), _decimal(parts[1])
     except ValueError:
         raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
     if not (0 <= u < n and 0 <= v < n):
@@ -51,8 +61,8 @@ def _parse_edge_lines(lines: list[tuple[int, str]]) -> Digraph:
     lineno, header = lines[0]
     parts = header.split()
     try:
-        n, m = int(parts[0]), int(parts[1])
-        if len(parts) != 2 or n < 0 or m < 0:
+        n, m = _decimal(parts[0]), _decimal(parts[1])
+        if len(parts) != 2:
             raise ValueError
     except (ValueError, IndexError):
         raise ParseError(f"malformed header {header!r}, expected 'n m'", lineno) from None

@@ -67,7 +67,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
         return OracleReport("found", dec, 0, time.perf_counter() - start)
     # every digraph with a good decomposition is 2-arc-strong
     out, inn = d.rows
-    if any(min(o.bit_count(), i.bit_count()) < 2 for o, i in zip(out, inn)):
+    if min(map(int.bit_count, out)) < 2 or min(map(int.bit_count, inn)) < 2:
         return OracleReport("none", None, 0, time.perf_counter() - start, "degree")
     if not _two_arc_strong(d.n, out, inn):
         return OracleReport("none", None, 0, time.perf_counter() - start, "arc-connectivity")

@@ -153,19 +153,26 @@ def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDec
 # Hamiltonian cycles
 
 def hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
-    """Hamiltonian cycle of a strong semicomplete digraph by cycle extension.
-
-    Maintains a cycle and grows it: outside vertices are inserted between
-    consecutive cycle vertices when possible; otherwise the outside splits
-    into a dominated set and a dominating set and an arc between them extends
-    the cycle.  Order 2 yields the digon.
-    """
+    """Hamiltonian cycle of a strong semicomplete digraph by cycle extension
+    (see _hamiltonian_cycle_semicomplete); ValueError for any other d."""
     if d.n < 2:
         raise ValueError("requires order >= 2")
     if not is_semicomplete(d):
         raise ValueError("requires semicomplete digraph")
     if not is_strong(d):
         raise ValueError("requires strong digraph")
+    return _hamiltonian_cycle_semicomplete(d)
+
+
+def _hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
+    """Hamiltonian cycle of d, which the caller has shown strong and
+    semicomplete of order >= 2, by cycle extension.
+
+    Maintains a cycle and grows it: outside vertices are inserted between
+    consecutive cycle vertices when possible; otherwise the outside splits
+    into a dominated set and a dominating set and an arc between them extends
+    the cycle.  Order 2 yields the digon.
+    """
     out, inn = d.rows
     cyc = list(_some_cycle(d))
     while len(cyc) < d.n:

@@ -362,7 +362,7 @@ class TestDispatcher:
             raise AssertionError("Hamiltonian search reached")
 
         monkeypatch.setattr("gooddecomp.decomp.hamiltonian_cycle_bruteforce", refuse)
-        monkeypatch.setattr("gooddecomp.decomp.hamiltonian_cycle_semicomplete", refuse)
+        monkeypatch.setattr("gooddecomp.decomp._hamiltonian_cycle_semicomplete", refuse)
         spec = spec_of(outer, empty(1), *[empty(2)] * (outer.n - 1))
         assert decompose_composition(spec) is None
         assert _strong_parts_sides(spec) is None
@@ -373,7 +373,7 @@ class TestDispatcher:
         "spec,route,search",
         [
             (spec_of(cycle(3), empty(2), empty(2), empty(4)), "composition/remaining",
-             "hamiltonian_cycle_semicomplete"),
+             "_hamiltonian_cycle_semicomplete"),
             # no Hamiltonian cycle, so the brute force fails and strong parts applies
             (spec_of(BIDIRECTED_P3, cycle(2), cycle(2), cycle(2)), "composition/strong-parts",
              "hamiltonian_cycle_bruteforce"),
@@ -382,7 +382,7 @@ class TestDispatcher:
     )
     def test_hamiltonian_search_runs_once(self, monkeypatch, spec, route, search):
         calls = Counter()
-        for name in ("hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete"):
+        for name in ("hamiltonian_cycle_bruteforce", "_hamiltonian_cycle_semicomplete"):
             def counted(d, real=getattr(decomp_module, name), name=name):
                 calls[name] += 1
                 return real(d)
@@ -393,6 +393,20 @@ class TestDispatcher:
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
         assert calls == {search: 2}
+
+    def test_hamiltonian_route_tests_outer_once(self, monkeypatch):
+        # the route has shown T strong and semicomplete, so the cycle
+        # extension runs without the public function's tests of T
+        def refuse(d):
+            raise AssertionError("outer tested again")
+
+        monkeypatch.setattr("gooddecomp.structure.is_semicomplete", refuse)
+        monkeypatch.setattr("gooddecomp.structure.is_strong", refuse)
+        for spec, route in ((spec_of(STRONG_TOURNAMENT_4, *[empty(2)] * 4), "composition/hamiltonian"),
+                            (spec_of(cycle(3), empty(2), empty(2), empty(4)), "composition/remaining")):
+            assert _composition_route(spec)[0] == route
+            dec = decompose_composition(spec)
+            assert dec is not None and verify_decomposition(dec).ok
 
     def test_t_below_two_rejected(self):
         with pytest.raises(ValueError):

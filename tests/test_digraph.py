@@ -344,6 +344,46 @@ class TestTwoArcStrong:
             verdicts.add((n > 8, expected))
         assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
+    def test_list_rows_match_flows(self, monkeypatch):
+        """_two_arc_strong on list rows answers as the flows do and leaves
+        the rows as they were; each bridge candidate's search starts from
+        disjoint sets, since a candidate's tail and head have no common
+        neighbour besides each other.  The digraphs are two dense blocks
+        joined by a few arcs, so some bridges join ends of degree 2 or more
+        and only a search that never reads the bridge finds them."""
+        reaches, starts, bridges = digraph._reaches, [], []
+
+        def recorded(out, inn, a, a_front, b, b_front):
+            starts.append(a & b)
+            found = reaches(out, inn, a, a_front, b, b_front)
+            bridges.append(not found and a_front and b_front)
+            return found
+
+        monkeypatch.setattr(digraph, "_reaches", recorded)
+        rng = random.Random(0x2A6)
+        shapes = set()
+        for trial in range(300):
+            n = rng.randint(4, 12)
+            perm = rng.sample(range(n), n)
+            cut = rng.randint(2, n - 2)
+            arcs = set()
+            for block in (perm[:cut], perm[cut:]):
+                arcs |= {(u, v) for u, v in zip(block, block[1:] + block[:1])}
+                pairs = [(u, v) for u in block for v in block if u != v]
+                arcs |= set(rng.sample(pairs, rng.randint(0, len(pairs))))
+            for _ in range(rng.randint(1, 6)):
+                u, v = rng.choice(perm[:cut]), rng.choice(perm[cut:])
+                arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+            d = Digraph(n, arcs)
+            out, inn = _rows(n, arcs)
+            copies = (out[:], inn[:])
+            expected = all(unit_flow(d, v, (v + 1) % n, 2) == 2 for v in range(n))
+            assert _two_arc_strong(n, out, inn) == expected, (n, sorted(arcs))
+            assert (out, inn) == copies
+            shapes.add("2-arc-strong" if expected else "strong" if is_strong(d) else "not strong")
+        assert shapes == {"2-arc-strong", "strong", "not strong"}
+        assert len(starts) > 100 and not any(starts) and any(bridges)
+
     def test_beyond_one_machine_word(self):
         n = 70
         bidirected = Digraph(n, cycle(n).arcs | {(v, u) for u, v in cycle(n).arcs})

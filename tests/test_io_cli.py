@@ -80,6 +80,16 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("three arcs\n0 1")
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "-0", "\u0661", "\uff11"],
+                             ids=["underscore", "plus", "minus", "arabic-indic", "fullwidth"])
+    def test_ascii_decimals_only(self, token):
+        # int() takes all of these; a count or a vertex is ASCII digits only
+        for text, line in ((f"{token} 1\n0 1\n", 1), (f"2 1\n0 {token}\n", 2),
+                           (f"11 {token}\n", 1), (f"2 1\n{token} 0\n", 2)):
+            with pytest.raises(ParseError) as err:
+                parse_edge_list(text)
+            assert err.value.line == line, text
+
     def test_comments_ignored(self):
         text = "# a triangle\n3 3\n0 1\n# middle\n1 2\n2 0\n"
         assert parse_edge_list(text) == cycle(3)
@@ -110,6 +120,16 @@ class TestDecompositionDocument:
         text = "HOST\n3 3\n0 1\n1 2\n2 0\nA1\n0 1\nA2\n1 2\n# third\nA3\n2 0\n1  2\n"
         with pytest.raises(ParseError, match=r"^line 13: A3 shares arc '1  2' with A2$"):
             parse_decomposition(text)
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"],
+                             ids=["underscore", "plus", "arabic-indic"])
+    def test_ascii_decimals_only(self, token):
+        # in the HOST header, a HOST arc line and a part's arc line
+        good = ["HOST", "2 2", "0 1", "1 0", "A1", "0 1", "A2", "1 0"]
+        for at, bad in ((1, f"2 {token}"), (2, f"0 {token}"), (7, f"{token} 0")):
+            with pytest.raises(ParseError) as err:
+                parse_decomposition("\n".join(good[:at] + [bad] + good[at + 1:]) + "\n")
+            assert err.value.line == at + 1, bad
 
     def test_side_arc_outside_host_rejected(self):
         text = "HOST\n3 2\n0 1\n1 2\nA1\n2 0\nA2\n"

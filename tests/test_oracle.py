@@ -27,7 +27,7 @@ from gooddecomp import (
 from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
 from gooddecomp import digraph as digraph_mod
-from gooddecomp.digraph import _bfs, _reaches, _rows, _tree_path, _two_arc_strong
+from gooddecomp.digraph import _bfs, _closure, _reaches, _rows, _tree_path, _two_arc_strong
 from gooddecomp.oracle import _orbit, enumerate_semicomplete
 
 from conftest import (
@@ -187,6 +187,19 @@ def _count_path_searches(monkeypatch, module=_kernel_py, names=("_reaches", "_wi
 
         monkeypatch.setattr(module, name, counting)
     return counts
+
+
+def _layers(rows, v: int, depth: int) -> tuple:
+    """v's closure along rows to the given depth, and its last layer."""
+    seen = front = 1 << v
+    for _ in range(depth):
+        nxt = 0
+        for u in range(len(rows)):
+            if front >> u & 1:
+                nxt |= rows[u]
+        front = nxt & ~seen
+        seen |= front
+    return seen, front
 
 
 def _mcs_reference(n: int, arcs: set) -> list:
@@ -416,6 +429,41 @@ class TestOracle:
         assert all(_two_arc_strong(d.n, *d.rows) for d in draws)
         assert 0 < searches["_reaches"] <= len(draws) * (2 * 24 - 2) // 3
 
+    def test_reaches_from_start_sets(self):
+        """_reaches from two disjoint start sets answers as _closure does.
+        On seeded digraphs of order 2-12 and the PINNED_REGULAR3_24 draws an
+        arc t->h is masked out, and t's closure and h's in-closure to depths
+        0-2, with their last layers, start the search.  With the arc masked
+        from the rows, as in the kernel, every depth serves; with the rows
+        whole and the arc masked from the start sets only, as in
+        _two_arc_strong, both depths are at least 1, so the search must not
+        read the rows of t and h."""
+        rng = random.Random(0x4EAC)
+        hosts = []
+        for _ in range(150):
+            n = rng.randint(2, 12)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            hosts.append(Digraph(n, rng.sample(pairs, rng.randint(1, len(pairs)))))
+        draws = random.Random(0x24)
+        hosts += [_random_regular3(draws, 24) for _ in PINNED_REGULAR3_24]
+        answers, met = set(), 0
+        for d in hosts:
+            for t, h in rng.sample(d.sorted_arcs(), min(d.m, 4)):
+                out, inn = _rows(d.n, d.arcs - {(t, h)})
+                expected = bool(_closure(out, t) >> h & 1)
+                answers.add(expected)
+                for da, db in itertools.product(range(3), repeat=2):
+                    a, a_front = _layers(out, t, da)
+                    b, b_front = _layers(inn, h, db)
+                    if a & b:  # the closures have met: t reaches h
+                        assert expected
+                        met += 1
+                        continue
+                    assert _reaches(out, inn, a, a_front, b, b_front) == expected
+                    if da and db:
+                        assert _reaches(*d.rows, a, a_front, b, b_front) == expected
+        assert answers == {True, False} and met > 100
+
     def test_witness_is_a_path(self):
         """_witness answers exactly as _reaches does, and a path it returns
         is a shortest path from t to h over available arcs; its arcs below
@@ -436,7 +484,7 @@ class TestOracle:
             out, inn = _rows(n, [arcs[k] for k in avail])
             code = {arc: 1 << k for k, arc in enumerate(arcs)}
             w = _kernel_py._witness(out, inn, t, h, code)
-            assert bool(w) == _reaches(out, inn, t, h)
+            assert bool(w) == _reaches(out, inn, 1 << t, 1 << t, 1 << h, 1 << h)
             if not w:
                 missed += 1
                 continue
@@ -454,7 +502,7 @@ class TestOracle:
             assert below <= side
             none_below += not below
             out, inn = _rows(n, [arcs[k] for k in below | set(range(i + 1, len(arcs)))])
-            assert _reaches(out, inn, t, h)
+            assert _reaches(out, inn, 1 << t, 1 << t, 1 << h, 1 << h)
         assert found > 100 and missed > 100 and none_below > 50
 
     def test_kernel_matches_reference_shuffled(self, monkeypatch):
