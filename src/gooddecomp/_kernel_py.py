@@ -15,11 +15,8 @@ digraph._reaches, the path search the oracle's 2-arc-strong precheck also
 runs: it meets in the middle, growing a closure of t along the out-rows and
 a closure of h along the in-rows from the layers its caller has read,
 always expanding the smaller frontier, and stops when the two meet or
-either frontier runs dry.  The root's strongness test is
-digraph._unreachable_pair, behind is_strong and verify.  It runs only when
-search builds the rows itself: a caller that has already shown the digraph
-strong passes its rows, which search copies, and the oracle and part (a)
-do.
+either frontier runs dry.  The root needs no test: the caller has shown
+the digraph strong, and the search copies its cached rows.
 
 At level i, whichever side loses arc i, the test is one function of that
 side's arcs S among arcs[:i]: f_i(S) says whether S together with the
@@ -69,11 +66,11 @@ its arc back to side 2's rows and then tries side 2.  A visit or backtrack
 step reads one tuple of a table built once per call: the arc's ends, their
 bits and the arc's own bit.
 
-The oracle and part (a) call _search_two_orders, which runs search in two
-arc orders; any order gives an exact search.  Sorted order keeps a vertex's
-out-arcs together but spreads its in-arcs over the whole list, so a side
-that starves a vertex fails only at that vertex's last arc, deep in the
-tree.  The maximum-cardinality-search (MCS) order of _mcs_order places
+The kernel's one entry, search, runs the single-order loop _search_order
+in two arc orders; any order gives an exact search.  Sorted order keeps a
+vertex's out-arcs together but spreads its in-arcs over the whole list, so
+a side that starves a vertex fails only at that vertex's last arc, deep in
+the tree.  The maximum-cardinality-search (MCS) order of _mcs_order places
 vertex 0, then always the vertex with the most arcs to placed ones, and
 lists each arc once both its ends are placed, so every vertex's arcs come
 close together.  The sorted search runs first, up to _SORTED_CAP = 1,024
@@ -84,17 +81,17 @@ search that runs past the cap goes on in MCS order with the budget that
 remains.  On the benchmark's 3-regular digraphs of order 24 the MCS step
 settled every sorted tree that aborted at 5,000 nodes, in at most 1,287
 more, and the order-9 part (a) witness takes 87 MCS nodes after 1,024
-sorted ones, where its sorted tree ends after 890,839.  The rows a caller
-passes serve both steps and the MCS order.
+sorted ones, where its sorted tree ends after 890,839.  The digraph's rows
+serve both steps and the MCS order, and the sides come back as arcs.
 """
 
 from __future__ import annotations
 
-from .digraph import _reaches, _rows, _unreachable_pair
+from .digraph import _reaches
 
 FOUND, NONE, ABORTED = 0, 1, 2
 
-#: node limit of the sorted step of _search_two_orders
+#: node limit of the sorted step of search
 _SORTED_CAP = 1024
 
 
@@ -124,17 +121,14 @@ def _witness(out, inn, t, h, code):
     return w
 
 
-def search(n, arcs, budget=0, rows=None):
-    """Search for two disjoint arc sets, both strong and spanning.
+def _search_order(n, arcs, budget, rows):
+    """Search for two disjoint arc sets, both strong and spanning, assigning
+    arcs, distinct (tail, head) tuples, in the order given.
 
-    arcs: sequence of distinct (tail, head) tuples defining the assignment
-    order.
     budget: node limit, <= 0 means unlimited.  The root counts as one node,
     and so does every attempted assignment of an arc to a side.
     rows: the out-rows and in-rows of (n, arcs), from a digraph the caller
-    has shown to be strong; they are copied, not changed, and the root's
-    strongness test is skipped.  Without them the rows are built here and a
-    digraph that is not strong is NONE after the root.
+    has shown to be strong; they are copied, not changed.
     Returns (status, a1_indices, a2_indices, nodes_explored).
     """
     m = len(arcs)
@@ -143,12 +137,7 @@ def search(n, arcs, budget=0, rows=None):
     limit = budget if budget > 0 else 2 ** (m + 1)
 
     nodes = 1
-    if rows is None:
-        out1, in1 = _rows(n, arcs)
-        if _unreachable_pair(n, out1, in1) is not None:
-            return NONE, [], [], nodes
-    else:
-        out1, in1 = list(rows[0]), list(rows[1])
+    out1, in1 = list(rows[0]), list(rows[1])
     out2, in2 = out1[:], in1[:]
 
     vbit = [1 << v for v in range(n)]
@@ -302,19 +291,21 @@ def _mcs_order(n, arcs, rows):
     return sorted(arcs, key=key)
 
 
-def _search_two_orders(n, arcs, budget, rows):
-    """search on arcs, which the callers pass sorted, up to _SORTED_CAP
-    nodes or the budget if smaller; if that aborts with budget left, search
-    again in MCS order with the nodes that remain.  rows are those of a
-    strong digraph, as search takes them: both steps and the MCS order read
-    them.  Returns (status,
-    order, a1, a2, nodes, name): a1 and a2 index order, the arc order of the
-    step that settled it, named "sorted" or "mcs"; nodes counts at most
-    _SORTED_CAP from the first step, so an abort reports budget + 1."""
+def search(d, budget=0):
+    """Search the strong digraph d: its sorted arcs up to _SORTED_CAP nodes,
+    or the budget if smaller; if that aborts with budget left, its arcs in
+    MCS order with the nodes that remain.  budget <= 0 means unlimited.
+    Both steps and the MCS order read d's cached rows.  Returns (status, a1,
+    a2, step, nodes): a1 and a2 are frozensets of arcs, empty unless FOUND;
+    step names the step that settled it, "sorted" or "mcs"; nodes counts at
+    most _SORTED_CAP from the first step, so an abort reports budget + 1."""
+    n, arcs, rows = d.n, d.sorted_arcs(), d.rows
     cap = _SORTED_CAP if budget <= 0 else min(_SORTED_CAP, budget)
-    status, a1, a2, nodes = search(n, arcs, cap, rows)
-    if status != ABORTED or 0 < budget <= _SORTED_CAP:
-        return status, arcs, a1, a2, nodes, "sorted"
-    order = _mcs_order(n, arcs, rows)
-    status, a1, a2, nodes = search(n, order, budget - cap if budget > 0 else 0, rows)
-    return status, order, a1, a2, cap + nodes, "mcs"
+    status, i1, i2, nodes = _search_order(n, arcs, cap, rows)
+    step = "sorted"
+    if status == ABORTED and not 0 < budget <= _SORTED_CAP:
+        arcs, step = _mcs_order(n, arcs, rows), "mcs"
+        status, i1, i2, nodes = _search_order(n, arcs, budget - cap if budget > 0 else 0, rows)
+        nodes += cap
+    a1, a2 = (frozenset(map(arcs.__getitem__, ix)) for ix in (i1, i2))
+    return status, a1, a2, step, nodes

@@ -370,14 +370,14 @@ def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
         c[next(p for p in range(t) if spec.sizes[p] >= 2)] = 2
     coord = [(p, s) for p in range(t) for s in range(c[p])]  # blockwise
     n = len(coord)
-    # sorted, since x and y ascend; no inner arc, since T has no loop
+    # no inner arc, since T has no loop
     arcs = [(x, y) for x in range(n) for y in range(n) if (coord[x][0], coord[y][0]) in T.arcs]
     # the dispatcher showed T 2-arc-strong, so the skeleton is strong, and
     # _finish_composition verifies
-    status, arcs, i1, i2, _, _ = _kernel_py._search_two_orders(n, arcs, 0, _rows(n, arcs))
+    status, a1, a2, _, _ = _kernel_py.search(Digraph(n, arcs))
     if status != _kernel_py.FOUND:
         raise ConstructionError("the part (a) skeleton must decompose")
-    side1, side2 = ({(coord[arcs[k][0]], coord[arcs[k][1]]) for k in ix} for ix in (i1, i2))
+    side1, side2 = ({(coord[x], coord[y]) for x, y in side} for side in (a1, a2))
     return range(t), [range(k) for k in c], side1, side2
 
 

@@ -2,6 +2,7 @@
 
 Edge list: a header line "n m" followed by m lines "u v", every number
 ASCII decimal digits; '#' starts a comment line; blank lines are ignored.
+Lines break at "\n" only, and header and arc lines are ASCII only.
 Decomposition documents carry a section HOST (an edge list) and sections
 A1, ..., Ak (arc lines, k >= 2).  No section may repeat an arc line, and no
 two parts may list the same arc.
@@ -23,12 +24,10 @@ class ParseError(ValueError):
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append((i, stripped))
-    return out
+    # lines break at "\n" only and lose ASCII whitespace only; a comment may
+    # hold any character
+    lines = ((i, raw.strip(" \t\r\v\f")) for i, raw in enumerate(text.split("\n"), start=1))
+    return [(i, line) for i, line in lines if line and not line.startswith("#")]
 
 
 def _decimal(token: str) -> int:
@@ -40,8 +39,15 @@ def _decimal(token: str) -> int:
     raise ValueError(token)
 
 
+def _ascii_fields(line: str, lineno: int) -> list[str]:
+    """line split at ASCII whitespace; ParseError unless line is ASCII."""
+    if not line.isascii():
+        raise ParseError(f"non-ASCII character in {line!r}", lineno)
+    return line.split()
+
+
 def _parse_arc_line(line: str, lineno: int, n: int) -> Arc:
-    parts = line.split()
+    parts = _ascii_fields(line, lineno)
     if len(parts) != 2:
         raise ParseError(f"expected 'u v', got {line!r}", lineno)
     try:
@@ -59,7 +65,7 @@ def _parse_edge_lines(lines: list[tuple[int, str]]) -> Digraph:
     if not lines:
         raise ParseError("empty document", 1)
     lineno, header = lines[0]
-    parts = header.split()
+    parts = _ascii_fields(header, lineno)
     try:
         n, m = _decimal(parts[0]), _decimal(parts[1])
         if len(parts) != 2:

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,18 @@ PUBLIC_API = [
 ]
 
 
+#: edge lists split into fields or lines only by a separator that is not an
+#: ASCII space or "\n", with the line of their error
+SEPARATOR_CASES = [
+    ("2 1\u20280 1\n", 1),
+    ("2 1\n0\xa01\n", 2),
+    ("2 1\x0c0 1\n", 1),
+    ("3 2\n# note\u2028more\n0 1\n1 1\n", 4),  # the loop, not a third arc line
+]
+SEPARATOR_IDS = ["line-separator-header", "no-break-space-arc", "form-feed-header",
+                 "line-separator-comment"]
+
+
 class TestEdgeList:
     def test_parse_c3(self):
         assert parse_edge_list("3 3\n0 1\n1 2\n2 0\n") == cycle(3)
@@ -94,6 +107,20 @@ class TestEdgeList:
         text = "# a triangle\n3 3\n0 1\n# middle\n1 2\n2 0\n"
         assert parse_edge_list(text) == cycle(3)
 
+    def test_ascii_line_ends(self):
+        # lines break at "\n", a trailing "\r" dropped; a comment may hold
+        # any character, a line separator too
+        assert parse_edge_list("3 3\r\n0 1\r\n1 2\r\n2 0\r\n") == cycle(3)
+        assert parse_edge_list("# \u2202 \u2028 \xa0\n3 3\n0 1\n1 2\n2 0\n") == cycle(3)
+
+    @pytest.mark.parametrize("text, line", SEPARATOR_CASES, ids=SEPARATOR_IDS)
+    def test_ascii_separators_only(self, text, line):
+        # str.splitlines() breaks at U+2028 and a form feed, str.split()
+        # splits at a no-break space; neither separates anything here
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert err.value.line == line
+
     def test_round_trip(self, rng):
         for _ in range(25):
             d = random_strong_digraph(rng, 6)
@@ -130,6 +157,18 @@ class TestDecompositionDocument:
             with pytest.raises(ParseError) as err:
                 parse_decomposition("\n".join(good[:at] + [bad] + good[at + 1:]) + "\n")
             assert err.value.line == at + 1, bad
+
+    @pytest.mark.parametrize("text, line", SEPARATOR_CASES, ids=SEPARATOR_IDS)
+    def test_ascii_separators_only(self, text, line):
+        # the same edge lists as HOST, one line down
+        with pytest.raises(ParseError) as err:
+            parse_decomposition("HOST\n" + text + "A1\nA2\n")
+        assert err.value.line == line + 1
+
+    def test_no_break_space_in_part_arc_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_decomposition("HOST\n2 2\n0 1\n1 0\nA1\n0\xa01\nA2\n1 0\n")
+        assert err.value.line == 6
 
     def test_side_arc_outside_host_rejected(self):
         text = "HOST\n3 2\n0 1\n1 2\nA1\n2 0\nA2\n"
@@ -480,6 +519,28 @@ class TestCli:
                 "not-covered\ncover union disconnected; construction not defined\n"
             )
 
+    def test_spec_names_may_be_non_ascii(self, capsys, tmp_path):
+        names = ["\u00e4u\u00dfere.el"] + ["\u03ba \u00a0.el"] * 4
+        (tmp_path / names[0]).write_text(render_edge_list(cycle(4)))
+        (tmp_path / names[1]).write_text(render_edge_list(empty(2)))
+        (tmp_path / "spec.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+        assert run_command(["compose"] + [str(tmp_path / name) for name in names]) == 0
+        q = tmp_path / "q.el"
+        q.write_text(capsys.readouterr().out)
+        spec = str(tmp_path / "spec.txt")
+        assert run_command(["decompose", str(q), "--strategy", "composition", "--spec", spec]) == 0
+        assert capsys.readouterr().out.startswith("HOST\n")
+
+    @pytest.mark.parametrize("text", ["2 2\u20280 1\n1 0\n", "2 2\n0\xa01\n1 0\n"],
+                             ids=["line-separator-header", "no-break-space-arc"])
+    def test_check_non_ascii_separator_is_error(self, capsys, tmp_path, text):
+        f = tmp_path / "bad.el"
+        f.write_text(text, encoding="utf-8")
+        assert run_command(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ") and captured.err.count("\n") == 1
+
     def test_decompose_composition_outer_above_isomorphism_bound(self, capsys, tmp_path):
         names = ["outer.el"] + ["k2bar.el"] * 13
         (tmp_path / "outer.el").write_text(render_edge_list(rotational_tournament(13)))
@@ -638,3 +699,11 @@ def test_library_has_no_function_level_imports():
                 found += [f"{source.name}:{node.lineno}" for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_readme_python_blocks_run():
+    # every python block of README.md runs as documented
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    for k, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {k}", "exec"), {})

@@ -217,8 +217,17 @@ def _mcs_reference(n: int, arcs: set) -> list:
                                        min(place[a[0]], place[a[1]]), a))
 
 
-def _overlapping_sides(n, arcs, budget, rows):
-    return _kernel_py.FOUND, [0], [0], 1
+def _overlapping_sides(d, budget):
+    return _kernel_py.FOUND, frozenset({(0, 1)}), frozenset({(0, 1)}), "sorted", 1
+
+
+def _search_order(n: int, arcs: list, budget: int) -> tuple:
+    """_kernel_py._search_order on list rows of (n, arcs), which it must
+    leave as it found them."""
+    rows = _rows(n, arcs)
+    result = _kernel_py._search_order(n, arcs, budget, rows)
+    assert rows == _rows(n, arcs)
+    return result
 
 
 class TestOracle:
@@ -273,8 +282,7 @@ class TestOracle:
             elif arc_connectivity(d) < 2:
                 expected = ("none", "arc-connectivity", 0)
             else:
-                status, _, _, _, nodes, _ = _kernel_py._search_two_orders(
-                    n, d.sorted_arcs(), 2000, d.rows)
+                status, _, _, _, nodes = _kernel_py.search(d, 2000)
                 outcome = ("found", "none", "aborted")[status]
                 expected = (outcome, "exhausted" if outcome == "none" else None, nodes)
             rep = oracle_good_decomposition(d, budget=2000)
@@ -320,22 +328,25 @@ class TestOracle:
         assert max(nodes for _, nodes, _ in PINNED_REGULAR3_24) > _kernel_py._SORTED_CAP
 
     def test_kernel_matches_reference(self):
-        """The full (status, a1, a2, nodes) of the kernel equals that of the
-        plain reference on random digraphs of order 1-9, non-strong ones too.
-        The budgets put aborts on both choices; the unlimited budget runs
-        where the reference finishes within 500 nodes, to bound the
-        reference's time."""
+        """The full (status, a1, a2, nodes) of the kernel's single-order loop
+        equals that of the plain reference on random strong digraphs of
+        order 1-9; the non-strong draws, which the loop does not take, are
+        skipped.  The budgets put aborts on both choices; the unlimited
+        budget runs where the reference finishes within 500 nodes, to bound
+        the reference's time."""
         rng = random.Random(0x5EA7)
         aborts = []
         for _ in range(200):
             n = rng.randint(1, 9)
             density = rng.uniform(0.2, 0.9)
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+            if not is_strong(Digraph(n, arcs)):
+                continue
             for budget in (500, 50, 7, 2, 1, 0):
                 if budget == 0 and unfinished:
                     continue
                 expected = kernel_search_reference(n, arcs, budget, aborts)
-                assert _kernel_py.search(n, arcs, budget) == expected, (n, arcs, budget)
+                assert _search_order(n, arcs, budget) == expected, (n, arcs, budget)
                 if budget == 500:
                     unfinished = expected[0] == _kernel_py.ABORTED
         assert set(aborts) == {"1", "2"}
@@ -352,7 +363,7 @@ class TestOracle:
             arcs = d.sorted_arcs()
             for budget in (1500, 200, 30):
                 expected = kernel_search_reference(d.n, arcs, budget)
-                assert _kernel_py.search(d.n, arcs, budget) == expected, (d.n, arcs, budget)
+                assert _search_order(d.n, arcs, budget) == expected, (d.n, arcs, budget)
                 outcomes.add((budget, expected[0]))
         assert {(1500, _kernel_py.FOUND), (200, _kernel_py.ABORTED)} <= outcomes
 
@@ -376,18 +387,19 @@ class TestOracle:
             arcs = d.sorted_arcs()
             for budget in (500, 50, 7):
                 expected = kernel_search_reference(d.n, arcs, budget)
-                assert _kernel_py.search(d.n, arcs, budget) == expected, (d.n, arcs, budget)
+                assert _search_order(d.n, arcs, budget) == expected, (d.n, arcs, budget)
                 outcomes.add((budget, expected[0]))
         assert {(500, _kernel_py.FOUND), (500, _kernel_py.NONE), (7, _kernel_py.ABORTED)} <= outcomes
 
     def test_sparse_search_work(self, monkeypatch):
         """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
-        kernel, searching sorted arcs at budget 5,000, runs at most one path
-        search of either kind per nine nodes; the memo and the degree guard
-        answer the rest.  A search at a level that has passed twice records
-        the path it found, which later visits hit far more often than the
-        whole side, and the two last passes of a level are both kept.  A
-        failed test records nothing: there is no fail memo.
+        kernel's single-order loop, searching sorted arcs at budget 5,000,
+        runs at most one path search of either kind per nine nodes; the memo
+        and the degree guard answer the rest.  A search at a level that has
+        passed twice records the path it found, which later visits hit far
+        more often than the whole side, and the two last passes of a level
+        are both kept.  A failed test records nothing: there is no fail
+        memo.
 
         The oracle's two steps cut those trees short, and short trees leave
         the memo little to answer, so its searches on the same draws are
@@ -395,7 +407,7 @@ class TestOracle:
         searches = _count_path_searches(monkeypatch)
         rng = random.Random(0x24)
         draws = [_random_regular3(rng, 24) for _ in PINNED_REGULAR3_24]
-        nodes = sum(_kernel_py.search(d.n, d.sorted_arcs(), 5000)[3] for d in draws)
+        nodes = sum(_kernel_py._search_order(d.n, d.sorted_arcs(), 5000, d.rows)[3] for d in draws)
         assert nodes == 25278
         assert searches["_reaches"] and searches["_witness"]
         assert sum(searches.values()) <= nodes // 9
@@ -521,7 +533,7 @@ class TestOracle:
             arcs = rng.sample(d.sorted_arcs(), d.m)
             for budget in (500, 50, 7):
                 expected = kernel_search_reference(d.n, arcs, budget)
-                assert _kernel_py.search(d.n, arcs, budget) == expected, (d.n, arcs, budget)
+                assert _search_order(d.n, arcs, budget) == expected, (d.n, arcs, budget)
                 outcomes.add((budget, expected[0]))
         assert {(500, _kernel_py.FOUND), (50, _kernel_py.ABORTED)} <= outcomes
         assert searches["_witness"] > 0
@@ -536,7 +548,8 @@ class TestOracle:
         code = (
             "import sys\n"
             "from gooddecomp import ConstructionError, complete, oracle\n"
-            "oracle._impl.search = lambda n, arcs, budget, rows: (oracle._impl.FOUND, [0], [0], 1)\n"
+            "side = frozenset({(0, 1)})\n"
+            "oracle._impl.search = lambda d, budget: (oracle._impl.FOUND, side, side, 'sorted', 1)\n"
             "try:\n"
             "    oracle.oracle_good_decomposition(complete(3))\n"
             "except ConstructionError as exc:\n"
@@ -560,7 +573,7 @@ class TestOracle:
             n, [(v, (v + 1) % n) for v in range(n)] + [((v + 1) % n, v) for v in range(n)]
         )
         for d in (complete(33), bidirected_cycle):
-            status, _, _, nodes = _kernel_py.search(d.n, d.sorted_arcs(), 5000)
+            status, _, _, _, nodes = _kernel_py.search(d, 5000)
             assert status in (_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.ABORTED)
             assert nodes <= 5001
 
@@ -598,7 +611,7 @@ class TestTwoOrders:
         assert len(hosts) == 204 + 272
         for d in hosts:
             arcs = d.sorted_arcs()
-            status, i1, i2, nodes = _kernel_py.search(d.n, arcs)
+            status, i1, i2, nodes = _kernel_py._search_order(d.n, arcs, 0, d.rows)
             assert nodes <= _kernel_py._SORTED_CAP
             sides = ""
             if status == _kernel_py.FOUND:
@@ -606,29 +619,31 @@ class TestTwoOrders:
             assert _signature(d) == (("found", "none")[status], nodes, sides)
             assert oracle_good_decomposition(d).order == "sorted"
 
-    def test_given_rows_change_nothing(self):
-        """search(n, arcs, budget, rows) answers as search(n, arcs, budget), in
-        status, sides and nodes, on strong digraphs, and leaves the rows as it
-        found them: on every 2-arc-strong semicomplete class of order 2-5 and
-        every 20th criterion-3 composition, and on the PINNED_REGULAR3_24
-        draws at budgets 5,000, 200 and 30, in sorted, shuffled and MCS
-        order."""
-        hosts = [d for n in range(2, 6) for d in enumerate_semicomplete(n, min_arc_strong=2)]
-        hosts += [compose(spec).digraph for spec in itertools.islice(_all_small_specs(), 0, None, 20)]
-        cases = [(d, d.sorted_arcs(), 0) for d in hosts]
+    def test_one_kernel_call_per_search(self, monkeypatch):
+        """Each oracle search is one call of the kernel's entry, whose node
+        count and step are the report's: on every 2-arc-strong semicomplete
+        class of order 2-5 and on the PINNED_REGULAR3_24 draws, some of whose
+        trees run past the sorted step's cap."""
+        calls = []
+        search = _kernel_py.search
+
+        def recording(d, budget=0):
+            calls.append(search(d, budget))
+            return calls[-1]
+
+        monkeypatch.setattr(_kernel_py, "search", recording)
+        hosts = [(d, 0) for n in range(2, 6) for d in enumerate_semicomplete(n, min_arc_strong=2)]
         rng = random.Random(0x24)
-        for d in [_random_regular3(rng, 24) for _ in PINNED_REGULAR3_24]:
-            arcs = d.sorted_arcs()
-            for order in (arcs, rng.sample(arcs, d.m), _kernel_py._mcs_order(d.n, arcs, d.rows)):
-                cases += [(d, order, budget) for budget in (5000, 200, 30)]
-        statuses = set()
-        for d, arcs, budget in cases:
-            rows = tuple(map(list, d.rows))
-            expected = _kernel_py.search(d.n, arcs, budget)
-            assert _kernel_py.search(d.n, arcs, budget, rows) == expected, (d.n, arcs, budget)
-            assert rows == tuple(map(list, d.rows))
-            statuses.add(expected[0])
-        assert statuses == {_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.ABORTED}
+        hosts += [(_random_regular3(rng, 24), 5000) for _ in PINNED_REGULAR3_24]
+        steps = set()
+        for d, budget in hosts:
+            calls.clear()
+            rep = oracle_good_decomposition(d, budget)
+            assert len(calls) == 1
+            _, _, _, step, nodes = calls[0]
+            assert (nodes, step) == (rep.nodes_explored, rep.order)
+            steps.add(step)
+        assert steps == {"sorted", "mcs"}
 
     def test_outcomes_match_bruteforce(self, monkeypatch):
         """The oracle's verdicts agree with the brute-force reference on
