@@ -59,30 +59,54 @@ of the tree is bounded by memory rather than by the recursion limit.  One
 iteration is one visit of a level: it tries side 1 on a new level, then
 side 2, counting a node and checking the budget before each test.  A side
 that passes the degree guard but fails its test restores its rows at once,
-so the next choice starts from the parent's rows.  When neither passes it
-backtracks at once, giving arcs back to side 1: only the earlier levels on
-side 2 wrote side 1's rows, and the level on side 1 that it stops at gives
-its arc back to side 2's rows and then tries side 2.  A visit or backtrack
-step reads one tuple of a table built once per call: the arc's ends, their
-bits and the arc's own bit.
+so the next choice starts from the parent's rows.  A visit or jump step
+reads one tuple of a table built once per call: the arc's ends, their bits
+and the arc's own bit.
+
+When neither choice passes, the loop backjumps (Prosser's conflict-directed
+backjumping, 1993) instead of stepping back one level.  The conflict of a
+failed test at level i, whose side loses arc t->h, is: if t has no other
+out-arc on that side, the levels of t's other out-arcs; else, if h has no
+other in-arc there, the levels of h's other in-arcs; else the levels of the
+arcs that leave t's closure on that side without arc i.  Unassigned arcs
+are available to both sides, so every such arc lies below i on the other
+side, and while those levels keep their sides the test fails again,
+whatever the levels between do.  A level's conflict set gathers the
+conflicts of its failed tests and of its exhausted subtrees.  When level i
+is exhausted with set S, an empty S ends the search with NONE; else, with
+k = max(S), the loop unassigns levels i to k + 1, restoring their rows,
+adds S - {k} to level k's set, and tries side 2 at k if k is on side 1, or
+else exhausts k too.  A set that reaches level 0 ends the search as well:
+by swap symmetry, arc 0 on side 2 fails as arc 0 on side 1 did.  Every
+subtree skipped holds no solution, so the loop returns the first solution
+of the chronological order, or the same NONE, in at most as many nodes.
+Nothing is kept across the search: a set is used once, to choose where to
+jump, and cleared when its level is unassigned.
+
+Levels that are never exhausted do no conflict work.  A failed side-1 test
+only sets bit i of level i's own set; its conflict is computed if level i
+is exhausted, since no earlier level changes while i is assigned, so side
+2's rows give the same closure then.  A failed side-2 test's conflict is
+computed at once, since exhaustion follows.  The masks of the levels of
+each vertex's out-arcs and in-arcs are built on a call's first exhaustion.
 
 The kernel's one entry, search, runs the single-order loop _search_order
 in two arc orders; any order gives an exact search.  Sorted order keeps a
 vertex's out-arcs together but spreads its in-arcs over the whole list, so
 a side that starves a vertex fails only at that vertex's last arc, deep in
-the tree.  The maximum-cardinality-search (MCS) order of _mcs_order places
-vertex 0, then always the vertex with the most arcs to placed ones, and
-lists each arc once both its ends are placed, so every vertex's arcs come
-close together.  The sorted search runs first, up to _SORTED_CAP = 1,024
-nodes: every census tree of order 2-5 (at most 139 nodes), every
-criterion-3 tree (at most 656) and every CLI golden tree (at most 170) ends
-below it, so those keep their trees and never build an MCS order.  A
-search that runs past the cap goes on in MCS order with the budget that
-remains.  On the benchmark's 3-regular digraphs of order 24 the MCS step
-settled every sorted tree that aborted at 5,000 nodes, in at most 1,287
-more, and the order-9 part (a) witness takes 87 MCS nodes after 1,024
-sorted ones, where its sorted tree ends after 890,839.  The digraph's rows
-serve both steps and the MCS order, and the sides come back as arcs.
+the tree; the conflict of that failure is the vertex's other in-arcs, so
+the loop jumps straight back to the latest of them.  The
+maximum-cardinality-search (MCS) order of _mcs_order places vertex 0, then
+always the vertex with the most arcs to placed ones, and lists each arc
+once both its ends are placed, so every vertex's arcs come close together.
+The sorted search runs first, up to _SORTED_CAP = 1,024 nodes: every census
+tree of order 2-5 (at most 66 nodes), every criterion-3 tree (at most 232),
+every CLI golden tree (at most 122) and every tree of the benchmark's
+3-regular digraphs of order 24 at seeds 0 and 7 (at most 293) ends below
+it, so those never build an MCS order.  A search that runs past the cap,
+such as the vertex-shuffled C8□C12 or C12□C12, goes on in MCS order with
+the budget that remains.  The digraph's rows serve both steps and the MCS
+order, and the sides come back as arcs.
 """
 
 from __future__ import annotations
@@ -121,6 +145,36 @@ def _witness(out, inn, t, h, code):
     return w
 
 
+def _conflict(out, inn, t, h, hbit, bit, outlev, inlev):
+    """The conflict of a failed test at level i, whose side loses arc t->h of
+    bit 1 << i: if t has no other out-arc on that side, the levels of t's
+    other out-arcs; else, if h has no other in-arc there, the levels of h's
+    other in-arcs; else the levels of the arcs that leave t's closure on that
+    side without arc i.  out and inn are the side's rows, holding arc i;
+    outlev and inlev map each vertex to the level bits of its out-arcs and
+    in-arcs."""
+    rest = out[t] ^ hbit
+    if not rest:
+        return outlev[t] ^ bit
+    if inn[h] == 1 << t:
+        return inlev[h] ^ bit
+    outs, ins = outlev[t], inlev[t]
+    seen = rest | 1 << t
+    front = rest
+    while front:
+        nxt = 0
+        while front:
+            low = front & -front
+            v = low.bit_length() - 1
+            nxt |= out[v]
+            outs |= outlev[v]
+            ins |= inlev[v]
+            front ^= low
+        front = nxt & ~seen
+        seen |= front
+    return outs & ~ins ^ bit
+
+
 def _search_order(n, arcs, budget, rows):
     """Search for two disjoint arc sets, both strong and spanning, assigning
     arcs, distinct (tail, head) tuples, in the order given.
@@ -152,6 +206,10 @@ def _search_order(n, arcs, budget, rows):
     pass2, prev2 = pass1[:], prev1[:]
     ones = twos = 0  # the arcs on side 1, on side 2
     code = None  # the bit of each arc, built for the first _witness
+    # per level, the conflict levels gathered so far, and bit i itself while
+    # side 1's failed test at level i has not computed its conflict
+    conf = [0] * m
+    outlev = inlev = None  # per vertex, the bits of its out-arcs, in-arcs
     i = 0
     while i < m:
         # one visit of level i.  Arc i is on a side's rows iff that side
@@ -200,6 +258,7 @@ def _search_order(n, arcs, budget, rows):
                         continue
                 out2[t] ^= hbit
                 in2[h] ^= tbit
+            conf[i] = bit  # side 1's test failed: its conflict is pending
         if i:  # side 1 holds arc 0, so side 2 is open
             nodes += 1
             if nodes > limit:
@@ -240,23 +299,51 @@ def _search_order(n, arcs, budget, rows):
                         continue
                 out1[t] ^= hbit
                 in1[h] ^= tbit
-        # level i is exhausted, and both sides' rows hold its arc again:
-        # unassign it, and give side 1 back the arc of every earlier level on
-        # side 2; the first earlier level on side 1 gives side 2 its arc back
-        # and then tries side 2; side 1 at level 0 ends the search
-        while i:
+        # level i is exhausted, both sides' rows hold its arc again, and side
+        # 2 holds it unless i is 0; side 1 at level 0 ends the search
+        if not i:
+            return NONE, [], [], nodes
+        if outlev is None:
+            outlev, inlev = [0] * n, [0] * n
+            for u, v, _, _, b in levels:
+                outlev[u] |= b
+                inlev[v] |= b
+        # the failed side-2 test's conflict, now; side 1's, if it failed, is
+        # marked by bit i of conf[i]
+        s = conf[i] | _conflict(out1, in1, t, h, hbit, bit, outlev, inlev)
+        while True:
+            if s & bit:
+                s = s ^ bit | _conflict(out2, in2, t, h, hbit, bit, outlev, inlev)
+            if not s:
+                return NONE, [], [], nodes
+            # jump to the deepest level k of the conflict: unassign levels
+            # i to k + 1, restoring the side that lacks each arc
+            k = s.bit_length() - 1
             twos ^= bit
-            assign[i] = 0
+            assign[i] = conf[i] = 0
             i -= 1
-            t, h, tbit, hbit, bit = levels[i]
-            if assign[i] == 1:
+            while i > k:
+                t, h, tbit, hbit, bit = levels[i]
+                if assign[i] == 1:
+                    out2[t] ^= hbit
+                    in2[h] ^= tbit
+                    ones ^= bit
+                else:
+                    out1[t] ^= hbit
+                    in1[h] ^= tbit
+                    twos ^= bit
+                assign[i] = conf[i] = 0
+                i -= 1
+            t, h, tbit, hbit, bit = levels[k]
+            conf[k] |= s ^ bit
+            if assign[k] == 1:  # give side 2 its arc back and try side 2
                 out2[t] ^= hbit
                 in2[h] ^= tbit
                 break
+            # level k on side 2 is exhausted too
             out1[t] ^= hbit
             in1[h] ^= tbit
-        else:
-            return NONE, [], [], nodes
+            s = conf[k]
 
     a1 = [k for k, side in enumerate(assign) if side == 1]
     a2 = [k for k, side in enumerate(assign) if side == 2]

@@ -2,7 +2,8 @@
 
 Edge list: a header line "n m" followed by m lines "u v", every number
 ASCII decimal digits; '#' starts a comment line; blank lines are ignored.
-Lines break at "\n" only, and header and arc lines are ASCII only.
+Lines break at "\n" only, and header and arc lines are printable ASCII,
+their fields separated by runs of spaces and tabs.
 Decomposition documents carry a section HOST (an edge list) and sections
 A1, ..., Ak (arc lines, k >= 2).  No section may repeat an arc line, and no
 two parts may list the same arc.
@@ -40,9 +41,13 @@ def _decimal(token: str) -> int:
 
 
 def _ascii_fields(line: str, lineno: int) -> list[str]:
-    """line split at ASCII whitespace; ParseError unless line is ASCII."""
+    """line split at runs of ASCII spaces and tabs; ParseError unless its
+    other characters are printable ASCII, since str.split() also splits at
+    \v, \f, \r and \x1c-\x1f."""
     if not line.isascii():
         raise ParseError(f"non-ASCII character in {line!r}", lineno)
+    if not line.isprintable() and not line.replace("\t", " ").isprintable():
+        raise ParseError(f"control character in {line!r}", lineno)
     return line.split()
 
 

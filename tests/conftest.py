@@ -157,14 +157,41 @@ class _Aborted(Exception):
     pass
 
 
-def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None) -> tuple:
+def _conflict_reference(n: int, arcs: list, i: int, side: set) -> set:
+    """The conflict of a failed test at level i, from the arcs side still
+    has after losing arcs[i] = (t, h): if t has no other out-arc there, the
+    levels of t's other out-arcs; else, if h has no other in-arc there, the
+    levels of h's other in-arcs; else the levels of the arcs that leave t's
+    closure in side, arcs[i] excepted."""
+    t, h = arcs[i]
+    if not any(a == t for a, _ in side):
+        return {k for k, (a, _) in enumerate(arcs) if a == t and k != i}
+    if not any(b == h for _, b in side):
+        return {k for k, (_, b) in enumerate(arcs) if b == h and k != i}
+    closure, stack = {t}, [t]
+    while stack:
+        u = stack.pop()
+        for a, b in side:
+            if a == u and b not in closure:
+                closure.add(b)
+                stack.append(b)
+    return {k for k, (a, b) in enumerate(arcs) if a in closure and b not in closure and k != i}
+
+
+def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None, backjump=True) -> tuple:
     """Plain reference for the oracle's search kernel: the same tree (choices
     side 1, then side 2; side 2 only once side 1 holds an earlier arc) and
     the same node count (the root, then every attempted choice; more than
     budget > 0 nodes aborts), but a full strongness check of both sides at
     every node.  Returns (status, a1, a2, nodes) with the kernel's status
     codes 0 found, 1 none, 2 aborted.  On an abort, aborts (a list, if
-    given) receives the choice being tried: "1" or "2"."""
+    given) receives the choice being tried: "1" or "2".
+
+    With backjump, a level whose choices are all refuted returns its
+    conflict, the union of its failed tests' conflicts (_conflict_reference)
+    and of its subtrees' conflicts less the level itself, and each level
+    above that is not in it returns it at once, untried; an empty conflict
+    refutes the root.  Without, the search is chronological."""
     limit = budget if budget > 0 else math.inf
     avail = [set(arcs), set(arcs)]  # arcs still available to side 1, side 2
     assign = []
@@ -173,10 +200,12 @@ def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None) -> tup
     def strong(side: set) -> bool:
         return strong_by_closure(Digraph(n, side))
 
-    def extend(i: int) -> bool:
+    def extend(i: int):
+        """True if a solution extends assign, else the conflict of level i."""
         nonlocal nodes
         if i == len(arcs):
             return True
+        conflict = set()
         for choice in (1, 2) if 1 in assign else (1,):
             nodes += 1
             if nodes > limit:
@@ -184,11 +213,20 @@ def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None) -> tup
             other = avail[2 - choice]  # the side that does not get arc i
             other.discard(arcs[i])
             assign.append(choice)
-            if strong(avail[0]) and strong(avail[1]) and extend(i + 1):
-                return True
+            if strong(avail[0]) and strong(avail[1]):
+                below = extend(i + 1)
+                if below is True:
+                    return True
+                if backjump and i not in below:
+                    assign.pop()
+                    other.add(arcs[i])
+                    return below
+                conflict |= below - {i}
+            elif backjump:
+                conflict |= _conflict_reference(n, arcs, i, other)
             assign.pop()
             other.add(arcs[i])
-        return False
+        return conflict
 
     if not strong(avail[0]):
         return 1, [], [], nodes
@@ -198,7 +236,7 @@ def kernel_search_reference(n: int, arcs: list, budget: int, aborts=None) -> tup
         if aborts is not None:
             aborts.append(where.args[0])
         return 2, [], [], nodes
-    if not found:
+    if found is not True:
         return 1, [], [], nodes
     return (
         0,
@@ -266,11 +304,11 @@ def rotational_tournament(n: int) -> Digraph:
     return Digraph(n, [(i, (i + k) % n) for i in range(n) for k in range(1, n // 2 + 1)])
 
 
-def shuffled_c12_square(seed: int) -> Digraph:
-    """C12□C12 with its vertices relabelled by random.Random(seed).sample:
-    144 vertices, 288 arcs, and a sorted arc order that splits each vertex's
+def shuffled_torus(p: int, q: int, seed: int) -> Digraph:
+    """Cp□Cq with its vertices relabelled by random.Random(seed).sample: pq
+    vertices, 2pq arcs, and a sorted arc order that splits each vertex's
     in-arcs far apart."""
-    d = cartesian_product(cycle(12), cycle(12)).digraph
+    d = cartesian_product(cycle(p), cycle(q)).digraph
     perm = random.Random(seed).sample(range(d.n), d.n)
     return Digraph(d.n, {(perm[u], perm[v]) for u, v in d.arcs})
 

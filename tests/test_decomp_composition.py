@@ -41,8 +41,9 @@ from conftest import rotational_tournament
 BIDIRECTED_K68 = Digraph(14, [a for u in range(6) for v in range(6, 14) for a in ((u, v), (v, u))])
 BIDIRECTED_P3 = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
 STRONG_TOURNAMENT_4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-#: a 2-arc-strong semicomplete digraph of order 9 with a deep part (a) search:
-#: its sorted tree ends after 890,839 nodes, its MCS tree after 87
+#: a 2-arc-strong semicomplete digraph of order 9 with a deep chronological
+#: part (a) search: its sorted tree ends after 890,839 nodes without
+#: backjumping, and after 85 with it
 ORDER9_OUTER = Digraph(9, [(u, v) for u, heads in enumerate((
     (2, 3, 5, 7, 8), (0, 2, 4, 5, 6, 7, 8), (1, 3, 4, 5, 6, 7), (1, 4, 5, 6, 7, 8),
     (0, 8), (4, 8), (0, 4, 5, 8), (4, 5, 6, 8), (2, 3),
@@ -314,12 +315,12 @@ class TestDispatcher:
 
     def test_part_a_order9_outer(self):
         """Part (a) runs the kernel with no budget, so an outer with a deep
-        search tree would hang it.  This outer's sorted tree runs past the
-        1,024-node cap (it ends after 890,839 nodes), and its MCS tree ends
-        after 87: the oracle, which runs the same two steps, finds a
-        decomposition in MCS order, and part (a) lifts it."""
+        search tree would hang it.  This outer's chronological sorted tree
+        ends after 890,839 nodes; with backjumping it ends after 85, within
+        the sorted step's cap: the oracle, which runs the same steps, finds a
+        decomposition in sorted order, and part (a) lifts it."""
         rep = oracle_good_decomposition(ORDER9_OUTER)
-        assert (rep.outcome, rep.nodes_explored, rep.order) == ("found", 1024 + 87, "mcs")
+        assert (rep.outcome, rep.nodes_explored, rep.order) == ("found", 85, "sorted")
         dec = decompose_composition(spec_of(ORDER9_OUTER, *[empty(2)] * 9))
         assert dec is not None and verify_decomposition(dec).ok
 

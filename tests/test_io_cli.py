@@ -32,7 +32,7 @@ from gooddecomp.cli import run_command
 from gooddecomp.decomp import ConstructionError
 from gooddecomp.io import ParseError
 
-from conftest import random_strong_digraph, rotational_tournament, shuffled_c12_square
+from conftest import random_strong_digraph, rotational_tournament, shuffled_torus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +68,10 @@ SEPARATOR_CASES = [
 ]
 SEPARATOR_IDS = ["line-separator-header", "no-break-space-arc", "form-feed-header",
                  "line-separator-comment"]
+#: ASCII characters that str.split() takes as whitespace, besides space, tab
+#: and newline; inside a header or an arc line each is a parse error
+CONTROL_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r"]
+CONTROL_IDS = ["vt", "ff", "fs", "gs", "rs", "us", "cr"]
 
 
 class TestEdgeList:
@@ -121,6 +125,15 @@ class TestEdgeList:
             parse_edge_list(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("ch", CONTROL_SEPARATORS, ids=CONTROL_IDS)
+    def test_control_character_separates_nothing(self, ch):
+        # fields split at runs of spaces and tabs only
+        for text, line in ((f"2{ch}1\n0 1\n", 1), (f"2 1\n0{ch}1\n", 2)):
+            with pytest.raises(ParseError) as err:
+                parse_edge_list(text)
+            assert err.value.line == line, text
+        assert parse_edge_list("2\t 2\n0 \t1\n1\t0\n") == cycle(2)
+
     def test_round_trip(self, rng):
         for _ in range(25):
             d = random_strong_digraph(rng, 6)
@@ -164,6 +177,15 @@ class TestDecompositionDocument:
         with pytest.raises(ParseError) as err:
             parse_decomposition("HOST\n" + text + "A1\nA2\n")
         assert err.value.line == line + 1
+
+    @pytest.mark.parametrize("ch", CONTROL_SEPARATORS, ids=CONTROL_IDS)
+    def test_control_character_separates_nothing(self, ch):
+        # in the HOST header, a HOST arc line and a part's arc line
+        good = ["HOST", "2 2", "0 1", "1 0", "A1", "0 1", "A2", "1 0"]
+        for at, bad in ((1, f"2{ch}2"), (2, f"0{ch}1"), (7, f"1{ch}0")):
+            with pytest.raises(ParseError) as err:
+                parse_decomposition("\n".join(good[:at] + [bad] + good[at + 1:]) + "\n")
+            assert err.value.line == at + 1, bad
 
     def test_no_break_space_in_part_arc_line(self):
         with pytest.raises(ParseError) as err:
@@ -308,14 +330,14 @@ class TestCli:
     def test_decompose_shuffled_c12_square(self, tmp_path, capsys):
         """auto with no --budget settles the vertex-shuffled C12□C12 (seed 3):
         its sorted tree runs past the 1,024-node cap, and the kernel in MCS
-        order finds the sides after 1,923 more nodes."""
-        d = shuffled_c12_square(3)
+        order finds the sides after 1,358 more nodes."""
+        d = shuffled_torus(12, 12, 3)
         (tmp_path / "c12sq.el").write_text(render_edge_list(d))
         assert run_command(["decompose", str(tmp_path / "c12sq.el")]) == 0
         dec = parse_decomposition(capsys.readouterr().out)
         assert dec.host == d and verify_decomposition(dec).ok
         rep = oracle_good_decomposition(d)
-        assert (rep.outcome, rep.nodes_explored, rep.order) == ("found", 2947, "mcs")
+        assert (rep.outcome, rep.nodes_explored, rep.order) == ("found", 2382, "mcs")
 
     def test_ham_cartesian(self, capsys):
         assert run_command(["ham-cartesian", "2", "3"]) == 0

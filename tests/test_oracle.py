@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -36,17 +37,17 @@ from conftest import (
     kernel_search_reference,
     random_strong_digraph,
     semicomplete_class_count,
-    shuffled_c12_square,
+    shuffled_torus,
 )
 from test_acceptance import _all_small_specs
 
 #: (outcome, nodes_explored, side of each arc of sorted_arcs() when found)
 #: recorded for fixed instances; any change means the search tree changed
 PINNED_NAMED = {
-    "S4": ("none", 14, ""),
+    "S4": ("none", 13, ""),
     "C3_K2_K2_K2": ("none", 30, ""),
-    "C3_P2_K2_K2": ("none", 68, ""),
-    "C3_K2_K2_K3": ("none", 142, ""),
+    "C3_P2_K2_K2": ("none", 67, ""),
+    "C3_K2_K2_K3": ("none", 98, ""),
     "C5[K2]": ("none", 138, ""),
     "K5": ("found", 30, "11121112111211212212"),
     "K6": ("found", 42, "111121111211112111121112122212"),
@@ -54,11 +55,11 @@ PINNED_NAMED = {
 PINNED_RANDOM = [
     ("none", 0, ""),
     ("found", 26, "1121211121212122"),
-    ("found", 25, "11211222112"),
+    ("found", 24, "11211222112"),
     ("found", 36, "111121121121111212122122"),
     ("none", 0, ""),
     ("none", 0, ""),
-    ("found", 61, "11121111121111211122111112212212"),
+    ("found", 52, "11121111121111211122111112212212"),
     ("none", 0, ""),
     ("found", 26, "11121121211122112"),
     ("found", 33, "1112112112122112"),
@@ -69,7 +70,7 @@ PINNED_RANDOM = [
     ("none", 0, ""),
     ("found", 26, "12111211211212211"),
     ("found", 41, "1112112111211122121112122211"),
-    ("found", 36, "111211121112221122"),
+    ("found", 35, "111211121112221122"),
     ("none", 0, ""),
     ("none", 0, ""),
     ("none", 0, ""),
@@ -78,7 +79,7 @@ PINNED_RANDOM = [
     ("none", 0, ""),
     ("none", 0, ""),
     ("found", 16, "121122121"),
-    ("found", 73, "111121111211112111221212211122"),
+    ("found", 59, "111121111211112111221212211122"),
     ("none", 0, ""),
     ("found", 12, "122112"),
     ("none", 0, ""),
@@ -88,37 +89,37 @@ PINNED_RANDOM = [
     ("none", 0, ""),
     ("found", 55, "111211121112111212112122"),
     ("found", 20, "1121222112"),
-    ("found", 32, "1112112121221212"),
-    ("found", 58, "1111121111121112111112111222112222"),
-    ("found", 53, "11121111211111211122111221212"),
+    ("found", 31, "1112112121221212"),
+    ("found", 57, "1111121111121112111112111222112222"),
+    ("found", 46, "11121111211111211122111221212"),
     ("found", 57, "1111211112111121112111211112122221"),
 ]
 
 #: (outcome, nodes_explored, first 16 hex digits of the SHA-256 of the sides
 #: string) at budget 5,000 for the draws of _random_regular3(rng, 24), rng
-#: seeded 0x24; the sparse regime with the largest trees.  A draw above
-#: 1,024 nodes ran past the sorted step's cap and was settled in MCS order.
+#: seeded 0x24; the sparse regime with the largest trees.  With backjumping
+#: every draw ends in the sorted step, within its 1,024-node cap.
 PINNED_REGULAR3_24 = [
-    ("found", 837, "971a45529c39e02c"),
+    ("found", 137, "971a45529c39e02c"),
     ("found", 102, "3f36e82776e3c115"),
-    ("found", 159, "99d48c9e115b6425"),
-    ("found", 1124, "72c56983fddb1909"),
-    ("found", 115, "ee57442d1cb14067"),
+    ("found", 134, "99d48c9e115b6425"),
+    ("found", 135, "f1a5388e04103e94"),
+    ("found", 114, "ee57442d1cb14067"),
     ("found", 104, "dbdcecaf54b8fb3b"),
     ("found", 105, "045012d3668f3760"),
-    ("found", 1125, "30473e225cd091cb"),
-    ("found", 128, "f4fc0c53ce308df3"),
-    ("found", 1127, "a7e21ea138fd43ab"),
-    ("found", 1125, "6492b99c08553772"),
-    ("found", 790, "2bcac42926de7bf9"),
-    ("found", 756, "a16d81eba8a806da"),
+    ("found", 217, "12da652bd83ca65d"),
+    ("found", 113, "f4fc0c53ce308df3"),
+    ("found", 181, "4c7c84cb9a2b6bb5"),
+    ("found", 167, "17abcf7e7e857aad"),
+    ("found", 175, "2bcac42926de7bf9"),
+    ("found", 133, "a16d81eba8a806da"),
     ("found", 100, "5ddf15e80fbb0d40"),
     ("found", 102, "c8c834fa5b81a103"),
     ("found", 112, "b974beeee1eb2661"),
-    ("found", 398, "c25aa53eef970d2e"),
-    ("found", 1125, "3469a47675701d96"),
-    ("found", 134, "9640139b24734a17"),
-    ("found", 131, "7d98614ac9e36c47"),
+    ("found", 125, "c25aa53eef970d2e"),
+    ("found", 151, "3d5525b33f6ef6e1"),
+    ("found", 119, "9640139b24734a17"),
+    ("found", 117, "7d98614ac9e36c47"),
 ]
 
 #: (n, min_arc_strong) -> (classes, SHA-256 of the sorted arc lists in yield
@@ -324,8 +325,10 @@ class TestOracle:
             outcome, nodes, sides = _signature(_random_regular3(rng, 24), budget=5000)
             drawn.append((outcome, nodes, hashlib.sha256(sides.encode()).hexdigest()[:16]))
         assert drawn == PINNED_REGULAR3_24
-        # some pinned trees come from the MCS step
-        assert max(nodes for _, nodes, _ in PINNED_REGULAR3_24) > _kernel_py._SORTED_CAP
+        # backjumping settles every draw in the sorted step, where 5 of the
+        # 20 chronological trees ran past its cap; TestTwoOrders reaches
+        # the MCS step on the shuffled C12□C12
+        assert max(nodes for _, nodes, _ in PINNED_REGULAR3_24) <= _kernel_py._SORTED_CAP
 
     def test_kernel_matches_reference(self):
         """The full (status, a1, a2, nodes) of the kernel's single-order loop
@@ -353,19 +356,19 @@ class TestOracle:
 
     def test_kernel_matches_reference_sparse(self):
         """The same comparison on seeded 3-regular digraphs of order 10-14,
-        whose deep, narrow trees revisit each level with many assignments of
-        the earlier arcs, so most tests are answered from the kernel's memo
-        and degree guard rather than by a path search."""
+        whose narrow trees fail mostly at the degree guard, so that most
+        conflicts are the other arcs of a starved vertex.  Their backjumping
+        trees take 43-99 nodes, so budget 60 aborts some of them."""
         rng = random.Random(0x3EA7)
         outcomes = set()
         for _ in range(24):
             d = _random_regular3(rng, rng.randint(10, 14))
             arcs = d.sorted_arcs()
-            for budget in (1500, 200, 30):
+            for budget in (1500, 60, 30):
                 expected = kernel_search_reference(d.n, arcs, budget)
                 assert _search_order(d.n, arcs, budget) == expected, (d.n, arcs, budget)
                 outcomes.add((budget, expected[0]))
-        assert {(1500, _kernel_py.FOUND), (200, _kernel_py.ABORTED)} <= outcomes
+        assert {(1500, _kernel_py.FOUND), (60, _kernel_py.FOUND), (60, _kernel_py.ABORTED)} <= outcomes
 
     def test_kernel_matches_reference_compositions(self):
         """The same comparison on seeded compositions T[H_1, H_2, H_3] of a
@@ -394,41 +397,37 @@ class TestOracle:
     def test_sparse_search_work(self, monkeypatch):
         """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
         kernel's single-order loop, searching sorted arcs at budget 5,000,
-        runs at most one path search of either kind per nine nodes; the memo
-        and the degree guard answer the rest.  A search at a level that has
-        passed twice records the path it found, which later visits hit far
-        more often than the whole side, and the two last passes of a level
+        runs exactly these path searches of either kind; the memo and the
+        degree guard answer the rest.  A search at a level that has passed
+        twice records the path it found, and the two last passes of a level
         are both kept.  A failed test records nothing: there is no fail
-        memo.
-
-        The oracle's two steps cut those trees short, and short trees leave
-        the memo little to answer, so its searches on the same draws are
-        pinned exactly instead."""
+        memo, and a conflict only chooses where to jump.  Every such tree
+        ends within the sorted step's cap, so the oracle runs the same
+        trees and the same searches."""
         searches = _count_path_searches(monkeypatch)
         rng = random.Random(0x24)
         draws = [_random_regular3(rng, 24) for _ in PINNED_REGULAR3_24]
         nodes = sum(_kernel_py._search_order(d.n, d.sorted_arcs(), 5000, d.rows)[3] for d in draws)
-        assert nodes == 25278
-        assert searches["_reaches"] and searches["_witness"]
-        assert sum(searches.values()) <= nodes // 9
+        assert nodes == 2643
+        assert searches == {"_reaches": 1127, "_witness": 29}
         searches["_reaches"] = searches["_witness"] = 0
         nodes = sum(oracle_good_decomposition(d, budget=5000).nodes_explored for d in draws)
-        assert nodes == sum(pinned for _, pinned, _ in PINNED_REGULAR3_24) == 9699
-        assert searches == {"_reaches": 1496, "_witness": 318}
+        assert nodes == sum(pinned for _, pinned, _ in PINNED_REGULAR3_24) == 2643
+        assert searches == {"_reaches": 1127, "_witness": 29}
 
     def test_dense_search_work(self, monkeypatch):
         """The same guard on the dense PINNED_RANDOM draws: a path of two arcs
         settles most tests that neither the degree guard nor the two pass
-        slots answer, so at most one node in ten runs a path search, with no
-        fail memo."""
+        slots answer, so 825 nodes run 10 path searches, with no fail
+        memo."""
         searches = _count_path_searches(monkeypatch)
         rng = random.Random(0xD1A6)
         nodes = sum(
             oracle_good_decomposition(random_strong_digraph(rng, 7, density=0.75)).nodes_explored
             for _ in PINNED_RANDOM
         )
-        assert nodes == sum(pinned for _, pinned, _ in PINNED_RANDOM) == 859
-        assert sum(searches.values()) <= nodes // 10
+        assert nodes == sum(pinned for _, pinned, _ in PINNED_RANDOM) == 825
+        assert searches == {"_reaches": 10, "_witness": 0}
 
     def test_precheck_search_work(self, monkeypatch):
         """The 2-arc-strong precheck searches only the tree arcs that its
@@ -538,6 +537,50 @@ class TestOracle:
         assert {(500, _kernel_py.FOUND), (50, _kernel_py.ABORTED)} <= outcomes
         assert searches["_witness"] > 0
 
+    def test_backjumping_against_chronological(self):
+        """Backjumping skips only subtrees that hold no solution.  On seeded
+        strong digraphs of order 2-7, 3-regular digraphs of order 8-12 and
+        the characterization's exceptions, wherever the chronological
+        reference ends within its budget, the kernel returns the same
+        (status, a1, a2) in at most as many nodes; where it aborts, the
+        kernel aborts at budget + 1 or settles, and a found verifies."""
+        rng = random.Random(0xCB1)
+        hosts = [random_strong_digraph(rng, 7, density=rng.uniform(0.3, 0.9)) for _ in range(40)]
+        hosts += [_random_regular3(rng, rng.randint(8, 12)) for _ in range(16)]
+        hosts += [exception_digraph(tag) for tag in ("S4", "C3_K2_K2_K2", "C3_P2_K2_K2")]
+        ended = fewer = aborted = settled = 0
+        for d in hosts:
+            arcs = d.sorted_arcs()
+            for budget in (300, 40):
+                chrono = kernel_search_reference(d.n, arcs, budget, backjump=False)
+                status, i1, i2, nodes = _search_order(d.n, arcs, budget)
+                if chrono[0] != _kernel_py.ABORTED:
+                    assert (status, i1, i2) == chrono[:3], (d.n, arcs, budget)
+                    assert nodes <= chrono[3]
+                    ended += 1
+                    fewer += nodes < chrono[3]
+                    continue
+                if status == _kernel_py.ABORTED:
+                    assert nodes == budget + 1
+                    aborted += 1
+                    continue
+                settled += 1
+                if status == _kernel_py.FOUND:
+                    a1, a2 = ({arcs[k] for k in ix} for ix in (i1, i2))
+                    assert verify(d, a1, a2), (d.n, arcs, budget)
+        assert ended > 50 and fewer > 10 and aborted and settled
+
+    def test_shuffled_c8_c12_none(self):
+        """The shuffled C8□C12 (seed 3) has no good decomposition: its sorted
+        tree runs past the cap and the MCS step proves none in what
+        remains, 17,138 nodes in all (42,070 without backjumping)."""
+        d = shuffled_torus(8, 12, 3)
+        start = time.perf_counter()
+        rep = oracle_good_decomposition(d)
+        assert time.perf_counter() - start < 1
+        assert (rep.outcome, rep.reason, rep.nodes_explored, rep.order) == (
+            "none", "exhausted", 17138, "mcs")
+
     def test_invalid_kernel_result_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod._impl, "search", _overlapping_sides)
         with pytest.raises(ConstructionError, match="sides overlap on arc"):
@@ -622,8 +665,9 @@ class TestTwoOrders:
     def test_one_kernel_call_per_search(self, monkeypatch):
         """Each oracle search is one call of the kernel's entry, whose node
         count and step are the report's: on every 2-arc-strong semicomplete
-        class of order 2-5 and on the PINNED_REGULAR3_24 draws, some of whose
-        trees run past the sorted step's cap."""
+        class of order 2-5, on the PINNED_REGULAR3_24 draws and on the
+        shuffled C12□C12, whose sorted tree runs past the sorted step's
+        cap."""
         calls = []
         search = _kernel_py.search
 
@@ -635,6 +679,7 @@ class TestTwoOrders:
         hosts = [(d, 0) for n in range(2, 6) for d in enumerate_semicomplete(n, min_arc_strong=2)]
         rng = random.Random(0x24)
         hosts += [(_random_regular3(rng, 24), 5000) for _ in PINNED_REGULAR3_24]
+        hosts.append((shuffled_torus(12, 12, 3), 0))
         steps = set()
         for d, budget in hosts:
             calls.clear()
@@ -667,9 +712,12 @@ class TestTwoOrders:
 
     def test_nodes_within_budget(self):
         """At any budget B > 0 the report counts at most B + 1 nodes, and
-        exactly B + 1 iff it aborts, on either side of the cap."""
+        exactly B + 1 iff it aborts, on either side of the cap: on seeded
+        3-regular digraphs of order 24 and on the shuffled C12□C12, whose
+        sorted tree runs past the cap."""
         rng = random.Random(0x24)
         draws = [_random_regular3(rng, 24) for _ in range(12)]
+        draws.append(shuffled_torus(12, 12, 3))
         aborts = set()
         for d in draws:
             for budget in (1, 2, 10, 1023, 1024, 1025, 1100, 3000):
@@ -685,7 +733,7 @@ class TestTwoOrders:
         tree runs past 1,024 nodes and its MCS tree past the 976 that budget
         2,000 leaves, so the report reads aborted with budget + 1 nodes.  At
         a budget of 1,024 there is no second step."""
-        d = shuffled_c12_square(3)
+        d = shuffled_torus(12, 12, 3)
         for budget, order in ((2000, "mcs"), (1024, "sorted")):
             rep = oracle_good_decomposition(d, budget)
             assert (rep.outcome, rep.nodes_explored, rep.order) == ("aborted", budget + 1, order)
