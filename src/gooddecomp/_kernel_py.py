@@ -18,41 +18,16 @@ always expanding the smaller frontier, and stops when the two meet or
 either frontier runs dry.  The root needs no test: the caller has shown
 the digraph strong, and the search copies its cached rows.
 
-At level i, whichever side loses arc i, the test is one function of that
-side's arcs S among arcs[:i]: f_i(S) says whether S together with the
-unassigned arcs[i+1:] is strong.  It depends on nothing else, so an answer
-holds for the rest of the search.  Choice 1 asks f_i of side 2's arcs and
-choice 2 asks f_i of side 1's.  Adding arcs keeps a digraph strong, so f_i
-is monotone: a superset of a passing S passes.  Each side keeps, per level,
-two pass slots, the newest record and the one before it, as bit masks over
-the arc indices; both start empty.  A test fails at once if t has no other
-out-arc or h no other in-arc on that side, read before the side's rows are
-written, so a side that fails this degree guard changes nothing; it passes
-if S holds either slot's record.  Next, an out-neighbour of t (other than
-h) that is also an in-neighbour of h is a path t->w->h, so the test passes;
-else a path search decides, which is exact because the parent node, S with
-arcs[i:], is strong.  A failed test records nothing.
-
-A pass need not record all of S.  Let W be the arcs with index below i of a
-path from t to h in S with arcs[i+1:].  Every S' that holds W holds that
-path, since arcs[i+1:] are unassigned at level i, so f_i(S') passes; W may
-be empty, and then every S' passes.  A later side seldom holds all of a
-recorded S but often holds the few arcs of a path, so the levels that a
-large tree visits again and again are answered from the memo far more
-often.  Finding the path costs more than a plain search, though, plus a
-table from each arc to its bit, and most levels of a small tree pass only a
-few times.  So until a level and side has recorded two passes, filling
-both slots, a search there first reads a path of three arcs off the rows,
-the out-rows of t's out-neighbours against h's in-row, and then runs
-_reaches from what the level has read: t's closure to distance 2, with the
-out-neighbours of t's out-neighbours as its frontier, and h with its
-in-neighbours, so no row is read twice.  A pass records S; after two it
-runs _witness and records W.  The two-arc path always records S.
-_witness searches one way only: it grows the layers of t's closure along
-the out-rows until h appears, then walks back from h through them, so W
-comes from a shortest path.  It maps a path arc (u, v) to its bit through a
-dict keyed by the arcs themselves, built on the call's first witness, so
-they may come in any order.
+At level i the side that loses arc t->h is tested in four steps, each exact
+because the parent node is strong.  The test fails at once if t has no
+other out-arc or h no other in-arc on that side, read before the side's
+rows are written, so a side that fails this degree guard changes nothing.
+It passes if an out-neighbour of t other than h is also an in-neighbour of
+h, a path t->w->h, or else if an out-neighbour of an out-neighbour of t
+is one, a path of three arcs.  Else _reaches decides, resumed from what
+the level has read: t's closure to distance 2, with the out-neighbours of
+t's out-neighbours as its frontier, and h with its in-neighbours, so no
+row is read twice.
 
 The backtracking is an explicit loop over the assignment array, so the depth
 of the tree is bounded by memory rather than by the recursion limit.  One
@@ -119,32 +94,6 @@ FOUND, NONE, ABORTED = 0, 1, 2
 _SORTED_CAP = 1024
 
 
-def _witness(out, inn, t, h, code):
-    """The arc bits of a shortest path from t to h != t along the out-rows
-    out, or 0 if there is none: code maps each arc (u, v) to its bit.  inn
-    holds the same arcs as in-rows.  A vertex in a layer of t's closure has an
-    in-neighbour in the layer before, so the path walks back from h."""
-    seen = front = 1 << t
-    layers = []
-    while not front >> h & 1:
-        layers.append(front)
-        nxt = 0
-        while front:
-            low = front & -front
-            nxt |= out[low.bit_length() - 1]
-            front ^= low
-        front = nxt & ~seen
-        if not front:
-            return 0
-        seen |= front
-    w = 0
-    for layer in reversed(layers):
-        u = (inn[h] & layer).bit_length() - 1
-        w |= code[u, h]
-        h = u
-    return w
-
-
 def _conflict(out, inn, t, h, hbit, bit, outlev, inlev):
     """The conflict of a failed test at level i, whose side loses arc t->h of
     bit 1 << i: if t has no other out-arc on that side, the levels of t's
@@ -195,17 +144,8 @@ def _search_order(n, arcs, budget, rows):
     out2, in2 = out1[:], in1[:]
 
     vbit = [1 << v for v in range(n)]
-    bits = [1 << i for i in range(m)]
-    levels = [(t, h, vbit[t], vbit[h], bit) for (t, h), bit in zip(arcs, bits)]
+    levels = [(t, h, vbit[t], vbit[h], 1 << i) for i, (t, h) in enumerate(arcs)]
     assign = [0] * m  # 0 untried, else the side that holds the arc
-    # per level and side, the last two records of a passing test: the side's
-    # arcs[:i], or once prev holds a record, the arcs below i of the path a
-    # search found.  -1 is an empty slot: no mask holds it, so it answers
-    # nothing, while 0 is a path wholly in arcs[i+1:] and answers everything.
-    pass1, prev1 = [-1] * m, [-1] * m
-    pass2, prev2 = pass1[:], prev1[:]
-    ones = twos = 0  # the arcs on side 1, on side 2
-    code = None  # the bit of each arc, built for the first _witness
     # per level, the conflict levels gathered so far, and bit i itself while
     # side 1's failed test at level i has not computed its conflict
     conf = [0] * m
@@ -223,39 +163,24 @@ def _search_order(n, arcs, budget, rows):
             nodes += 1
             if nodes > limit:
                 return ABORTED, [], [], nodes
-            # side 1: side 2 loses the arc, f_i(twos)
+            # side 1: side 2 loses the arc
             assign[i] = 1
-            ones |= bit
             if (rest_out := out2[t] ^ hbit) and (rest_in := in2[h] ^ tbit):
                 out2[t] = rest_out
                 in2[h] = rest_in
-                if twos & (p := pass2[i]) == p or twos & (p := prev2[i]) == p:
-                    i += 1
-                    continue
                 if rest_out & rest_in:
-                    prev2[i], pass2[i] = pass2[i], twos
                     i += 1
                     continue
-                # p is prev2[i]: empty until the level has recorded two passes
-                if p < 0:
-                    near = tbit | rest_out  # t's closure to distance 1
-                    mid = 0  # the out-neighbours of t's out-neighbours
-                    while rest_out:
-                        low = rest_out & -rest_out
-                        mid |= out2[low.bit_length() - 1]
-                        rest_out ^= low
-                    if mid & rest_in or _reaches(out2, in2, near | mid, mid & ~near,
-                                                 hbit | rest_in, rest_in):
-                        prev2[i], pass2[i] = pass2[i], twos
-                        i += 1
-                        continue
-                else:
-                    if code is None:
-                        code = dict(zip(arcs, bits))
-                    if w := _witness(out2, in2, t, h, code):
-                        prev2[i], pass2[i] = pass2[i], w & (bit - 1)
-                        i += 1
-                        continue
+                near = tbit | rest_out  # t's closure to distance 1
+                mid = 0  # the out-neighbours of t's out-neighbours
+                while rest_out:
+                    low = rest_out & -rest_out
+                    mid |= out2[low.bit_length() - 1]
+                    rest_out ^= low
+                if mid & rest_in or _reaches(out2, in2, near | mid, mid & ~near,
+                                             hbit | rest_in, rest_in):
+                    i += 1
+                    continue
                 out2[t] ^= hbit
                 in2[h] ^= tbit
             conf[i] = bit  # side 1's test failed: its conflict is pending
@@ -263,40 +188,24 @@ def _search_order(n, arcs, budget, rows):
             nodes += 1
             if nodes > limit:
                 return ABORTED, [], [], nodes
-            # side 2: side 1 loses the arc, f_i(ones)
+            # side 2: side 1 loses the arc
             assign[i] = 2
-            ones ^= bit
-            twos |= bit
             if (rest_out := out1[t] ^ hbit) and (rest_in := in1[h] ^ tbit):
                 out1[t] = rest_out
                 in1[h] = rest_in
-                if ones & (p := pass1[i]) == p or ones & (p := prev1[i]) == p:
-                    i += 1
-                    continue
                 if rest_out & rest_in:
-                    prev1[i], pass1[i] = pass1[i], ones
                     i += 1
                     continue
-                # p is prev1[i]: empty until the level has recorded two passes
-                if p < 0:
-                    near = tbit | rest_out  # t's closure to distance 1
-                    mid = 0  # the out-neighbours of t's out-neighbours
-                    while rest_out:
-                        low = rest_out & -rest_out
-                        mid |= out1[low.bit_length() - 1]
-                        rest_out ^= low
-                    if mid & rest_in or _reaches(out1, in1, near | mid, mid & ~near,
-                                                 hbit | rest_in, rest_in):
-                        prev1[i], pass1[i] = pass1[i], ones
-                        i += 1
-                        continue
-                else:
-                    if code is None:
-                        code = dict(zip(arcs, bits))
-                    if w := _witness(out1, in1, t, h, code):
-                        prev1[i], pass1[i] = pass1[i], w & (bit - 1)
-                        i += 1
-                        continue
+                near = tbit | rest_out  # t's closure to distance 1
+                mid = 0  # the out-neighbours of t's out-neighbours
+                while rest_out:
+                    low = rest_out & -rest_out
+                    mid |= out1[low.bit_length() - 1]
+                    rest_out ^= low
+                if mid & rest_in or _reaches(out1, in1, near | mid, mid & ~near,
+                                             hbit | rest_in, rest_in):
+                    i += 1
+                    continue
                 out1[t] ^= hbit
                 in1[h] ^= tbit
         # level i is exhausted, both sides' rows hold its arc again, and side
@@ -319,7 +228,6 @@ def _search_order(n, arcs, budget, rows):
             # jump to the deepest level k of the conflict: unassign levels
             # i to k + 1, restoring the side that lacks each arc
             k = s.bit_length() - 1
-            twos ^= bit
             assign[i] = conf[i] = 0
             i -= 1
             while i > k:
@@ -327,11 +235,9 @@ def _search_order(n, arcs, budget, rows):
                 if assign[i] == 1:
                     out2[t] ^= hbit
                     in2[h] ^= tbit
-                    ones ^= bit
                 else:
                     out1[t] ^= hbit
                     in1[h] ^= tbit
-                    twos ^= bit
                 assign[i] = conf[i] = 0
                 i -= 1
             t, h, tbit, hbit, bit = levels[k]

@@ -28,7 +28,7 @@ from gooddecomp import (
 from gooddecomp import oracle as oracle_mod
 from gooddecomp import _kernel_py
 from gooddecomp import digraph as digraph_mod
-from gooddecomp.digraph import _bfs, _closure, _reaches, _rows, _tree_path, _two_arc_strong
+from gooddecomp.digraph import _closure, _reaches, _rows, _two_arc_strong
 from gooddecomp.oracle import _orbit, enumerate_semicomplete
 
 from conftest import (
@@ -173,10 +173,9 @@ def _random_regular3(rng: random.Random, n: int) -> Digraph:
             return d
 
 
-def _count_path_searches(monkeypatch, module=_kernel_py, names=("_reaches", "_witness")) -> dict:
-    """Wrap the path searches names of module, by default the kernel's two,
-    _reaches and _witness, and count their calls by name in the returned
-    dict."""
+def _count_path_searches(monkeypatch, module=_kernel_py, names=("_reaches",)) -> dict:
+    """Wrap the path searches names of module, by default the kernel's one,
+    _reaches, and count their calls by name in the returned dict."""
     counts = {}
     for name in names:
         counts[name] = 0
@@ -397,29 +396,25 @@ class TestOracle:
     def test_sparse_search_work(self, monkeypatch):
         """A deterministic work guard: on the PINNED_REGULAR3_24 draws the
         kernel's single-order loop, searching sorted arcs at budget 5,000,
-        runs exactly these path searches of either kind; the memo and the
-        degree guard answer the rest.  A search at a level that has passed
-        twice records the path it found, and the two last passes of a level
-        are both kept.  A failed test records nothing: there is no fail
-        memo, and a conflict only chooses where to jump.  Every such tree
-        ends within the sorted step's cap, so the oracle runs the same
-        trees and the same searches."""
+        runs exactly these path searches; the degree guard and the paths of
+        two and three arcs answer the rest.  Every such tree ends within the
+        sorted step's cap, so the oracle runs the same trees and the same
+        searches."""
         searches = _count_path_searches(monkeypatch)
         rng = random.Random(0x24)
         draws = [_random_regular3(rng, 24) for _ in PINNED_REGULAR3_24]
         nodes = sum(_kernel_py._search_order(d.n, d.sorted_arcs(), 5000, d.rows)[3] for d in draws)
         assert nodes == 2643
-        assert searches == {"_reaches": 1127, "_witness": 29}
-        searches["_reaches"] = searches["_witness"] = 0
+        assert searches == {"_reaches": 1207}
+        searches["_reaches"] = 0
         nodes = sum(oracle_good_decomposition(d, budget=5000).nodes_explored for d in draws)
         assert nodes == sum(pinned for _, pinned, _ in PINNED_REGULAR3_24) == 2643
-        assert searches == {"_reaches": 1127, "_witness": 29}
+        assert searches == {"_reaches": 1207}
 
     def test_dense_search_work(self, monkeypatch):
         """The same guard on the dense PINNED_RANDOM draws: a path of two arcs
-        settles most tests that neither the degree guard nor the two pass
-        slots answer, so 825 nodes run 10 path searches, with no fail
-        memo."""
+        settles most tests that the degree guard does not, so 825 nodes run
+        10 path searches."""
         searches = _count_path_searches(monkeypatch)
         rng = random.Random(0xD1A6)
         nodes = sum(
@@ -427,7 +422,7 @@ class TestOracle:
             for _ in PINNED_RANDOM
         )
         assert nodes == sum(pinned for _, pinned, _ in PINNED_RANDOM) == 825
-        assert searches == {"_reaches": 10, "_witness": 0}
+        assert searches == {"_reaches": 10}
 
     def test_precheck_search_work(self, monkeypatch):
         """The 2-arc-strong precheck searches only the tree arcs that its
@@ -475,53 +470,11 @@ class TestOracle:
                         assert _reaches(*d.rows, a, a_front, b, b_front) == expected
         assert answers == {True, False} and met > 100
 
-    def test_witness_is_a_path(self):
-        """_witness answers exactly as _reaches does, and a path it returns
-        is a shortest path from t to h over available arcs; its arcs below
-        the level i, with the arcs after i, still join t to h, which is what
-        the kernel's pass memo relies on.  Some paths have no arc below i:
-        their record is 0, which every later side holds.  Arcs come in a
-        random order."""
-        rng = random.Random(0x3171)
-        found = missed = none_below = 0
-        for _ in range(400):
-            n = rng.randint(2, 12)
-            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-            arcs = rng.sample(arcs, rng.randint(1, len(arcs)))
-            i = rng.randrange(len(arcs))
-            t, h = arcs[i]
-            side = {k for k in range(i) if rng.random() < 0.6}
-            avail = side | set(range(i + 1, len(arcs)))
-            out, inn = _rows(n, [arcs[k] for k in avail])
-            code = {arc: 1 << k for k, arc in enumerate(arcs)}
-            w = _kernel_py._witness(out, inn, t, h, code)
-            assert bool(w) == _reaches(out, inn, 1 << t, 1 << t, 1 << h, 1 << h)
-            if not w:
-                missed += 1
-                continue
-            found += 1
-            path = {k for k in range(len(arcs)) if w >> k & 1}
-            assert path <= avail
-            succ = dict(arcs[k] for k in path)
-            assert len(succ) == len(path)
-            v, steps = t, 0
-            while v != h and steps <= len(path):
-                v, steps = succ[v], steps + 1
-            assert v == h and steps == len(path)
-            assert len(path) == len(_tree_path(_bfs(out, t), h)) - 1
-            below = {k for k in path if k < i}
-            assert below <= side
-            none_below += not below
-            out, inn = _rows(n, [arcs[k] for k in below | set(range(i + 1, len(arcs)))])
-            assert _reaches(out, inn, 1 << t, 1 << t, 1 << h, 1 << h)
-        assert found > 100 and missed > 100 and none_below > 50
-
-    def test_kernel_matches_reference_shuffled(self, monkeypatch):
+    def test_kernel_matches_reference_shuffled(self):
         """The kernel's full (status, a1, a2, nodes) against
         conftest.kernel_search_reference on seeded digraphs whose arcs come
-        in a shuffled order, not sorted by tail: the paths that searches
-        record map to arc bits by tail and head, whatever the order."""
-        searches = _count_path_searches(monkeypatch)
+        in a shuffled order, not sorted by tail, so that a vertex's out-arcs
+        lie on scattered levels."""
         rng = random.Random(0x5F1E)
         outcomes = set()
         for k in range(30):
@@ -535,7 +488,6 @@ class TestOracle:
                 assert _search_order(d.n, arcs, budget) == expected, (d.n, arcs, budget)
                 outcomes.add((budget, expected[0]))
         assert {(500, _kernel_py.FOUND), (50, _kernel_py.ABORTED)} <= outcomes
-        assert searches["_witness"] > 0
 
     def test_backjumping_against_chronological(self):
         """Backjumping skips only subtrees that hold no solution.  On seeded
