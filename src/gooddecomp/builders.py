@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .digraph import POWER_ORDER_BOUND, Arc, Digraph
@@ -21,20 +19,36 @@ from .digraph import POWER_ORDER_BOUND, Arc, Digraph
 Coord = tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class CoordinateMap:
     """Blockwise numbering: block i has sizes[i] vertices, and its vertex j
     gets id offsets[i] + j.  Coordinates and ids out of range raise KeyError."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes", "offsets")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if min(self.sizes, default=0) < 0:
+    def __init__(self, sizes: tuple[int, ...]):
+        if min(sizes, default=0) < 0:
             raise ValueError("block sizes must be nonnegative")
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(sizes, initial=0)))
 
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.sizes, initial=0))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self):
+        return hash((self.sizes,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(sizes={self.sizes!r})"
+
+    def __reduce__(self):
+        return type(self), (self.sizes,)
 
     def vid(self, i: int, j: int) -> int:
         if not (0 <= i < len(self.sizes) and 0 <= j < self.sizes[i]):
@@ -53,41 +67,42 @@ class Built(NamedTuple):
     coords: CoordinateMap
 
 
-@dataclass(frozen=True)
 class CompositionSpec:
     """Outer digraph T plus one inner digraph per outer vertex."""
 
-    outer: Digraph
-    inners: tuple[Digraph, ...]
+    __slots__ = ("outer", "inners", "sizes", "_composition")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if len(self.inners) != self.outer.n:
+    def __init__(self, outer: Digraph, inners: tuple[Digraph, ...]):
+        if len(inners) != outer.n:
             raise ValueError("need exactly one inner digraph per outer vertex")
-        if any(h.n < 1 for h in self.inners):
+        sizes = tuple(h.n for h in inners)
+        if min(sizes, default=1) < 1:
             raise ValueError("inner digraphs must have order >= 1")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inners", inners)
+        object.__setattr__(self, "sizes", sizes)
+        # compose(self), built on its first call and kept while the spec
+        # lives, as Digraph.rows is
+        object.__setattr__(self, "_composition", None)
 
     @property
     def t(self) -> int:
         return self.outer.n
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(h.n for h in self.inners)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outer, self.inners) == (other.outer, other.inners)
 
-    @cached_property
-    def _composition(self) -> Built:
-        """compose(self), built once and kept while the spec lives, as
-        Digraph.rows is."""
-        cmap = CoordinateMap(self.sizes)
-        off, sizes = cmap.offsets, cmap.sizes
-        arcs = {(off[i] + u, off[i] + v) for i, h in enumerate(self.inners) for u, v in h.arcs}
-        arcs |= {
-            (off[i] + j, off[p] + q)
-            for i, p in self.outer.arcs
-            for j in range(sizes[i])
-            for q in range(sizes[p])
-        }
-        return _built(arcs, cmap)
+    def __hash__(self):
+        return hash((self.outer, self.inners))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(outer={self.outer!r}, inners={self.inners!r})"
+
+    def __reduce__(self):
+        return type(self), (self.outer, self.inners)
 
 
 def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
@@ -98,6 +113,17 @@ def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
 def compose(spec: CompositionSpec) -> Built:
     """Composition T[H_1,...,H_t]: inner arcs plus full block-to-block joins.
     Every call on one spec returns the same Built."""
+    if spec._composition is None:
+        cmap = CoordinateMap(spec.sizes)
+        off, sizes = cmap.offsets, cmap.sizes
+        arcs = {(off[i] + u, off[i] + v) for i, h in enumerate(spec.inners) for u, v in h.arcs}
+        arcs |= {
+            (off[i] + j, off[p] + q)
+            for i, p in spec.outer.arcs
+            for j in range(sizes[i])
+            for q in range(sizes[p])
+        }
+        object.__setattr__(spec, "_composition", _built(arcs, cmap))
     return spec._composition
 
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional, Sequence
 
 from . import _kernel_py
 from .builders import (
     CompositionSpec,
     _cartesian_arcs,
     _check_power_order,
+    _read_only,
     _strong_arcs,
     cartesian_power,
     cartesian_product,
@@ -82,17 +82,18 @@ def _require_strong(*factors: Digraph) -> None:
         raise Refusal("not-covered", "digraph is not strong of order >= 2")
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Pairwise disjoint arc sets parts[0..k-1] (sections A1..Ak) of host,
     k >= 2, each meant to span a strong subdigraph; verify checks that."""
 
-    host: Digraph
-    parts: tuple[frozenset[Arc], ...]
+    __slots__ = ("host", "parts")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, host: Digraph, parts: tuple[frozenset[Arc], ...]):
+        if len(parts) < 2:
             raise ValueError("a decomposition needs at least two parts")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def a1(self) -> frozenset[Arc]:
@@ -102,14 +103,30 @@ class Decomposition:
     def a2(self) -> frozenset[Arc]:
         return self.parts[1]
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.host, self.parts) == (other.host, other.parts)
 
-@dataclass(frozen=True)
-class VerifyResult:
+    def __hash__(self):
+        return hash((self.host, self.parts))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(host={self.host!r}, parts={self.parts!r})"
+
+    def __reduce__(self):
+        return type(self), (self.host, self.parts)
+
+
+class VerifyResult(NamedTuple):
     ok: bool
     reason: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_VERIFIED = VerifyResult(True)
 
 
 def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
@@ -118,19 +135,19 @@ def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
     shared arc by the smallest one)."""
     if len(parts) < 2:
         return VerifyResult(False, f"needs at least two parts, got {len(parts)}")
-    named = [(f"A{k}", frozenset(side)) for k, side in enumerate(parts, start=1)]
-    for name, side in named:
+    sides = [frozenset(side) for side in parts]
+    for k, side in enumerate(sides, start=1):
         if not side <= host.arcs:
-            return VerifyResult(False, f"{name} arc {min(side - host.arcs)} not in host")
-    for (n1, s1), (n2, s2) in itertools.combinations(named, 2):
+            return VerifyResult(False, f"A{k} arc {min(side - host.arcs)} not in host")
+    for (k1, s1), (k2, s2) in itertools.combinations(enumerate(sides, start=1), 2):
         if not s1.isdisjoint(s2):
-            which = "" if len(parts) == 2 else f" {n1} and {n2}"
+            which = "" if len(parts) == 2 else f" A{k1} and A{k2}"
             return VerifyResult(False, f"sides{which} overlap on arc {min(s1 & s2)}")
-    for name, side in named:
+    for k, side in enumerate(sides, start=1):
         pair = _unreachable_pair(host.n, *_rows(host.n, side))
         if pair is not None:
-            return VerifyResult(False, f"{name} not strong: no path {pair[0]}->{pair[1]}")
-    return VerifyResult(True)
+            return VerifyResult(False, f"A{k} not strong: no path {pair[0]}->{pair[1]}")
+    return _VERIFIED
 
 
 def verify_decomposition(d: Decomposition) -> VerifyResult:
@@ -442,8 +459,7 @@ def match_exception(d: Digraph) -> Optional[tuple[str, dict[int, int]]]:
     return None
 
 
-@dataclass(frozen=True)
-class CharacterizationResult:
+class CharacterizationResult(NamedTuple):
     decomposition: Optional[Decomposition] = None
     exception_tag: Optional[str] = None
     witness: Optional[dict[int, int]] = None

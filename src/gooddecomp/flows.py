@@ -10,8 +10,7 @@ the circulation exists iff a max S-T flow saturates every arc leaving S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import Digraph, _closure, _max_flow, is_strong
 from .structure import cycle_arcs
@@ -57,8 +56,7 @@ def cover_cut(d: Digraph) -> frozenset:
 # ---------------------------------------------------------------------------
 # cycle covers
 
-@dataclass(frozen=True)
-class CycleCover:
+class CycleCover(NamedTuple):
     """Pairwise arc-disjoint cycles whose vertex union is the whole vertex set."""
 
     cycles: tuple[tuple[int, ...], ...]

@@ -30,8 +30,7 @@ import operator
 import sys
 import time
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .decomp import ConstructionError, Decomposition, verify
 from .digraph import Digraph, _two_arc_strong, is_k_arc_strong
@@ -44,8 +43,7 @@ BACKEND = "python"
 ENUMERATION_ORDER_BOUND = 6
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     outcome: str  # "found" | "none" | "aborted"
     decomposition: Optional[Decomposition]
     nodes_explored: int

@@ -6,8 +6,7 @@ v0 -> v1 -> ... -> vk-1 -> v0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import Arc, Digraph, _bfs, _tree_path, is_semicomplete, is_strong
 
@@ -32,8 +31,7 @@ def is_cycle_of(d: Digraph, cyc: Cycle) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Ear:
+class Ear(NamedTuple):
     """Open ear: vertices v0..vk with arcs v0->v1..->vk, endpoints attached.
 
     Closed ear: same arcs plus vk->v0; only v0 is attached (or none for the
@@ -49,8 +47,7 @@ class Ear:
         return list(zip(self.vertices, self.vertices[1:]))
 
 
-@dataclass(frozen=True)
-class EarDecomposition:
+class EarDecomposition(NamedTuple):
     ears: tuple[Ear, ...]
 
 

@@ -723,6 +723,31 @@ def test_library_has_no_function_level_imports():
     assert found == []
 
 
+def test_library_imports_no_dataclasses():
+    # result records are NamedTuples or __slots__ classes: building
+    # dataclasses, and importing dataclasses with inspect, cost about a third
+    # of a fresh `import gooddecomp.cli`
+    found = []
+    for source in sorted(Path(gooddecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                found.append(f"{source.name}:{node.lineno}")
+    assert found == []
+    # -S keeps site-packages hooks out, so only the library's own imports count
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gooddecomp.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
 def test_readme_python_blocks_run():
     # every python block of README.md runs as documented
     blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
