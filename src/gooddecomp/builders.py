@@ -14,13 +14,9 @@ import bisect
 import itertools
 from typing import NamedTuple
 
-from .digraph import POWER_ORDER_BOUND, Arc, Digraph
+from .digraph import POWER_ORDER_BOUND, Arc, Digraph, _read_only
 
 Coord = tuple[int, int]
-
-
-def _read_only(self, name, *value):
-    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class CoordinateMap:

@@ -10,8 +10,8 @@ library, which raises decomp.Refusal; this module only prints them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .builders import CompositionSpec, cartesian_power, cartesian_product, compose, \
@@ -36,20 +36,25 @@ from .oracle import oracle_good_decomposition
 OK, REFUSED, USAGE = 0, 1, 2
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _load_digraph(path: str) -> Digraph:
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(_read(path))
 
 
 def _load_spec(path: str) -> CompositionSpec:
     """Spec file: first content line names the outer edge-list file, the
     following lines name the inner files in block order; paths are relative
     to the spec file."""
-    base = Path(path).parent
-    names = [line for _, line in _content_lines(Path(path).read_text())]
+    base = os.path.dirname(path)
+    names = [line for _, line in _content_lines(_read(path))]
     if len(names) < 2:
         raise ParseError("spec file needs an outer file and at least one inner file", 1)
-    outer = _load_digraph(str(base / names[0]))
-    inners = tuple(_load_digraph(str(base / nm)) for nm in names[1:])
+    outer = _load_digraph(os.path.join(base, names[0]))
+    inners = tuple(_load_digraph(os.path.join(base, nm)) for nm in names[1:])
     return CompositionSpec(outer, inners)
 
 
@@ -174,7 +179,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dec = parse_decomposition(Path(args.file).read_text())
+    dec = parse_decomposition(_read(args.file))
     res = verify_decomposition(dec)
     if res.ok:
         print("valid")

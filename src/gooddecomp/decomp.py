@@ -10,7 +10,10 @@ fails raises Refusal, with the machine-readable reason the CLI prints.
 
 Every composition route builds skeleton sides on kept vertices per block;
 _composition_route names the first that applies, and _finish_composition, the
-one lift and one verification of every route, extends them by twins.
+one lift and one verification of every route, extends them by twins.  What a
+route reads of the outer digraph alone (its arc strength, whether it is
+semicomplete, a Hamiltonian cycle, part (a)'s skeleton sides) is computed once
+per outer value and kept for the last OUTER_MEMO_SIZE outers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .builders import (
     CompositionSpec,
     _cartesian_arcs,
     _check_power_order,
-    _read_only,
     _strong_arcs,
     cartesian_power,
     cartesian_product,
@@ -44,6 +46,7 @@ from .digraph import (
     path,
     s4,
     _arc_strength,
+    _read_only,
     _rows,
     _unreachable_pair,
 )
@@ -168,6 +171,39 @@ def _checked(host: Digraph, *parts) -> Decomposition:
 # for that block's vertex kept[p][s].
 
 Skeleton = tuple[Sequence[int], Sequence[Sequence[int]], set, set]
+
+#: distinct outer digraphs each route memo keeps, least recently used out first
+OUTER_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=OUTER_MEMO_SIZE)
+def _outer_facts(T: Digraph) -> tuple[int, bool]:
+    """(min(2, arc strength of T), whether T is semicomplete), T of order >= 2."""
+    return _arc_strength(T, 2), is_semicomplete(T)
+
+
+@functools.lru_cache(maxsize=OUTER_MEMO_SIZE)
+def _outer_cycle(T: Digraph) -> Optional[Cycle]:
+    """The route's Hamiltonian cycle of T, or None: the semicomplete search if
+    T is semicomplete, else the brute force."""
+    semicomplete = _outer_facts(T)[1]
+    return (_hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
+
+
+@functools.lru_cache(maxsize=OUTER_MEMO_SIZE)
+def _part_a_skeleton(T: Digraph, c: tuple[int, ...]) -> tuple[frozenset, frozenset]:
+    """The kernel's sides of T with c[p] arcless vertices for vertex p,
+    numbered blockwise as a composition is, as (position, slot) arcs."""
+    coord = [(p, s) for p in range(T.n) for s in range(c[p])]  # blockwise
+    n = len(coord)
+    # no inner arc, since T has no loop
+    arcs = [(x, y) for x in range(n) for y in range(n) if (coord[x][0], coord[y][0]) in T.arcs]
+    # the dispatcher showed T 2-arc-strong, so the skeleton is strong, and
+    # _finish_composition verifies
+    status, a1, a2, _, _ = _kernel_py.search(Digraph(n, arcs))
+    if status != _kernel_py.FOUND:
+        raise ConstructionError("the part (a) skeleton must decompose")
+    return tuple(frozenset((coord[x], coord[y]) for x, y in side) for side in (a1, a2))
 
 
 def _finish_composition(
@@ -385,17 +421,7 @@ def _part_a_sides(spec: CompositionSpec) -> Optional[Skeleton]:
         if max(spec.sizes) == 1:
             return None
         c[next(p for p in range(t) if spec.sizes[p] >= 2)] = 2
-    coord = [(p, s) for p in range(t) for s in range(c[p])]  # blockwise
-    n = len(coord)
-    # no inner arc, since T has no loop
-    arcs = [(x, y) for x in range(n) for y in range(n) if (coord[x][0], coord[y][0]) in T.arcs]
-    # the dispatcher showed T 2-arc-strong, so the skeleton is strong, and
-    # _finish_composition verifies
-    status, a1, a2, _, _ = _kernel_py.search(Digraph(n, arcs))
-    if status != _kernel_py.FOUND:
-        raise ConstructionError("the part (a) skeleton must decompose")
-    side1, side2 = ({(coord[x], coord[y]) for x, y in side} for side in (a1, a2))
-    return range(t), [range(k) for k in c], side1, side2
+    return range(t), [range(k) for k in c], *_part_a_skeleton(T, tuple(c))
 
 
 def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:
@@ -405,14 +431,13 @@ def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:
     if spec.t < 2:
         raise ValueError("composition decomposer needs t >= 2")
     T = spec.outer
-    lam = _arc_strength(T, 2)
+    lam, semicomplete = _outer_facts(T)
     if lam == 0:  # not strong
         return None
-    semicomplete = is_semicomplete(T)
     if semicomplete and lam == 2 and (sides := _part_a_sides(spec)) is not None:
         return "composition/part-a", sides
     if min(spec.sizes) >= 2 and (semicomplete or T.n <= 14):
-        hc = (_hamiltonian_cycle_semicomplete if semicomplete else hamiltonian_cycle_bruteforce)(T)
+        hc = _outer_cycle(T)
         if hc is not None and (sides := _hamiltonian_sides(spec, hc)) is not None:
             return "composition/hamiltonian", sides
         if semicomplete and (sides := _remaining_sides(spec, hc)) is not None:
@@ -474,12 +499,12 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     every inner of order >= 2: either an exception tag or a verified
     decomposition built by the constructive branches."""
     message = "requires strong semicomplete outer and nontrivial inners"
-    if spec.t < 2 or min(spec.sizes) < 2 or not is_semicomplete(spec.outer):
+    if spec.t < 2 or min(spec.sizes) < 2 or not _outer_facts(spec.outer)[1]:
         raise ValueError(message)
     dec = decompose_composition(spec)
     if dec is not None:
         return CharacterizationResult(decomposition=dec)
-    if not is_strong(spec.outer):  # every route needs a strong outer
+    if _outer_facts(spec.outer)[0] == 0:  # not strong: every route needs a strong outer
         raise ValueError(message)
     matched = match_exception(compose(spec).digraph)
     if matched is None:

@@ -19,12 +19,18 @@ ISO_ORDER_BOUND = 12
 POWER_ORDER_BOUND = 20_000
 
 
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Digraph:
     """Immutable digraph on vertices 0..n-1, n an int.  Arcs are (int, int)
     pairs, kept as given; an order or endpoint of any other type, bool
-    included, is a ValueError."""
+    included, is a ValueError.  Fields cannot be assigned, so rows and the
+    memos keyed by a digraph's value stay true to it."""
 
     __slots__ = ("n", "arcs", "__dict__")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, n: int, arcs: Iterable[Arc]):
         if type(n) is not int:
@@ -41,8 +47,8 @@ class Digraph:
                 raise ValueError(f"loop ({u},{v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for order {n}")
-        self.n = n
-        self.arcs = arcset
+        _set_n(self, n)
+        _set_arcs(self, arcset)
 
     @property
     def m(self) -> int:
@@ -75,6 +81,14 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {self.sorted_arcs()})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self.arcs)
+
+
+# __init__ writes the fields through their slots' own setters, since
+# assignment raises; they cost about half what object.__setattr__ does
+_set_n, _set_arcs = Digraph.n.__set__, Digraph.arcs.__set__
 
 
 # ---------------------------------------------------------------------------

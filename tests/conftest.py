@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from gooddecomp import Digraph, cartesian_product, cycle, is_strong
+from gooddecomp import Digraph, cartesian_product, cycle, decomp, is_strong
 
 
 def strong_by_closure(d: Digraph) -> bool:
@@ -337,6 +337,14 @@ def random_sparse_strong_digraph(rng: random.Random, n: int, max_arcs: int) -> D
     d = Digraph(n, arcs)
     assert is_strong(d)
     return d
+
+
+@pytest.fixture(autouse=True)
+def cold_outer_memos():
+    """Every test starts with empty composition-route memos, so a test that
+    counts the route's calls sees them whatever ran before it."""
+    for memo in (decomp._outer_facts, decomp._outer_cycle, decomp._part_a_skeleton):
+        memo.cache_clear()
 
 
 @pytest.fixture

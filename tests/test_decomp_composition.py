@@ -8,6 +8,7 @@ from gooddecomp import (
     CompositionSpec,
     Decomposition,
     Digraph,
+    _kernel_py,
     characterize_semicomplete_composition,
     complete,
     compose,
@@ -28,9 +29,14 @@ from gooddecomp import (
 from gooddecomp import builders as builders_module
 from gooddecomp import decomp as decomp_module
 from gooddecomp.decomp import (
+    OUTER_MEMO_SIZE,
     _composition_route,
     _eq_sides,
     _finish_composition,
+    _outer_cycle,
+    _outer_facts,
+    _part_a_sides,
+    _part_a_skeleton,
     _strong_parts_sides,
 )
 
@@ -393,7 +399,8 @@ class TestDispatcher:
         assert calls == {search: 1}
         dec = decompose_composition(spec)
         assert dec is not None and verify_decomposition(dec).ok
-        assert calls == {search: 2}
+        # the second route call reads the cycle from the outer memo
+        assert calls == {search: 1}
 
     def test_hamiltonian_route_tests_outer_once(self, monkeypatch):
         # the route has shown T strong and semicomplete, so the cycle
@@ -472,6 +479,94 @@ class TestDispatcher:
         assert dec == characterize_semicomplete_composition(spec).decomposition
         parts = repr([sorted(p) for p in dec.parts]).encode()
         assert hashlib.sha256(parts).hexdigest() == digest
+
+
+def refuse_outer_work(monkeypatch, outer):
+    """Make every computation of a fact of outer raise, and so every part (a)
+    kernel search; the strong-parts route still tests its inners."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("outer fact computed again")
+
+    def inner_is_strong(d, real=decomp_module.is_strong):
+        return refuse() if d == outer else real(d)
+
+    for name in ("_arc_strength", "is_semicomplete",
+                 "hamiltonian_cycle_bruteforce", "_hamiltonian_cycle_semicomplete"):
+        monkeypatch.setattr(decomp_module, name, refuse)
+    monkeypatch.setattr(decomp_module, "is_strong", inner_is_strong)
+    monkeypatch.setattr(_kernel_py, "search", refuse)
+
+
+class TestOuterMemo:
+    """The route facts of an outer digraph are computed once per value."""
+
+    @pytest.mark.parametrize(
+        "arcs, inners, route",
+        [
+            (complete(3).arcs, (empty(2), empty(1), empty(3)), "composition/part-a"),
+            (STRONG_TOURNAMENT_4.arcs, (empty(2),) * 4, "composition/hamiltonian"),
+            (cycle(3).arcs, (empty(2), empty(2), empty(4)), "composition/remaining"),
+            (BIDIRECTED_P3.arcs, (cycle(2),) * 3, "composition/strong-parts"),
+        ],
+        ids=["part-a", "hamiltonian", "remaining", "strong-parts"],
+    )
+    def test_equal_outer_object_reuses_the_facts(self, monkeypatch, arcs, inners, route):
+        first = spec_of(Digraph(len(inners), arcs), *inners)
+        dec = decompose_composition(first)
+        assert dec is not None and _composition_route(first)[0] == route
+        refuse_outer_work(monkeypatch, first.outer)
+        second = spec_of(Digraph(len(inners), arcs), *inners)
+        assert second.outer is not first.outer
+        assert _composition_route(second)[0] == route
+        assert decompose_composition(second) == dec
+
+    def test_exception_path_reuses_the_facts(self, monkeypatch):
+        # the characterization's semicomplete and strong checks read the memo
+        inners = (empty(2), empty(2), empty(3))
+        first = characterize_semicomplete_composition(spec_of(cycle(3), *inners))
+        refuse_outer_work(monkeypatch, cycle(3))
+        second = characterize_semicomplete_composition(spec_of(cycle(3), *inners))
+        assert second == first and second.exception_tag == "C3_K2_K2_K3"
+
+    def test_outers_one_arc_apart_are_separate(self):
+        full = complete(3)
+        less = Digraph(3, full.arcs - {(1, 0)})
+        routes = [_composition_route(spec_of(T, *[empty(3)] * 3))[0] for T in (full, less)]
+        assert routes == ["composition/part-a", "composition/hamiltonian"]
+        assert (_outer_facts(full), _outer_facts(less)) == ((2, True), (1, True))
+        info = _outer_facts.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
+
+    def test_s4_doubled_block_position_is_part_of_the_key(self):
+        # the first block of order >= 2 is doubled: position 0, then 1
+        specs = [spec_of(s4(), empty(2), empty(1), empty(1), empty(1)),
+                 spec_of(s4(), empty(1), empty(2), empty(3), empty(1))]
+        sides = [_part_a_sides(spec)[2:] for spec in specs]
+        assert sides[0] != sides[1]
+        assert _part_a_skeleton.cache_info().currsize == 2
+        for spec in specs:
+            dec = decompose_composition(spec)
+            assert dec is not None and verify_decomposition(dec).ok
+
+    def test_cached_sides_are_frozensets(self):
+        sides = _part_a_sides(spec_of(complete(3), *[empty(2)] * 3))[2:]
+        assert len(sides) == 2 and all(type(side) is frozenset for side in sides)
+        assert _part_a_skeleton(complete(3), (1, 1, 1)) == sides
+
+    def test_memos_hold_their_bound(self):
+        # 2-arc-strong semicomplete outers: the order-5 complete digraph less
+        # some of its forward arcs
+        forward = [(u, v) for u, v in complete(5).sorted_arcs() if u < v]
+        outers = (Digraph(5, complete(5).arcs - set(gone))
+                  for k in range(4) for gone in itertools.combinations(forward, k))
+        outers = [T for T in outers if _outer_facts(T) == (2, True)][:OUTER_MEMO_SIZE + 1]
+        assert len(outers) == OUTER_MEMO_SIZE + 1
+        for T in outers:
+            _outer_cycle(T)
+            _part_a_skeleton(T, (1,) * 5)
+        for memo in (_outer_facts, _outer_cycle, _part_a_skeleton):
+            info = memo.cache_info()
+            assert info.maxsize == info.currsize == OUTER_MEMO_SIZE
 
 
 class TestCharacterize:

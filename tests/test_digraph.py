@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -120,6 +121,23 @@ class TestConstruction:
         d = Digraph(3, [(2, 0), (0, 1), (1, 2)])
         assert d.sorted_arcs() == [(0, 1), (1, 2), (2, 0)]
         assert d.rows == ((0b010, 0b100, 0b001), (0b100, 0b001, 0b010))
+
+    def test_read_only(self):
+        # rows and the composition-route memos assume a digraph never changes
+        d = cycle(3)
+        for name, value in (("n", 4), ("arcs", frozenset()), ("rows", None)):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(d, name, value)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            del d.arcs
+        assert d == cycle(3)
+
+    def test_pickle_round_trip(self):
+        d = Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)])
+        d.rows  # a cached value is not part of the pickled state
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy == d and hash(copy) == hash(d)
+        assert copy.rows == d.rows
 
 
 class TestNamedDigraphs:

@@ -740,9 +740,11 @@ def test_library_imports_no_dataclasses():
             if "dataclasses" in names:
                 found.append(f"{source.name}:{node.lineno}")
     assert found == []
-    # -S keeps site-packages hooks out, so only the library's own imports count
+    # -S keeps site-packages hooks out, so only the library's own imports
+    # count; the CLI reads files with open() and os.path, so pathlib, with
+    # urllib.parse, ipaddress and fnmatch, stays out too
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gooddecomp.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
