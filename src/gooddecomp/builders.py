@@ -12,39 +12,26 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .digraph import POWER_ORDER_BOUND, Arc, Digraph, _read_only
+from .digraph import POWER_ORDER_BOUND, Arc, Digraph, _Value
 
 Coord = tuple[int, int]
 
 
-class CoordinateMap:
+class CoordinateMap(_Value):
     """Blockwise numbering: block i has sizes[i] vertices, and its vertex j
     gets id offsets[i] + j.  Coordinates and ids out of range raise KeyError."""
 
     __slots__ = ("sizes", "offsets")
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("sizes",)
 
-    def __init__(self, sizes: tuple[int, ...]):
+    def __init__(self, sizes: Iterable[int]):
+        sizes = tuple(sizes)
         if min(sizes, default=0) < 0:
             raise ValueError("block sizes must be nonnegative")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "offsets", tuple(itertools.accumulate(sizes, initial=0)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sizes == other.sizes
-
-    def __hash__(self):
-        return hash((self.sizes,))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(sizes={self.sizes!r})"
-
-    def __reduce__(self):
-        return type(self), (self.sizes,)
 
     def vid(self, i: int, j: int) -> int:
         if not (0 <= i < len(self.sizes) and 0 <= j < self.sizes[i]):
@@ -63,13 +50,14 @@ class Built(NamedTuple):
     coords: CoordinateMap
 
 
-class CompositionSpec:
+class CompositionSpec(_Value):
     """Outer digraph T plus one inner digraph per outer vertex."""
 
     __slots__ = ("outer", "inners", "sizes", "_composition")
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("outer", "inners")
 
-    def __init__(self, outer: Digraph, inners: tuple[Digraph, ...]):
+    def __init__(self, outer: Digraph, inners: Iterable[Digraph]):
+        inners = tuple(inners)
         if len(inners) != outer.n:
             raise ValueError("need exactly one inner digraph per outer vertex")
         sizes = tuple(h.n for h in inners)
@@ -85,20 +73,6 @@ class CompositionSpec:
     @property
     def t(self) -> int:
         return self.outer.n
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.outer, self.inners) == (other.outer, other.inners)
-
-    def __hash__(self):
-        return hash((self.outer, self.inners))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(outer={self.outer!r}, inners={self.inners!r})"
-
-    def __reduce__(self):
-        return type(self), (self.outer, self.inners)
 
 
 def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:

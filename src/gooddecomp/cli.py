@@ -54,8 +54,7 @@ def _load_spec(path: str) -> CompositionSpec:
     if len(names) < 2:
         raise ParseError("spec file needs an outer file and at least one inner file", 1)
     outer = _load_digraph(os.path.join(base, names[0]))
-    inners = tuple(_load_digraph(os.path.join(base, nm)) for nm in names[1:])
-    return CompositionSpec(outer, inners)
+    return CompositionSpec(outer, (_load_digraph(os.path.join(base, nm)) for nm in names[1:]))
 
 
 def _cmd_check(args) -> int:
@@ -98,9 +97,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    outer = _load_digraph(args.outer)
-    inners = tuple(_load_digraph(p) for p in args.inners)
-    spec = CompositionSpec(outer, inners)
+    spec = CompositionSpec(_load_digraph(args.outer), map(_load_digraph, args.inners))
     sys.stdout.write(render_edge_list(compose(spec).digraph))
     return OK
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import AbstractSet, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernel_py
 from .builders import (
@@ -46,7 +46,7 @@ from .digraph import (
     path,
     s4,
     _arc_strength,
-    _read_only,
+    _Value,
     _rows,
     _unreachable_pair,
 )
@@ -85,14 +85,15 @@ def _require_strong(*factors: Digraph) -> None:
         raise Refusal("not-covered", "digraph is not strong of order >= 2")
 
 
-class Decomposition:
+class Decomposition(_Value):
     """Pairwise disjoint arc sets parts[0..k-1] (sections A1..Ak) of host,
     k >= 2, each meant to span a strong subdigraph; verify checks that."""
 
     __slots__ = ("host", "parts")
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("host", "parts")
 
-    def __init__(self, host: Digraph, parts: tuple[frozenset[Arc], ...]):
+    def __init__(self, host: Digraph, parts: Iterable[Iterable[Arc]]):
+        parts = tuple(map(frozenset, parts))
         if len(parts) < 2:
             raise ValueError("a decomposition needs at least two parts")
         object.__setattr__(self, "host", host)
@@ -105,20 +106,6 @@ class Decomposition:
     @property
     def a2(self) -> frozenset[Arc]:
         return self.parts[1]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.host, self.parts) == (other.host, other.parts)
-
-    def __hash__(self):
-        return hash((self.host, self.parts))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(host={self.host!r}, parts={self.parts!r})"
-
-    def __reduce__(self):
-        return type(self), (self.host, self.parts)
 
 
 class VerifyResult(NamedTuple):
@@ -158,11 +145,11 @@ def verify_decomposition(d: Decomposition) -> VerifyResult:
 
 
 def _checked(host: Digraph, *parts) -> Decomposition:
-    parts = tuple(frozenset(p) for p in parts)
-    res = verify(host, *parts)
+    d = Decomposition(host, parts)
+    res = verify(host, *d.parts)
     if not res:
         raise ConstructionError(f"construction failed verification: {res.reason}")
-    return Decomposition(host, parts)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ are deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence
 
@@ -23,14 +24,45 @@ def _read_only(self, name, *value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class Digraph:
+class _Value:
+    """Read-only value named by the subclass's _fields: an instance equals
+    one of its own class with equal fields, hashes, shows as
+    Name(field=value, ...) and pickles as its fields.  Slots left out of
+    _fields are derived or cached, and take no part in any of these."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    __setattr__ = __delattr__ = _read_only
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls._fields)
+        # the field values as a tuple, also for a single field
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Digraph(_Value):
     """Immutable digraph on vertices 0..n-1, n an int.  Arcs are (int, int)
     pairs, kept as given; an order or endpoint of any other type, bool
     included, is a ValueError.  Fields cannot be assigned, so rows and the
     memos keyed by a digraph's value stay true to it."""
 
     __slots__ = ("n", "arcs", "__dict__")
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[Arc]):
         if type(n) is not int:
@@ -71,19 +103,8 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self.rows[1][v].bit_count()
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
-
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {self.sorted_arcs()})"
-
-    def __reduce__(self):
-        return type(self), (self.n, self.arcs)
 
 
 # __init__ writes the fields through their slots' own setters, since

@@ -135,8 +135,8 @@ def parse_decomposition(text: str) -> Decomposition:
                                  else f"{name} shares arc {line!r} with {owner[a]}", lineno)
             owner[a] = name
             arcs.add(a)
-        parts.append(frozenset(arcs))
-    return Decomposition(host, tuple(parts))
+        parts.append(arcs)
+    return Decomposition(host, parts)
 
 
 def render_decomposition(dec: Decomposition) -> str:
