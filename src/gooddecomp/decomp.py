@@ -5,8 +5,10 @@ that both (V, A1) and (V, A2) are strong spanning subdigraphs; arcs may stay
 unused.  A Decomposition generalizes this to k >= 2 pairwise disjoint parts
 A1..Ak (the lexicographic product packs ell+1 of them).  Every decomposer here
 is fail-closed: results are verified before they are returned and a
-ConstructionError signals an internal bug.  A decomposer whose hypothesis
-fails raises Refusal, with the machine-readable reason the CLI prints.
+ConstructionError signals an internal bug.  The verdict is kept on the
+Decomposition, so verify_decomposition on a returned value reads it back
+instead of checking again.  A decomposer whose hypothesis fails raises
+Refusal, with the machine-readable reason the CLI prints.
 
 Every composition route builds skeleton sides on kept vertices per block;
 _composition_route names the first that applies, and _finish_composition, the
@@ -87,9 +89,10 @@ def _require_strong(*factors: Digraph) -> None:
 
 class Decomposition(_Value):
     """Pairwise disjoint arc sets parts[0..k-1] (sections A1..Ak) of host,
-    k >= 2, each meant to span a strong subdigraph; verify checks that."""
+    k >= 2, each meant to span a strong subdigraph; verify_decomposition
+    checks that once and keeps the verdict on the value, outside its fields."""
 
-    __slots__ = ("host", "parts")
+    __slots__ = ("host", "parts", "_verdict")
     _fields = ("host", "parts")
 
     def __init__(self, host: Digraph, parts: Iterable[Iterable[Arc]]):
@@ -98,6 +101,7 @@ class Decomposition(_Value):
             raise ValueError("a decomposition needs at least two parts")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "parts", parts)
+        _set_verdict(self, None)
 
     @property
     def a1(self) -> frozenset[Arc]:
@@ -106,6 +110,10 @@ class Decomposition(_Value):
     @property
     def a2(self) -> frozenset[Arc]:
         return self.parts[1]
+
+
+# assignment raises, so the verdict is written through its slot's own setter
+_set_verdict = Decomposition._verdict.__set__
 
 
 class VerifyResult(NamedTuple):
@@ -141,12 +149,16 @@ def verify(host: Digraph, *parts: frozenset[Arc]) -> VerifyResult:
 
 
 def verify_decomposition(d: Decomposition) -> VerifyResult:
-    return verify(d.host, *d.parts)
+    """verify(d.host, *d.parts), run on d's first call only: host and parts
+    are read-only, so the verdict kept on d stays true to it."""
+    if d._verdict is None:
+        _set_verdict(d, verify(d.host, *d.parts))
+    return d._verdict
 
 
 def _checked(host: Digraph, *parts) -> Decomposition:
     d = Decomposition(host, parts)
-    res = verify(host, *d.parts)
+    res = verify_decomposition(d)
     if not res:
         raise ConstructionError(f"construction failed verification: {res.reason}")
     return d
@@ -735,20 +747,20 @@ def decompose_lexicographic(
     arcs that shadow it."""
     _require_strong(g, h)
     if ell_parts is None:
-        parts_h = [frozenset(h.arcs)]
+        parts_h = [frozenset(h.arcs)]  # strong: _require_strong has just shown it
     else:
         parts_h = [frozenset(p) for p in ell_parts]
-    if not parts_h:
-        raise ValueError("needs at least one arc set of h")
-    claimed: set[Arc] = set()
-    for k, part in enumerate(parts_h):
-        if not part <= h.arcs:
-            raise ValueError(f"part {k} uses arcs outside h")
-        if claimed & part:
-            raise ValueError("provided parts overlap")
-        if _unreachable_pair(h.n, *_rows(h.n, part)) is not None:
-            raise ValueError(f"part {k} is not strong spanning")
-        claimed |= part
+        if not parts_h:
+            raise ValueError("needs at least one arc set of h")
+        claimed: set[Arc] = set()
+        for k, part in enumerate(parts_h):
+            if not part <= h.arcs:
+                raise ValueError(f"part {k} uses arcs outside h")
+            if claimed & part:
+                raise ValueError("provided parts overlap")
+            if _unreachable_pair(h.n, *_rows(h.n, part)) is not None:
+                raise ValueError(f"part {k} is not strong spanning")
+            claimed |= part
 
     host = lexicographic_product(g, h).digraph
     h0 = Digraph(h.n, parts_h[0])

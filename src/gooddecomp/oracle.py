@@ -20,7 +20,8 @@ ends, then the maximum-cardinality-search order with the budget that
 remains.  The report's order names the step that settled the search.
 Both steps and the MCS order read the digraph's cached rows, which the
 prechecks have shown strong, and the kernel returns the two sides as arc
-sets, which the oracle verifies.
+sets, which the oracle wraps in a Decomposition and verifies through
+verify_decomposition, so the report's decomposition keeps its verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import time
 from array import array
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .decomp import ConstructionError, Decomposition, verify
+from .decomp import ConstructionError, Decomposition, verify_decomposition
 from .digraph import Digraph, _two_arc_strong, is_k_arc_strong
 
 from . import _kernel_py as _impl
@@ -56,9 +57,9 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     """Backtracking search over arc assignments to (A1, A2).
 
     budget limits explored nodes (<= 0 means unlimited).  A found outcome is
-    always verified before being reported, and ConstructionError is raised
-    if the kernel's sides fail verification; "none" means the pruned search
-    space was exhausted.
+    always verified before being reported, with the verdict kept on its
+    decomposition, and ConstructionError is raised if the kernel's sides
+    fail verification; "none" means the pruned search space was exhausted.
     """
     start = time.perf_counter()
     if d.n <= 1:
@@ -74,10 +75,11 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     status, a1, a2, order, nodes = _impl.search(d, budget)
     elapsed = time.perf_counter() - start
     if status == _impl.FOUND:
-        check = verify(d, a1, a2)
+        dec = Decomposition(d, (a1, a2))
+        check = verify_decomposition(dec)
         if not check.ok:
             raise ConstructionError(f"kernel returned invalid decomposition: {check.reason}")
-        return OracleReport("found", Decomposition(d, (a1, a2)), nodes, elapsed, order=order)
+        return OracleReport("found", dec, nodes, elapsed, order=order)
     if status == _impl.ABORTED:
         return OracleReport("aborted", None, nodes, elapsed, order=order)
     return OracleReport("none", None, nodes, elapsed, "exhausted", order=order)
