@@ -21,7 +21,6 @@ from .decomp import (
     characterize_semicomplete_composition,
     decompose_cartesian_power,
     decompose_cartesian_square,
-    decompose_cartesian_with_good_factor,
     decompose_cn_boxtimes_cm,
     decompose_cn_square,
     decompose_comp_hamiltonian,
@@ -29,7 +28,6 @@ from .decomp import (
     decompose_lexicographic,
     decompose_strong_product,
     exception_digraph,
-    extend_by_twins,
     match_exception,
     trotter_erdos_hamiltonian,
     verify,
@@ -56,7 +54,6 @@ from .flows import (
 )
 from .io import (
     ParseError,
-    export_dot,
     parse_decomposition,
     parse_edge_list,
     render_decomposition,

@@ -16,7 +16,7 @@ runs: it meets in the middle, growing a closure of t along the out-rows and
 a closure of h along the in-rows from the layers its caller has read,
 always expanding the smaller frontier, and stops when the two meet or
 either frontier runs dry.  The root needs no test: the caller has shown
-the digraph strong, and the search copies its cached rows.
+the digraph strong, and the search copies the rows it is given.
 
 At level i the side that loses arc t->h is tested in four steps, each exact
 because the parent node is strong.  The test fails at once if t has no
@@ -80,8 +80,9 @@ every CLI golden tree (at most 122) and every tree of the benchmark's
 3-regular digraphs of order 24 at seeds 0 and 7 (at most 293) ends below
 it, so those never build an MCS order.  A search that runs past the cap,
 such as the vertex-shuffled C8□C12 or C12□C12, goes on in MCS order with
-the budget that remains.  The digraph's rows serve both steps and the MCS
-order, and the sides come back as arcs.
+the budget that remains.  The caller passes a strong digraph's order, sorted
+arcs and rows, which serve both steps and the MCS order, and the sides come
+back as arcs.
 """
 
 from __future__ import annotations
@@ -284,15 +285,16 @@ def _mcs_order(n, arcs, rows):
     return sorted(arcs, key=key)
 
 
-def search(d, budget=0):
-    """Search the strong digraph d: its sorted arcs up to _SORTED_CAP nodes,
-    or the budget if smaller; if that aborts with budget left, its arcs in
-    MCS order with the nodes that remain.  budget <= 0 means unlimited.
-    Both steps and the MCS order read d's cached rows.  Returns (status, a1,
-    a2, step, nodes): a1 and a2 are frozensets of arcs, empty unless FOUND;
-    step names the step that settled it, "sorted" or "mcs"; nodes counts at
-    most _SORTED_CAP from the first step, so an abort reports budget + 1."""
-    n, arcs, rows = d.n, d.sorted_arcs(), d.rows
+def search(n, arcs, rows, budget=0):
+    """Search the strong digraph on n vertices whose arcs, a sorted list,
+    have the out-rows and in-rows rows: arcs in that order up to _SORTED_CAP
+    nodes, or the budget if smaller; if that aborts with budget left, arcs in
+    MCS order with the nodes that remain.  budget <= 0 means unlimited.  Both
+    steps and the MCS order read rows and leave them unchanged.  Returns
+    (status, a1, a2, step, nodes): a1 and a2 are frozensets of arcs, empty
+    unless FOUND; step names the step that settled it, "sorted" or "mcs";
+    nodes counts at most _SORTED_CAP from the first step, so an abort reports
+    budget + 1."""
     cap = _SORTED_CAP if budget <= 0 else min(_SORTED_CAP, budget)
     status, i1, i2, nodes = _search_order(n, arcs, cap, rows)
     step = "sorted"

@@ -195,11 +195,11 @@ def _part_a_skeleton(T: Digraph, c: tuple[int, ...]) -> tuple[frozenset, frozens
     numbered blockwise as a composition is, as (position, slot) arcs."""
     coord = [(p, s) for p in range(T.n) for s in range(c[p])]  # blockwise
     n = len(coord)
-    # no inner arc, since T has no loop
+    # no inner arc, since T has no loop; listed sorted, as the kernel takes them
     arcs = [(x, y) for x in range(n) for y in range(n) if (coord[x][0], coord[y][0]) in T.arcs]
     # the dispatcher showed T 2-arc-strong, so the skeleton is strong, and
     # _finish_composition verifies
-    status, a1, a2, _, _ = _kernel_py.search(Digraph(n, arcs))
+    status, a1, a2, _, _ = _kernel_py.search(n, arcs, _rows(n, arcs))
     if status != _kernel_py.FOUND:
         raise ConstructionError("the part (a) skeleton must decompose")
     return tuple(frozenset((coord[x], coord[y]) for x, y in side) for side in (a1, a2))
@@ -234,39 +234,6 @@ def _finish_composition(
         return out
 
     return _checked(q, *map(lift, sides))
-
-
-def extend_by_twins(
-    qstar: Digraph,
-    d: Decomposition,
-    spec: CompositionSpec,
-    kept: Sequence[Sequence[int]],
-) -> Decomposition:
-    """Lift a decomposition of the kept sub-composition to the full one.
-
-    qstar must be the composition of spec's outer over each inner induced on
-    its kept list (ValueError otherwise), numbered blockwise in kept order;
-    every dropped vertex is re-added with the same cross-block in- and
-    out-arcs as its block's first kept vertex.
-    """
-    if len(kept) != spec.t or any(len(k) == 0 for k in kept):
-        raise ValueError("need a nonempty kept list per block")
-    for i, k in enumerate(kept):
-        if len(set(k)) != len(k) or not all(0 <= j < spec.sizes[i] for j in k):
-            raise ValueError(f"kept list {i} needs distinct vertices of block {i}")
-    # the kept sub-spec: each inner induced on its kept list, in kept order
-    inners = tuple(
-        Digraph(len(k), [(a, b) for a, b in itertools.permutations(range(len(k)), 2)
-                         if (k[a], k[b]) in h.arcs])
-        for k, h in zip(kept, spec.inners)
-    )
-    sub, cmap = compose(CompositionSpec(spec.outer, inners))
-    if sub != qstar:
-        raise ValueError("qstar is not the composition of the kept sub-spec")
-    if d.host != qstar:
-        raise ValueError("decomposition host is not qstar")
-    sides = ({(cmap.coord(u), cmap.coord(v)) for u, v in side} for side in d.parts)
-    return _finish_composition(spec, range(spec.t), kept, *sides)
 
 
 def _eq_sides(t: int) -> tuple[set, set]:
@@ -658,18 +625,6 @@ def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
         vset |= cset
         arcs_so_far |= cyc_arcs
     return d1, d2
-
-
-def decompose_cartesian_with_good_factor(
-    g: Digraph, dg: Decomposition, h: Digraph
-) -> Decomposition:
-    """G square H when G already has a good decomposition and H is strong."""
-    if dg.host != g or not verify_decomposition(dg):
-        raise ValueError("dg must be a valid decomposition of g")
-    _require_strong(g, h)
-    host = cartesian_product(g, h).digraph
-    a1 = _times_strong(dg.a1, h)
-    return _checked(host, a1, host.arcs - a1)
 
 
 def _times_strong(a1: AbstractSet[Arc], h: Digraph) -> set[Arc]:

@@ -1,4 +1,4 @@
-"""Edge-list and decomposition file formats plus DOT export.
+"""Edge-list and decomposition file formats.
 
 Edge list: a header line "n m" followed by m lines "u v", every number
 ASCII decimal digits; '#' starts a comment line; blank lines are ignored.
@@ -144,30 +144,4 @@ def render_decomposition(dec: Decomposition) -> str:
     for k, side in enumerate(dec.parts, start=1):
         lines.append(f"A{k}")
         lines += [f"{u} {v}" for u, v in sorted(side)]
-    return "\n".join(lines) + "\n"
-
-
-# DOT colours of the parts A1, A2, ...; a part past the last reuses them
-# from the start, and arcs in no part are gray
-_PART_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cyan", "magenta")
-
-
-def export_dot(d: Digraph, highlight: Optional[Decomposition] = None) -> str:
-    """DOT text, each vertex named by its id on a line of its own; with a
-    decomposition, A1 arcs are red, A2 blue, A3 darkgreen, further parts
-    orange, purple, brown, cyan and magenta (then repeating), unused arcs gray."""
-    if highlight is not None and highlight.host != d:
-        raise ValueError("highlight decomposition host does not match digraph")
-    lines = ["digraph {"] + [f"  {v};" for v in range(d.n)]
-    for u, v in d.sorted_arcs():
-        if highlight is None:
-            lines.append(f"  {u} -> {v};")
-            continue
-        color = next(
-            (_PART_COLORS[k % len(_PART_COLORS)]
-             for k, part in enumerate(highlight.parts) if (u, v) in part),
-            "gray",
-        )
-        lines.append(f"  {u} -> {v} [color={color}];")
-    lines.append("}")
     return "\n".join(lines) + "\n"

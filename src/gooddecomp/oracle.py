@@ -18,9 +18,9 @@ runs its single-order loop _search_order in two arc orders: sorted arcs up
 to 1,024 nodes, below which every census, criterion-3 and CLI golden tree
 ends, then the maximum-cardinality-search order with the budget that
 remains.  The report's order names the step that settled the search.
-Both steps and the MCS order read the digraph's cached rows, which the
-prechecks have shown strong, and the kernel returns the two sides as arc
-sets, which the oracle wraps in a Decomposition and verifies through
+The oracle passes the digraph's order, sorted arcs and cached rows, which
+the prechecks have shown strong, and the kernel returns the two sides as
+arc sets, which the oracle wraps in a Decomposition and verifies through
 verify_decomposition, so the report's decomposition keeps its verdict.
 """
 
@@ -72,7 +72,7 @@ def oracle_good_decomposition(d: Digraph, budget: int = 0) -> OracleReport:
     if not _two_arc_strong(d.n, out, inn):
         return OracleReport("none", None, 0, time.perf_counter() - start, "arc-connectivity")
     # the prechecks showed d strong, so the kernel takes its rows as they are
-    status, a1, a2, order, nodes = _impl.search(d, budget)
+    status, a1, a2, order, nodes = _impl.search(d.n, d.sorted_arcs(), d.rows, budget)
     elapsed = time.perf_counter() - start
     if status == _impl.FOUND:
         dec = Decomposition(d, (a1, a2))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from typing import Optional
 
 import pytest
 
@@ -18,7 +19,6 @@ from gooddecomp import (
     decompose_lexicographic,
     empty,
     exception_digraph,
-    extend_by_twins,
     find_isomorphism,
     oracle_good_decomposition,
     path,
@@ -41,6 +41,7 @@ from gooddecomp.decomp import (
 )
 
 from conftest import rotational_tournament
+from test_acceptance import _all_small_specs
 
 
 # no Hamiltonian cycle; neither outer is 2-arc-strong semicomplete
@@ -142,81 +143,6 @@ class TestEqSides:
         assert {x for a in side1 | side2 for x in a} == cells
 
 
-class TestExtendByTwins:
-    def test_identity_when_all_kept(self):
-        spec = spec_of(cycle(2), empty(2), empty(2))
-        q, _ = compose(spec)
-        dec = decompose_composition(spec)
-        again = extend_by_twins(q, dec, spec, [[0, 1], [0, 1]])
-        assert again.a1 == dec.a1 and again.a2 == dec.a2
-
-    def test_five_vertex_skeleton_of_s4_composition(self):
-        # S_4 outer with one doubled block: the explicit 5-vertex skeleton
-        # extends to a valid decomposition of the 6-vertex composition
-        spec = spec_of(s4(), empty(3), empty(1), empty(1), empty(1))
-        sub = spec_of(s4(), empty(2), empty(1), empty(1), empty(1))
-        qstar, cmap = compose(sub)
-        u = cmap.vid
-        a1 = {(u(0, 0), u(1, 0)), (u(1, 0), u(0, 1)), (u(0, 1), u(3, 0)),
-              (u(3, 0), u(2, 0)), (u(2, 0), u(0, 0))}
-        a2 = {(u(1, 0), u(0, 0)), (u(0, 0), u(3, 0)), (u(3, 0), u(1, 0)),
-              (u(1, 0), u(2, 0)), (u(2, 0), u(0, 1)), (u(0, 1), u(1, 0))}
-        dec = Decomposition(qstar, (frozenset(a1), frozenset(a2)))
-        assert verify_decomposition(dec).ok
-        big = extend_by_twins(qstar, dec, spec, [[0, 1], [0], [0], [0]])
-        assert big.host.n == 6 and verify_decomposition(big).ok
-
-    @pytest.mark.parametrize(
-        "kept",
-        [[[0, 1], []], [[0, 1], [0, 5]], [[0, 1], [1, 1]]],
-        ids=["empty", "outside-block", "repeated"],
-    )
-    def test_empty_kept_rejected(self, kept):
-        dec = decompose_composition(spec_of(cycle(2), empty(2), empty(2)))
-        spec = spec_of(cycle(2), empty(2), empty(3))
-        with pytest.raises(ValueError):
-            extend_by_twins(dec.host, dec, spec, kept)
-
-    def test_qstar_not_the_kept_composition_rejected(self):
-        # K4 has the order of C2[K2bar, K2bar] and two inner digons more: the
-        # caller's input is at fault, not the construction
-        spec = spec_of(cycle(2), empty(2), empty(2))
-        dec = oracle_good_decomposition(complete(4)).decomposition
-        with pytest.raises(ValueError, match="not the composition of the kept sub-spec"):
-            extend_by_twins(complete(4), dec, spec, [[0, 1], [0, 1]])
-
-    def test_inners_induced_in_kept_order(self):
-        # kept [1, 0] reverses block 0's inner arc in the sub-composition
-        spec = spec_of(cycle(3), path(2), cycle(2), empty(3))
-        sub = spec_of(cycle(3), Digraph(2, [(1, 0)]), cycle(2), empty(2))
-        dec = decompose_composition(sub)
-        lifted = extend_by_twins(dec.host, dec, spec, [[1, 0], [0, 1], [0, 2]])
-        assert lifted.host == compose(spec).digraph and verify_decomposition(lifted).ok
-        with pytest.raises(ValueError, match="not the composition of the kept sub-spec"):
-            extend_by_twins(dec.host, dec, spec, [[0, 1], [0, 1], [0, 2]])
-
-    def test_keeps_every_part(self):
-        # a 3-part decomposition lifted with every vertex kept comes back whole
-        halves = [
-            frozenset({(0, 1), (1, 2), (2, 0)}),
-            frozenset({(1, 0), (2, 1), (0, 2)}),
-        ]
-        dec = decompose_lexicographic(cycle(2), complete(3), halves)
-        assert len(dec.parts) == 3
-        spec = spec_of(cycle(2), complete(3), complete(3))
-        lifted = extend_by_twins(dec.host, dec, spec, [[0, 1, 2], [0, 1, 2]])
-        assert lifted.parts == dec.parts
-
-    def test_extension_property(self, rng):
-        # dropping twins from a decomposable spec and re-extending verifies
-        for _ in range(10):
-            t = rng.choice((2, 4))
-            sizes = [rng.randint(2, 4) for _ in range(t)]
-            spec = spec_of(cycle(t), *[empty(n) for n in sizes])
-            dec = decompose_composition(spec)
-            assert dec is not None and verify_decomposition(dec).ok
-
-
 class TestHamiltonianCases:
     def test_case1_even_t(self):
         spec = spec_of(cycle(4), *[empty(2)] * 4)
@@ -282,6 +208,15 @@ class TestDispatcher:
     def test_even_cycle_outer(self):
         dec = decompose_composition(spec_of(cycle(2), empty(2), empty(2)))
         assert dec is not None
+
+    def test_extension_property(self, rng):
+        # dropping twins from a decomposable spec and re-extending verifies
+        for _ in range(10):
+            t = rng.choice((2, 4))
+            sizes = [rng.randint(2, 4) for _ in range(t)]
+            spec = spec_of(cycle(t), *[empty(n) for n in sizes])
+            dec = decompose_composition(spec)
+            assert dec is not None and verify_decomposition(dec).ok
 
     def test_strong_parts_route(self):
         dec = decompose_composition(spec_of(cycle(3), cycle(2), cycle(2), cycle(2)))
@@ -479,6 +414,52 @@ class TestDispatcher:
         assert dec == characterize_semicomplete_composition(spec).decomposition
         parts = repr([sorted(p) for p in dec.parts]).encode()
         assert hashlib.sha256(parts).hexdigest() == digest
+
+
+def _twins_of_route(spec) -> Optional[tuple[str, int]]:
+    """The route of spec and how many of its vertices the lift copies, or
+    None if no route applies: on every part, each block vertex its route does
+    not keep has exactly the cross-block out- and in-neighbours of its
+    block's slot-0 vertex, and so no inner arc."""
+    route = _composition_route(spec)
+    if route is None:
+        return None
+    name, (order, kept, _, _) = route
+    dec = decompose_composition(spec)
+    off = compose(spec).coords.offsets
+    twins = 0
+    for p, b in enumerate(order):
+        block = set(range(off[b], off[b + 1]))
+        slot0 = off[b] + kept[p][0]
+        others = block - {off[b] + j for j in kept[p]}
+        twins += len(others)
+        for part in dec.parts:
+            outs = lambda v: {y for x, y in part if x == v}
+            ins = lambda v: {x for x, y in part if y == v}
+            for v in others:
+                assert (outs(v), ins(v)) == (outs(slot0) - block, ins(slot0) - block), (spec, v)
+    return name, twins
+
+
+class TestTwinLift:
+    """The one lift of every route, _finish_composition, gives each vertex
+    that a skeleton does not keep the cross-block arcs of its block's slot 0."""
+
+    def test_twins_copy_slot_zero_on_every_route(self):
+        """On every criterion-3 spec that a route decomposes, on S_4 with one
+        block doubled and on C_4 over four K̄_3: part (a), the Hamiltonian
+        cases and the remaining cases each lift twins, counted per route."""
+        specs = [*_all_small_specs(), spec_of(s4(), empty(3), empty(1), empty(1), empty(1)),
+                 spec_of(cycle(4), *[empty(3)] * 4)]
+        twins = Counter()
+        for route, count in filter(None, map(_twins_of_route, specs)):
+            twins[route] += count
+        assert twins == {"composition/part-a": 3361, "composition/hamiltonian": 6353,
+                         "composition/remaining": 414}
+
+    def test_strong_parts_route_keeps_every_vertex(self):
+        spec = spec_of(BIDIRECTED_P3, cycle(2), complete(3), cycle(2))
+        assert _twins_of_route(spec) == ("composition/strong-parts", 0)
 
 
 def refuse_outer_work(monkeypatch, outer):

@@ -5,7 +5,6 @@ import pytest
 from gooddecomp import (
     CycleCover,
     CycleCoverInfeasible,
-    Decomposition,
     Digraph,
     Refusal,
     cartesian_power,
@@ -15,7 +14,6 @@ from gooddecomp import (
     cycle_cover,
     decompose_cartesian_power,
     decompose_cartesian_square,
-    decompose_cartesian_with_good_factor,
     decompose_cn_boxtimes_cm,
     decompose_cn_square,
     decompose_lexicographic,
@@ -107,34 +105,6 @@ class TestCartesianSquare:
                 continue  # disconnected cover union
             assert verify_decomposition(dec).ok
             done += 1
-
-
-class TestGoodFactor:
-    def test_complete3_times_c5(self):
-        g = complete(3)
-        dg = decompose_cartesian_square(cycle(3), CycleCover(((0, 1, 2),)))
-        # use the two opposite triangles of K3 as the factor decomposition
-        from gooddecomp import Decomposition
-
-        dk = Decomposition(
-            g, (frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)}))
-        )
-        dec = decompose_cartesian_with_good_factor(g, dk, cycle(5))
-        assert dec.host.n == 15 and verify_decomposition(dec).ok
-
-    def test_order1_factor_rejected(self):
-        from gooddecomp import Decomposition
-
-        g = complete(3)
-        dk = Decomposition(
-            g, (frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)}))
-        )
-        with pytest.raises(ValueError):
-            decompose_cartesian_with_good_factor(g, dk, Digraph(1, []))
-        for n in (0, 1):  # a trivial g has the valid empty decomposition
-            trivial = Digraph(n, [])
-            dt = Decomposition(trivial, (frozenset(), frozenset()))
-            _assert_not_strong_refusal(decompose_cartesian_with_good_factor, trivial, dt, cycle(3))
 
 
 class TestCartesianPower:

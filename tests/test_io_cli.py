@@ -9,15 +9,12 @@ import pytest
 
 import gooddecomp
 from gooddecomp import (
-    CompositionSpec,
     Decomposition,
     complete,
-    compose,
     cycle,
     decompose_cn_square,
     decompose_lexicographic,
     empty,
-    export_dot,
     oracle_good_decomposition,
     parse_decomposition,
     parse_edge_list,
@@ -44,11 +41,11 @@ PUBLIC_API = [
     "EarDecomposition", "OracleReport", "ParseError", "Refusal", "VerifyResult", "arc_connectivity",
     "builders", "cartesian_power", "cartesian_product", "characterize_semicomplete_composition",
     "complete", "compose", "cover_cut", "cycle", "cycle_cover", "decomp",
-    "decompose_cartesian_power", "decompose_cartesian_square",
-    "decompose_cartesian_with_good_factor", "decompose_cn_boxtimes_cm", "decompose_cn_square",
+    "decompose_cartesian_power", "decompose_cartesian_square", "decompose_cn_boxtimes_cm",
+    "decompose_cn_square",
     "decompose_comp_hamiltonian", "decompose_composition", "decompose_lexicographic",
     "decompose_strong_product", "digraph", "ear_decomposition", "empty", "enumerate_semicomplete",
-    "exception_digraph", "export_dot", "extend_by_twins",
+    "exception_digraph",
     "find_isomorphism", "flows", "hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete",
     "io", "is_k_arc_strong", "is_semicomplete", "is_strong",
     "lexicographic_product", "match_exception", "oracle", "oracle_good_decomposition",
@@ -223,44 +220,6 @@ class TestDecompositionDocument:
         doc.write_text(text)
         assert run_command(["verify", str(doc)]) == 0
         assert capsys.readouterr().out == "valid\n"
-
-
-class TestDot:
-    def test_plain(self):
-        dot = export_dot(cycle(3))
-        assert dot.count("->") == 3
-
-    def test_colored_decomposition(self):
-        dec = decompose_cn_square(2)
-        dot = export_dot(dec.host, dec)
-        assert dot.count("color=red") == 4 and dot.count("color=blue") == 4
-
-    def test_unused_arcs_gray(self):
-        d = complete(3)
-        dec = Decomposition(
-            d, (frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1)}))
-        )
-        assert export_dot(d, dec).count("color=gray") == 1
-
-    def test_every_part_colored(self):
-        halves = [frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})]
-        dec = decompose_lexicographic(cycle(3), complete(3), halves)
-        dot = export_dot(dec.host, dec)
-        assert "color=gray" not in dot
-        colors = ("red", "blue", "darkgreen")
-        assert [dot.count(f"color={c}]") for c in colors] == [len(p) for p in dec.parts]
-
-    def test_host_mismatch(self):
-        with pytest.raises(ValueError):
-            export_dot(cycle(3), decompose_cn_square(2))
-
-    def test_vertices_named_by_id(self):
-        q = compose(CompositionSpec(cycle(2), (empty(2), empty(1)))).digraph
-        assert export_dot(q) == (
-            "digraph {\n  0;\n  1;\n  2;\n"
-            "  0 -> 2;\n  1 -> 2;\n  2 -> 0;\n  2 -> 1;\n}\n"
-        )
-        assert export_dot(empty(2)) == "digraph {\n  0;\n  1;\n}\n"
 
 
 @pytest.fixture

@@ -217,7 +217,7 @@ def _mcs_reference(n: int, arcs: set) -> list:
                                        min(place[a[0]], place[a[1]]), a))
 
 
-def _overlapping_sides(d, budget):
+def _overlapping_sides(n, arcs, rows, budget):
     return _kernel_py.FOUND, frozenset({(0, 1)}), frozenset({(0, 1)}), "sorted", 1
 
 
@@ -282,7 +282,7 @@ class TestOracle:
             elif arc_connectivity(d) < 2:
                 expected = ("none", "arc-connectivity", 0)
             else:
-                status, _, _, _, nodes = _kernel_py.search(d, 2000)
+                status, _, _, _, nodes = _kernel_py.search(d.n, d.sorted_arcs(), d.rows, 2000)
                 outcome = ("found", "none", "aborted")[status]
                 expected = (outcome, "exhausted" if outcome == "none" else None, nodes)
             rep = oracle_good_decomposition(d, budget=2000)
@@ -544,7 +544,8 @@ class TestOracle:
             "import sys\n"
             "from gooddecomp import ConstructionError, complete, oracle\n"
             "side = frozenset({(0, 1)})\n"
-            "oracle._impl.search = lambda d, budget: (oracle._impl.FOUND, side, side, 'sorted', 1)\n"
+            "oracle._impl.search = lambda n, arcs, rows, budget: (\n"
+            "    oracle._impl.FOUND, side, side, 'sorted', 1)\n"
             "try:\n"
             "    oracle.oracle_good_decomposition(complete(3))\n"
             "except ConstructionError as exc:\n"
@@ -568,7 +569,7 @@ class TestOracle:
             n, [(v, (v + 1) % n) for v in range(n)] + [((v + 1) % n, v) for v in range(n)]
         )
         for d in (complete(33), bidirected_cycle):
-            status, _, _, _, nodes = _kernel_py.search(d, 5000)
+            status, _, _, _, nodes = _kernel_py.search(d.n, d.sorted_arcs(), d.rows, 5000)
             assert status in (_kernel_py.FOUND, _kernel_py.NONE, _kernel_py.ABORTED)
             assert nodes <= 5001
 
@@ -623,8 +624,8 @@ class TestTwoOrders:
         calls = []
         search = _kernel_py.search
 
-        def recording(d, budget=0):
-            calls.append(search(d, budget))
+        def recording(n, arcs, rows, budget=0):
+            calls.append(search(n, arcs, rows, budget))
             return calls[-1]
 
         monkeypatch.setattr(_kernel_py, "search", recording)

@@ -18,7 +18,6 @@ from gooddecomp import (
     cycle,
     decomp,
     decompose_cartesian_power,
-    decompose_cartesian_with_good_factor,
     decompose_cn_square,
     decompose_composition,
     decompose_lexicographic,
@@ -69,13 +68,6 @@ def test_returned_decomposition_is_not_checked_again(verify_calls, build):
     for _ in range(2):
         assert verify_decomposition(dec) == VerifyResult(True)
     assert verify_calls == [dec.host]
-
-
-def test_good_factor_reads_the_kept_verdict(verify_calls):
-    dg = decompose_cn_square(3)
-    dec = decompose_cartesian_with_good_factor(dg.host, dg, cycle(2))
-    assert verify_decomposition(dec).ok
-    assert [h.n for h in verify_calls] == [9, 18]
 
 
 def test_failing_verdict_is_kept(verify_calls):
