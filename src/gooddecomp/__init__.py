@@ -44,7 +44,6 @@ from .digraph import (
     is_semicomplete,
     is_strong,
     path,
-    relabel,
     s4,
 )
 from .flows import (
@@ -70,7 +69,6 @@ from .structure import (
     EarDecomposition,
     ear_decomposition,
     hamiltonian_cycle_bruteforce,
-    hamiltonian_cycle_semicomplete,
     validate_ear_decomposition,
 )
 

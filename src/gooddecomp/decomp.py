@@ -588,7 +588,7 @@ def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
     seen_arcs: set[Arc] = set()
     seen_vertices: set[int] = set()
     for k, cyc in enumerate(cover.cycles):
-        arcs = cover.arcs_of(k)
+        arcs = cycle_arcs(cyc)
         if not is_cycle_of(g, cyc):
             raise ValueError(f"cover cycle {k} is not a cycle of the digraph")
         if seen_arcs & set(arcs):

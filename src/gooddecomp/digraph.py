@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional
 
 Arc = tuple[int, int]
 
@@ -425,10 +425,3 @@ def find_isomorphism(a: Digraph, b: Digraph) -> Optional[dict[int, int]]:
         return False
 
     return dict(enumerate(image)) if extend(0, 0) else None
-
-
-def relabel(d: Digraph, perm: Sequence[int]) -> Digraph:
-    """Apply vertex permutation: new vertex perm[v] plays the role of v."""
-    if sorted(perm) != list(range(d.n)):
-        raise ValueError("not a permutation")
-    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])

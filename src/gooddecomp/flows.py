@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .digraph import Digraph, _closure, _max_flow, is_strong
-from .structure import cycle_arcs
 
 
 def _cover_flow(d: Digraph) -> tuple[list[dict[int, int]], list[int]]:
@@ -60,9 +59,6 @@ class CycleCover(NamedTuple):
     """Pairwise arc-disjoint cycles whose vertex union is the whole vertex set."""
 
     cycles: tuple[tuple[int, ...], ...]
-
-    def arcs_of(self, k: int) -> list[tuple[int, int]]:
-        return cycle_arcs(self.cycles[k])
 
 
 def cycle_cover(d: Digraph) -> Optional[CycleCover]:

@@ -134,10 +134,6 @@ def enumerate_semicomplete(n: int, min_arc_strong: int = 0) -> Iterator[Digraph]
         raise ValueError(f"enumeration bound {ENUMERATION_ORDER_BOUND} exceeded")
     if n < 1:
         return
-    if n == 1:
-        if min_arc_strong == 0:
-            yield Digraph(1, [])
-        return
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     images = _orbit(n, pairs)
     seen = bytearray(3 ** len(pairs))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .digraph import Arc, Digraph, _bfs, _tree_path, is_semicomplete, is_strong
+from .digraph import Arc, Digraph, _bfs, _tree_path, is_strong
 
 Cycle = tuple[int, ...]
 
@@ -97,16 +97,11 @@ def _some_cycle(d: Digraph) -> Cycle:
     return (u,) + tuple(_tree_path(prev, u)[:-1])
 
 
-def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDecomposition:
-    """Ear decomposition of a strong digraph, optionally from a given start cycle."""
+def ear_decomposition(d: Digraph) -> EarDecomposition:
+    """Ear decomposition of a strong digraph, starting from _some_cycle(d)."""
     if d.n < 2 or not is_strong(d):
         raise ValueError("requires strong digraph of order >= 2")
-    if start_cycle is not None:
-        if not is_cycle_of(d, tuple(start_cycle)):
-            raise ValueError("start_cycle is not a cycle of the digraph")
-        p0 = tuple(start_cycle)
-    else:
-        p0 = _some_cycle(d)
+    p0 = _some_cycle(d)
     ears = [Ear(p0, closed=True)]
     covered = set(cycle_arcs(p0))
     vertices = set(p0)
@@ -148,18 +143,6 @@ def ear_decomposition(d: Digraph, start_cycle: Optional[Cycle] = None) -> EarDec
 
 # ---------------------------------------------------------------------------
 # Hamiltonian cycles
-
-def hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
-    """Hamiltonian cycle of a strong semicomplete digraph by cycle extension
-    (see _hamiltonian_cycle_semicomplete); ValueError for any other d."""
-    if d.n < 2:
-        raise ValueError("requires order >= 2")
-    if not is_semicomplete(d):
-        raise ValueError("requires semicomplete digraph")
-    if not is_strong(d):
-        raise ValueError("requires strong digraph")
-    return _hamiltonian_cycle_semicomplete(d)
-
 
 def _hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
     """Hamiltonian cycle of d, which the caller has shown strong and

@@ -304,13 +304,18 @@ def rotational_tournament(n: int) -> Digraph:
     return Digraph(n, [(i, (i + k) % n) for i in range(n) for k in range(1, n // 2 + 1)])
 
 
+def relabel(d: Digraph, perm) -> Digraph:
+    """d with each vertex v renamed perm[v]; perm is a permutation of
+    range(d.n)."""
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
 def shuffled_torus(p: int, q: int, seed: int) -> Digraph:
     """Cp□Cq with its vertices relabelled by random.Random(seed).sample: pq
     vertices, 2pq arcs, and a sorted arc order that splits each vertex's
     in-arcs far apart."""
     d = cartesian_product(cycle(p), cycle(q)).digraph
-    perm = random.Random(seed).sample(range(d.n), d.n)
-    return Digraph(d.n, {(perm[u], perm[v]) for u, v in d.arcs})
+    return relabel(d, random.Random(seed).sample(range(d.n), d.n))
 
 
 def random_sparse_strong_digraph(rng: random.Random, n: int, max_arcs: int) -> Digraph:

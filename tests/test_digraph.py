@@ -17,7 +17,6 @@ from gooddecomp import (
     is_semicomplete,
     is_strong,
     path,
-    relabel,
     s4,
 )
 from conftest import (
@@ -25,6 +24,7 @@ from conftest import (
     arc_connectivity_bruteforce,
     min_st_cut_bruteforce,
     random_strong_digraph,
+    relabel,
     strong_by_closure,
 )
 from gooddecomp import digraph

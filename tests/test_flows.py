@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gooddecomp import Digraph, cover_cut, cycle, cycle_cover, is_strong, path
+from gooddecomp.structure import cycle_arcs
 
 from conftest import (
     all_digraphs_on_arcs,
@@ -62,8 +63,8 @@ class TestCycleCover:
                 continue
             seen: set = set()
             verts: set = set()
-            for k, cyc in enumerate(cov.cycles):
-                arcs = cov.arcs_of(k)
+            for cyc in cov.cycles:
+                arcs = cycle_arcs(cyc)
                 assert all(a in d.arcs for a in arcs)
                 assert not (seen & set(arcs))
                 seen.update(arcs)

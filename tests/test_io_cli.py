@@ -46,10 +46,10 @@ PUBLIC_API = [
     "decompose_comp_hamiltonian", "decompose_composition", "decompose_lexicographic",
     "decompose_strong_product", "digraph", "ear_decomposition", "empty", "enumerate_semicomplete",
     "exception_digraph",
-    "find_isomorphism", "flows", "hamiltonian_cycle_bruteforce", "hamiltonian_cycle_semicomplete",
+    "find_isomorphism", "flows", "hamiltonian_cycle_bruteforce",
     "io", "is_k_arc_strong", "is_semicomplete", "is_strong",
     "lexicographic_product", "match_exception", "oracle", "oracle_good_decomposition",
-    "parse_decomposition", "parse_edge_list", "path", "relabel", "render_decomposition",
+    "parse_decomposition", "parse_edge_list", "path", "render_decomposition",
     "render_edge_list", "s4", "strong_product", "structure", "trotter_erdos_hamiltonian",
     "validate_ear_decomposition", "verify", "verify_decomposition",
 ]

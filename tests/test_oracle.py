@@ -14,6 +14,7 @@ from gooddecomp import (
     ConstructionError,
     Digraph,
     arc_connectivity,
+    cartesian_product,
     complete,
     compose,
     cycle,
@@ -228,6 +229,11 @@ def _search_order(n: int, arcs: list, budget: int) -> tuple:
     result = _kernel_py._search_order(n, arcs, budget, rows)
     assert rows == _rows(n, arcs)
     return result
+
+
+def _near_cycle_times_c3(k: int, arc: tuple) -> Digraph:
+    """C_k plus one arc, times C_3."""
+    return cartesian_product(Digraph(k, cycle(k).arcs | {arc}), cycle(3)).digraph
 
 
 class TestOracle:
@@ -697,6 +703,64 @@ class TestTwoOrders:
         assert oracle_good_decomposition(s4()).order == "sorted"
         assert oracle_good_decomposition(cycle(5)).order is None  # the degree precheck
         assert oracle_good_decomposition(Digraph(1, [])).order is None
+
+
+class TestOrderAgreement:
+    """Every arc order gives an exact search, so the orders that settle a
+    host must reach one verdict; a conflict set that is too small would
+    prune a solution in some orders and not in others."""
+
+    def test_orders_agree(self):
+        """_search_order at budget 20,000 in sorted order, MCS order and two
+        seeded shuffles, on 170 seeded hosts of order 5-22 (two random
+        Hamiltonian cycles plus up to n/4 random arcs, kept when they pass
+        the oracle's prechecks), on the shuffled Cp□Cq for 2 <= p <= q <= 6
+        and on four near-cycles times C_3.  Some order settles every host,
+        every found verifies, both verdicts occur and some tree runs past
+        the sorted step's cap.  The four near-cycle hosts, C2□C3 and C3□C4
+        have no good decomposition; for C6+(5,4)□C3, C8+(7,6)□C3, C2□C3 and
+        C3□C4 the reference gives the sorted order's none in the same tree."""
+        rng = random.Random(0x22A)
+        hosts = []
+        while len(hosts) < 170:
+            n = rng.randint(5, 22)
+            arcs = set()
+            for _ in range(2):
+                p = rng.sample(range(n), n)
+                arcs |= set(zip(p, p[1:] + p[:1]))
+            arcs |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n // 4))}
+            d = Digraph(n, arcs)
+            out, inn = d.rows
+            if min(map(int.bit_count, out + inn)) >= 2 and _two_arc_strong(n, out, inn):
+                hosts.append(d)
+        tori = {(p, q): shuffled_torus(p, q, p * q) for p in range(2, 7) for q in range(p, 7)}
+        near = [_near_cycle_times_c3(k, arc)
+                for k, arc in ((6, (5, 4)), (8, (7, 6)), (8, (0, 2)), (8, (0, 3)))]
+        obstructions = near + [tori[2, 3], tori[3, 4]]
+        referenced = near[:2] + [tori[2, 3], tori[3, 4]]
+        verdicts, most = set(), 0
+        for d in hosts + list(tori.values()) + near:
+            arcs = d.sorted_arcs()
+            shuffle = random.Random(d.m)
+            orders = [arcs, _kernel_py._mcs_order(d.n, arcs, d.rows),
+                      shuffle.sample(arcs, d.m), shuffle.sample(arcs, d.m)]
+            settled = set()
+            for order in orders:
+                status, i1, i2, nodes = _kernel_py._search_order(d.n, order, 20000, d.rows)
+                most = max(most, nodes)
+                if status == _kernel_py.FOUND:
+                    assert verify(d, {order[k] for k in i1}, {order[k] for k in i2}), order
+                if status != _kernel_py.ABORTED:
+                    settled.add(status)
+                if order is arcs and d in referenced:
+                    assert status == _kernel_py.NONE
+                    assert kernel_search_reference(d.n, arcs, 20000) == (status, i1, i2, nodes)
+            assert len(settled) == 1, arcs
+            if d in obstructions:
+                assert settled == {_kernel_py.NONE}, arcs
+            verdicts |= settled
+        assert verdicts == {_kernel_py.FOUND, _kernel_py.NONE}
+        assert most > _kernel_py._SORTED_CAP
 
 
 class TestEnumeration:

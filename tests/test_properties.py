@@ -13,13 +13,12 @@ from gooddecomp import (
     lexicographic_product,
     oracle_good_decomposition,
     parse_edge_list,
-    relabel,
     render_edge_list,
     strong_product,
     verify,
 )
 
-from conftest import strong_by_closure
+from conftest import relabel, strong_by_closure
 
 
 @st.composite

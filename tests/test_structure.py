@@ -15,22 +15,21 @@ from gooddecomp import (
     cycle,
     ear_decomposition,
     hamiltonian_cycle_bruteforce,
-    hamiltonian_cycle_semicomplete,
     is_semicomplete,
     is_strong,
     path,
-    relabel,
     s4,
     validate_ear_decomposition,
 )
 from gooddecomp import decomp, structure
 from gooddecomp.oracle import enumerate_semicomplete
-from gooddecomp.structure import cycle_arcs, is_cycle_of
+from gooddecomp.structure import _hamiltonian_cycle_semicomplete, cycle_arcs, is_cycle_of
 
 from conftest import (
     hamiltonian_cycle_by_permutations,
     random_sparse_strong_digraph,
     random_strong_digraph,
+    relabel,
 )
 
 #: SHA-256 of the ear decompositions, cover-network cuts and Hamiltonian
@@ -65,19 +64,9 @@ class TestEarDecomposition:
         dec = ear_decomposition(cycle(4))
         assert len(dec.ears) == 1 and dec.ears[0].closed
 
-    def test_complete3_with_start_cycle(self):
-        d = complete(3)
-        dec = ear_decomposition(d, start_cycle=(0, 1, 2))
-        assert dec.ears[0].vertices == (0, 1, 2)
-        validate_ear_decomposition(d, dec)  # any valid sequence
-
     def test_non_strong_rejected(self):
         with pytest.raises(ValueError):
             ear_decomposition(path(3))
-
-    def test_bad_start_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            ear_decomposition(complete(3), start_cycle=(0, 0, 1))
 
     @pytest.mark.parametrize(
         "d,ears,message",
@@ -113,29 +102,20 @@ class TestEarDecomposition:
 
 class TestHamiltonianSemicomplete:
     def test_triangle(self):
-        assert hamiltonian_cycle_semicomplete(cycle(3)) == (0, 1, 2)
+        assert _hamiltonian_cycle_semicomplete(cycle(3)) == (0, 1, 2)
 
     def test_digon(self):
-        assert hamiltonian_cycle_semicomplete(cycle(2)) == (0, 1)
+        assert _hamiltonian_cycle_semicomplete(cycle(2)) == (0, 1)
 
     def test_s4(self):
-        hc = hamiltonian_cycle_semicomplete(s4())
+        hc = _hamiltonian_cycle_semicomplete(s4())
         assert is_cycle_of(s4(), hc) and len(hc) == 4
-
-    def test_rejects_non_semicomplete(self):
-        with pytest.raises(ValueError):
-            hamiltonian_cycle_semicomplete(cycle(4))
-
-    def test_rejects_non_strong(self):
-        d = Digraph(3, [(0, 1), (0, 2), (1, 2)])  # transitive tournament
-        with pytest.raises(ValueError):
-            hamiltonian_cycle_semicomplete(d)
 
     def test_failed_cycle_check_raises(self, monkeypatch):
         # the closing check is an explicit raise, so it also holds under python -O
         monkeypatch.setattr(structure, "is_cycle_of", lambda d, cyc: False)
         with pytest.raises(ConstructionError, match="did not close a Hamiltonian cycle"):
-            hamiltonian_cycle_semicomplete(complete(4))
+            _hamiltonian_cycle_semicomplete(complete(4))
         assert structure.ConstructionError is decomp.ConstructionError is ConstructionError
 
     def test_bridge_from_dominated_to_dominating(self):
@@ -144,13 +124,13 @@ class TestHamiltonianSemicomplete:
         d = Digraph(
             5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (4, 0), (4, 1), (4, 2), (3, 4)]
         )
-        assert hamiltonian_cycle_semicomplete(d) == (0, 3, 4, 1, 2)
+        assert _hamiltonian_cycle_semicomplete(d) == (0, 3, 4, 1, 2)
 
     def test_exhaustive_small_orders(self):
         # every strong semicomplete digraph of order <= 5, up to isomorphism
         for n in range(2, 6):
             for d in enumerate_semicomplete(n, min_arc_strong=1):
-                hc = hamiltonian_cycle_semicomplete(d)
+                hc = _hamiltonian_cycle_semicomplete(d)
                 assert is_cycle_of(d, hc) and len(hc) == n
                 assert hamiltonian_cycle_bruteforce(d) is not None
 
@@ -163,7 +143,7 @@ class TestHamiltonianSemicomplete:
             if not is_strong(d):
                 continue
             assert is_semicomplete(d)
-            hc = hamiltonian_cycle_semicomplete(d)
+            hc = _hamiltonian_cycle_semicomplete(d)
             assert is_cycle_of(d, hc) and len(hc) == n
             found += 1
 
@@ -233,7 +213,7 @@ def test_pinned_search_outputs():
     while semicomplete < 150:
         d = _random_semicomplete(rng, rng.randint(2, 9))
         if is_strong(d):
-            digest.update(repr(hamiltonian_cycle_semicomplete(d)).encode())
+            digest.update(repr(_hamiltonian_cycle_semicomplete(d)).encode())
             semicomplete += 1
     assert digest.hexdigest() == PINNED_SEARCH_OUTPUTS
 
@@ -253,6 +233,6 @@ def test_pinned_semicomplete_cycles():
         d = _random_semicomplete(rng, rng.randint(6, 40))
         if is_strong(d):
             digraphs.append(d)
-    cycles = [hamiltonian_cycle_semicomplete(d) for d in digraphs]
+    cycles = [_hamiltonian_cycle_semicomplete(d) for d in digraphs]
     assert all(is_cycle_of(d, hc) and len(hc) == d.n for d, hc in zip(digraphs, cycles))
     assert hashlib.sha256(repr(cycles).encode()).hexdigest() == PINNED_SEMICOMPLETE_CYCLES
