@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 reasoned refusal (first output line is a
 machine-readable reason such as "exception:S4", "not-covered" or
 "infeasible:no-cycle-cover"), 2 usage error or failure, reported on stderr
 as one "error: ..." line without a traceback.  Refusals are decided by the
-library, which raises decomp.Refusal; this module only prints them.
+library, which raises decomp.Refusal, auto's exception check included; this
+module prints them, and passes an oracle or verify verdict on as one.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .decomp import (
     decompose_composition,
     decompose_lexicographic,
     decompose_strong_product,
-    match_exception,
     trotter_erdos_hamiltonian,
     verify_decomposition,
+    _refuse_exception,
 )
 from .digraph import Digraph, arc_connectivity, is_semicomplete, is_strong
 from .io import ParseError, _content_lines, parse_decomposition, parse_edge_list, \
@@ -107,13 +108,6 @@ def _emit(dec: Decomposition) -> int:
     return OK
 
 
-def _refuse_exception(d: Digraph) -> None:
-    """Refuse d by name if it is one of the four non-decomposable digraphs."""
-    matched = match_exception(d)
-    if matched is not None:
-        raise Refusal(f"exception:{matched[0]}")
-
-
 #: decompose flags and the strategies that read them; any other strategy
 #: refuses the flag as a usage error rather than ignore it
 _DECOMPOSE_FLAGS = {
@@ -152,11 +146,7 @@ def _cmd_decompose(args) -> int:
         if compose(spec).digraph != d:
             print("decompose: spec does not compose to FILE", file=sys.stderr)
             return USAGE
-        dec = decompose_composition(spec)
-        if dec is None:
-            _refuse_exception(d)
-            raise Refusal("not-covered")
-        return _emit(dec)
+        return _emit(decompose_composition(spec))
     if strategy in ("cartesian-square", "cartesian-power"):
         return _emit(decompose_cartesian_power(d, 2 if args.power is None else args.power))
     if strategy in ("strong-product", "lex"):

@@ -315,18 +315,16 @@ def _case2_arc_pair(spec: CompositionSpec):
     return None
 
 
-def decompose_comp_hamiltonian(
-    spec: CompositionSpec, hcycle: Cycle
-) -> Optional[Decomposition]:
-    """Decompose T[H_1..H_t] given a Hamiltonian cycle of the outer digraph.
-
-    Returns None when none of the three case preconditions applies.
-    """
+def decompose_comp_hamiltonian(spec: CompositionSpec, hcycle: Cycle) -> Decomposition:
+    """Decompose T[H_1..H_t] given a Hamiltonian cycle of the outer digraph;
+    Refusal "not-covered" when none of the three case preconditions applies."""
     hcycle = tuple(hcycle)
     if len(hcycle) != spec.t or not is_cycle_of(spec.outer, hcycle):
         raise ValueError("hcycle is not a Hamiltonian cycle of the outer digraph")
     sides = _hamiltonian_sides(spec, hcycle)
-    return None if sides is None else _finish_composition(spec, *sides)
+    if sides is None:
+        raise Refusal("not-covered")
+    return _finish_composition(spec, *sides)
 
 
 def _hamiltonian_sides(spec: CompositionSpec, hcycle: Cycle) -> Optional[Skeleton]:
@@ -412,10 +410,15 @@ def _composition_route(spec: CompositionSpec) -> Optional[tuple[str, Skeleton]]:
     return None if sides is None else ("composition/strong-parts", sides)
 
 
-def decompose_composition(spec: CompositionSpec) -> Optional[Decomposition]:
-    """T[H_1..H_t] by _composition_route; None ("not covered") if no route applies."""
+def decompose_composition(spec: CompositionSpec) -> Decomposition:
+    """T[H_1..H_t] by _composition_route.  If no route applies, Refusal
+    "exception:<tag>" when the composition is one of the four exceptions,
+    else "not-covered"."""
     route = _composition_route(spec)
-    return None if route is None else _finish_composition(spec, *route[1])
+    if route is None:
+        _refuse_exception(compose(spec).digraph)
+        raise Refusal("not-covered")
+    return _finish_composition(spec, *route[1])
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +453,13 @@ def match_exception(d: Digraph) -> Optional[tuple[str, dict[int, int]]]:
     return None
 
 
+def _refuse_exception(d: Digraph) -> None:
+    """Refuse d by name if it is one of the four non-decomposable digraphs."""
+    matched = match_exception(d)
+    if matched is not None:
+        raise Refusal(f"exception:{matched[0]}")
+
+
 class CharacterizationResult(NamedTuple):
     decomposition: Optional[Decomposition] = None
     exception_tag: Optional[str] = None
@@ -464,14 +474,12 @@ def characterize_semicomplete_composition(spec: CompositionSpec) -> Characteriza
     """Full characterization for strong semicomplete outer digraphs with
     every inner of order >= 2: either an exception tag or a verified
     decomposition built by the constructive branches."""
-    message = "requires strong semicomplete outer and nontrivial inners"
-    if spec.t < 2 or min(spec.sizes) < 2 or not _outer_facts(spec.outer)[1]:
-        raise ValueError(message)
-    dec = decompose_composition(spec)
-    if dec is not None:
-        return CharacterizationResult(decomposition=dec)
-    if _outer_facts(spec.outer)[0] == 0:  # not strong: every route needs a strong outer
-        raise ValueError(message)
+    # _outer_facts is (arc strength, semicomplete): both must hold
+    if spec.t < 2 or min(spec.sizes) < 2 or not all(_outer_facts(spec.outer)):
+        raise ValueError("requires strong semicomplete outer and nontrivial inners")
+    route = _composition_route(spec)
+    if route is not None:
+        return CharacterizationResult(decomposition=_finish_composition(spec, *route[1]))
     matched = match_exception(compose(spec).digraph)
     if matched is None:
         raise ConstructionError("composition is neither an exception nor decomposed")

@@ -16,10 +16,10 @@ from gooddecomp import (
     CompositionSpec,
     CycleCoverInfeasible,
     Digraph,
+    Refusal,
     cartesian_product,
     compose,
     characterize_semicomplete_composition,
-    complete,
     cycle,
     cycle_cover,
     decompose_cartesian_power,
@@ -45,7 +45,6 @@ from conftest import (
     has_cycle_cover_bruteforce,
     random_sparse_strong_digraph,
     random_strong_digraph,
-    simple_cycles,
 )
 
 
@@ -131,6 +130,14 @@ def test_criterion_3_characterization_matches_oracle():
         assert res.is_exception == (rep.outcome == "none"), spec
         if not res.is_exception:
             assert verify_decomposition(res.decomposition).ok
+        # the decomposer builds the same parts, or refuses with the same tag
+        try:
+            direct = decompose_composition(spec).parts
+        except Refusal as ref:
+            direct = ref.reason
+        assert direct == (
+            f"exception:{res.exception_tag}" if res.is_exception else res.decomposition.parts
+        ), spec
         checked += 1
         digest.update(
             res.exception_tag.encode() if res.is_exception else _parts_bytes(res.decomposition)

@@ -9,6 +9,7 @@ from gooddecomp import (
     CompositionSpec,
     Decomposition,
     Digraph,
+    Refusal,
     _kernel_py,
     characterize_semicomplete_composition,
     complete,
@@ -19,7 +20,6 @@ from gooddecomp import (
     decompose_lexicographic,
     empty,
     exception_digraph,
-    find_isomorphism,
     oracle_good_decomposition,
     path,
     s4,
@@ -67,6 +67,13 @@ S4_OUTER_DIGESTS = (
 
 def spec_of(outer, *inners):
     return CompositionSpec(outer, tuple(inners))
+
+
+def refusal_of(spec) -> str:
+    """The reason decompose_composition refuses spec with."""
+    with pytest.raises(Refusal) as ref:
+        decompose_composition(spec)
+    return ref.value.reason
 
 
 class TestVerify:
@@ -175,7 +182,9 @@ class TestHamiltonianCases:
 
     def test_not_applicable(self):
         spec = spec_of(cycle(3), empty(2), empty(2), empty(2))
-        assert decompose_comp_hamiltonian(spec, (0, 1, 2)) is None
+        with pytest.raises(Refusal) as ref:
+            decompose_comp_hamiltonian(spec, (0, 1, 2))
+        assert ref.value.reason == "not-covered"
 
     def test_invalid_cycle_rejected(self):
         spec = spec_of(cycle(3), empty(2), empty(2), empty(2))
@@ -223,7 +232,7 @@ class TestDispatcher:
         assert dec is not None
 
     def test_exception_not_covered(self):
-        assert decompose_composition(spec_of(cycle(3), empty(2), empty(2), empty(2))) is None
+        assert refusal_of(spec_of(cycle(3), empty(2), empty(2), empty(2))) == "exception:C3_K2_K2_K2"
 
     def test_part_a_complete_outer(self):
         dec = decompose_composition(spec_of(complete(3), empty(2), empty(1), empty(3)))
@@ -231,7 +240,7 @@ class TestDispatcher:
 
     def test_part_a_skips_s4_itself(self):
         # composing S_4 from trivial blocks is S_4: no route applies
-        assert decompose_composition(spec_of(s4(), *[empty(1)] * 4)) is None
+        assert refusal_of(spec_of(s4(), *[empty(1)] * 4)) == "exception:S4"
 
     @pytest.mark.parametrize("big", range(4))
     def test_part_a_s4_outer_with_one_doubled_block(self, big):
@@ -242,7 +251,7 @@ class TestDispatcher:
         parts = []
         for perm in itertools.permutations(range(4)):
             outer = Digraph(4, [(perm[u], perm[v]) for u, v in s4().arcs])
-            assert decompose_composition(spec_of(outer, *[empty(1)] * 4)) is None
+            assert refusal_of(spec_of(outer, *[empty(1)] * 4)) == "exception:S4"
             for inner in inners:
                 blocks = [empty(1)] * 4
                 blocks[big] = inner
@@ -306,7 +315,7 @@ class TestDispatcher:
         monkeypatch.setattr("gooddecomp.decomp.hamiltonian_cycle_bruteforce", refuse)
         monkeypatch.setattr("gooddecomp.decomp._hamiltonian_cycle_semicomplete", refuse)
         spec = spec_of(outer, empty(1), *[empty(2)] * (outer.n - 1))
-        assert decompose_composition(spec) is None
+        assert refusal_of(spec) == "not-covered"
         assert _strong_parts_sides(spec) is None
         with pytest.raises(AssertionError, match="Hamiltonian search reached"):
             decompose_composition(spec_of(outer, *[empty(2)] * outer.n))
@@ -355,7 +364,7 @@ class TestDispatcher:
             decompose_composition(spec_of(empty(1), cycle(3)))
 
     def test_non_strong_outer_not_covered(self):
-        assert decompose_composition(spec_of(path(2), empty(2), empty(2))) is None
+        assert refusal_of(spec_of(path(2), empty(2), empty(2))) == "not-covered"
 
     @pytest.mark.parametrize(
         "spec,digest",

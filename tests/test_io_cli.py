@@ -670,6 +670,22 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_top_level_imports():
+    # every top-level import of a library or test module is read there as a
+    # name; __init__.py re-exports its imports, and __future__ names a flag
+    library = [p for p in Path(gooddecomp.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    found = []
+    for source in sorted(library) + sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                found += [f"{source.name}:{name}" for name in names if name not in read]
+    assert found == []
+
+
 def test_library_has_no_function_level_imports():
     # an import inside a function hides a module cycle from the import graph
     found = []
