@@ -177,38 +177,33 @@ def _hamiltonian_cycle_semicomplete(d: Digraph) -> Cycle:
 
 
 def hamiltonian_cycle_bruteforce(d: Digraph) -> Optional[Cycle]:
-    """Backtracking Hamiltonian cycle search; order bound keeps it desk-scale."""
+    """The Hamiltonian cycle with the smallest vertex sequence from 0, or None.
+
+    Depth-first from 0, successors ascending.  Whether a walk closes depends
+    only on its (unvisited mask, end) pair; failed pairs are remembered, so
+    at most 2^(n-1)*n states are searched.
+    """
     if d.n > HAMILTON_BRUTE_BOUND:
         raise ValueError(f"order above brute-force bound {HAMILTON_BRUTE_BOUND}")
     if d.n < 2:
         return None
-    out, inn = d.rows
-    walk = [0]
+    out, walk = d.rows[0], [0]
+    failed: set[tuple[int, int]] = set()
 
-    def dead_end(free: int, end: int) -> bool:
-        # an unvisited vertex (a bit of free) is entered from the walk's end
-        # or another unvisited vertex, and left to another unvisited vertex
-        # or to 0
-        rest = free
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            if not inn[x] & (free | end) or not out[x] & (free | 1):
-                return True
-            rest ^= low
-        return False
-
-    def extend(free: int) -> bool:
+    def extend(free: int, end: int) -> bool:
         if not free:
-            return bool(out[walk[-1]] & 1)
-        nxt = out[walk[-1]] & free
+            return bool(out[end] & 1)
+        if (free, end) in failed:
+            return False
+        nxt = out[end] & free
         while nxt:
             low = nxt & -nxt
             walk.append(low.bit_length() - 1)
-            if not dead_end(free ^ low, low) and extend(free ^ low):
+            if extend(free ^ low, walk[-1]):
                 return True
             walk.pop()
             nxt ^= low
+        failed.add((free, end))
         return False
 
-    return tuple(walk) if extend(((1 << d.n) - 1) ^ 1) else None
+    return tuple(walk) if extend(((1 << d.n) - 1) ^ 1, 0) else None

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 from collections import Counter
 from typing import Optional
 
@@ -46,6 +47,9 @@ from test_acceptance import _all_small_specs
 
 # no Hamiltonian cycle; neither outer is 2-arc-strong semicomplete
 BIDIRECTED_K68 = Digraph(14, [a for u in range(6) for v in range(6, 14) for a in ((u, v), (v, u))])
+#: no Hamiltonian cycle: the complete digraph K_13 plus a digon between 5
+#: and a fourteenth vertex; a search that forgets failed states takes minutes
+K13_DIGON_OUTER = Digraph(14, set(complete(13).arcs) | {(5, 13), (13, 5)})
 BIDIRECTED_P3 = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
 STRONG_TOURNAMENT_4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 #: a 2-arc-strong semicomplete digraph of order 9 with a deep chronological
@@ -181,10 +185,12 @@ class TestHamiltonianCases:
         assert dec is not None and verify_decomposition(dec).ok
 
     def test_not_applicable(self):
-        spec = spec_of(cycle(3), empty(2), empty(2), empty(2))
-        with pytest.raises(Refusal) as ref:
-            decompose_comp_hamiltonian(spec, (0, 1, 2))
-        assert ref.value.reason == "not-covered"
+        # no case of odd t fits; a K_1 block fits none, even with t even
+        for spec in (spec_of(cycle(3), empty(2), empty(2), empty(2)),
+                     spec_of(cycle(4), empty(1), empty(2), empty(2), empty(2))):
+            with pytest.raises(Refusal) as ref:
+                decompose_comp_hamiltonian(spec, tuple(range(spec.t)))
+            assert ref.value.reason == "not-covered"
 
     def test_invalid_cycle_rejected(self):
         spec = spec_of(cycle(3), empty(2), empty(2), empty(2))
@@ -306,6 +312,11 @@ class TestDispatcher:
             assert _composition_route(spec) is None
             dec = decompose_comp_hamiltonian(spec, tuple(range(spec.t)))
             assert dec is not None and verify_decomposition(dec).ok
+
+    def test_non_hamiltonian_outer_refused_fast(self):
+        start = time.monotonic()
+        assert refusal_of(spec_of(K13_DIGON_OUTER, *[empty(2)] * 14)) == "not-covered"
+        assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize("outer", [BIDIRECTED_K68, STRONG_TOURNAMENT_4], ids=["K68", "T4"])
     def test_trivial_block_skips_hamiltonian_search(self, monkeypatch, outer):
@@ -572,6 +583,8 @@ class TestCharacterize:
             ex = exception_digraph(tag)
             assert res.witness is not None
             assert all((res.witness[u], res.witness[v]) in ex.arcs for u, v in q.arcs)
+        with pytest.raises(ValueError, match="unknown exception tag 'bogus'"):
+            exception_digraph("bogus")
 
     def test_decomposition_host_is_the_spec_composition(self):
         spec = spec_of(cycle(3), empty(2), empty(2), empty(4))

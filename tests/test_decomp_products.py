@@ -91,6 +91,10 @@ class TestCartesianSquare:
             decompose_cartesian_square(cycle(3), CycleCover(((0, 2, 1),)))
         with pytest.raises(ValueError, match="cover cycle 0"):
             decompose_cartesian_square(cycle(3), CycleCover(((), (0, 1, 2))))
+        with pytest.raises(ValueError, match="not arc-disjoint"):
+            decompose_cartesian_square(cycle(3), CycleCover(((0, 1, 2), (1, 2, 0))))
+        with pytest.raises(ValueError, match="does not cover all vertices"):
+            decompose_cartesian_square(complete(3), CycleCover(((0, 1),)))
 
     def test_random_covers(self, rng):
         done = 0
@@ -238,6 +242,11 @@ class TestLexicographic:
         half = frozenset({(0, 1), (1, 2), (2, 0)})
         with pytest.raises(ValueError):
             decompose_lexicographic(cycle(3), complete(3), [half, half])
+        # no part at all, and a part with an arc that h lacks
+        with pytest.raises(ValueError, match="needs at least one arc set of h"):
+            decompose_lexicographic(cycle(3), complete(3), [])
+        with pytest.raises(ValueError, match="part 1 uses arcs outside h"):
+            decompose_lexicographic(cycle(3), cycle(3), [half, frozenset({(0, 2)})])
 
     def test_non_strong_part_rejected(self):
         with pytest.raises(ValueError):

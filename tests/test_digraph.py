@@ -150,6 +150,8 @@ class TestNamedDigraphs:
 
     def test_path_not_strong(self):
         assert not is_strong(path(3))
+        with pytest.raises(ValueError, match="path needs order >= 1"):
+            path(0)
 
     def test_s4_shape(self):
         d = s4()

@@ -93,6 +93,19 @@ class TestEdgeList:
     def test_malformed_header(self):
         with pytest.raises(ParseError):
             parse_edge_list("three arcs\n0 1")
+        with pytest.raises(ParseError, match="^line 1: malformed header '2 1 7'"):
+            parse_edge_list("2 1 7\n0 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty document"),
+        ("# no header\n\n", "line 1: empty document"),
+        ("2 2\n0 1\n", "line 1: header announces 2 arcs but 1 arc lines follow"),
+        ("2 1\n0 1 1\n", "line 2: expected 'u v', got '0 1 1'"),
+    ], ids=["empty", "comment-only", "arc-count", "three-fields"])
+    def test_malformed_document(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("token", ["1_0", "+1", "-0", "\u0661", "\uff11"],
                              ids=["underscore", "plus", "minus", "arabic-indic", "fullwidth"])
@@ -208,6 +221,11 @@ class TestDecompositionDocument:
         text = "HOST\n2 2\n0 1\n1 0\nA1\n0 1\nA3\n1 0\n"
         with pytest.raises(ParseError, match="missing section A2"):
             parse_decomposition(text)
+        # a repeated section, and an arc line before any section
+        with pytest.raises(ParseError, match="^line 7: duplicate section A1$"):
+            parse_decomposition("HOST\n2 2\n0 1\n1 0\nA1\n0 1\nA1\n1 0\nA2\n")
+        with pytest.raises(ParseError, match="^line 1: content before any section: '0 1'$"):
+            parse_decomposition("0 1\nHOST\n2 1\n0 1\nA1\nA2\n")
 
     def test_three_part_round_trip(self, tmp_path, capsys):
         halves = [frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(0, 2), (2, 1), (1, 0)})]
@@ -231,6 +249,7 @@ def workdir(tmp_path):
     (tmp_path / "c2.el").write_text(render_edge_list(cycle(2)))
     (tmp_path / "k1.el").write_text(render_edge_list(empty(1)))
     (tmp_path / "spec.txt").write_text("c3.el\nk2bar.el\nk2bar.el\nk2bar.el\n")
+    (tmp_path / "outer-only.txt").write_text("c3.el\n")
     return tmp_path
 
 
@@ -602,8 +621,11 @@ class TestCli:
             (["decompose", "k4.el", "--strategy", "composition", "--spec", "spec.txt"],
              "decompose: spec does not compose to FILE"),
             (["product", "--op", "lex", "c3.el"], "product: need a second factor B (or --power k)"),
+            (["decompose", "c3.el", "--strategy", "composition", "--spec", "outer-only.txt"],
+             "error: line 1: spec file needs an outer file and at least one inner file"),
         ],
-        ids=["composition-without-spec", "spec-composes-elsewhere", "product-without-b"],
+        ids=["composition-without-spec", "spec-composes-elsewhere", "product-without-b",
+             "spec-without-inner"],
     )
     def test_missing_or_mismatched_input_is_usage_error(self, workdir, capsys, argv, message):
         argv = [str(workdir / a) if a.endswith((".el", ".txt")) else a for a in argv]

@@ -800,6 +800,7 @@ class TestEnumeration:
     def test_bound(self):
         with pytest.raises(ValueError):
             next(enumerate_semicomplete(7))
+        assert list(enumerate_semicomplete(0)) == []
 
     def test_packed_images_match_relabelling(self):
         # order 6 needs fields wider than 16 bits, which the tier-1

@@ -47,6 +47,22 @@ PINNED_SEMICOMPLETE_CYCLES = "376e5364444b46a22ad6e12fbd8112cc62c18df821dc6fc16d
 DIGONS_AT_0 = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
 
 
+def _with_digons(n: int, arcs, pairs) -> Digraph:
+    return Digraph(n, set(arcs) | {a for u, v in pairs for a in ((u, v), (v, u))})
+
+
+#: strong, not semicomplete and not Hamiltonian, with no obstruction at
+#: vertex 0: a search without a memo of failed (unvisited, end) states
+#: reaches each of them by many walks (151 s for the first, 2-core VM)
+NON_HAMILTONIAN_HOSTS = {
+    "K13+5-13": _with_digons(14, complete(13).arcs, [(5, 13)]),
+    "K12+3-12-13": _with_digons(14, complete(12).arcs, [(3, 12), (3, 13), (12, 13)]),
+    "K12+5-12-13": _with_digons(14, complete(12).arcs, [(5, 12), (5, 13)]),
+    "K6,8": _with_digons(14, (), [(u, v) for u in range(6) for v in range(6, 14)]),
+    "K6,7": _with_digons(13, (), [(u, v) for u in range(6) for v in range(6, 13)]),
+}
+
+
 def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
     arcs = set()
     for u in range(n):
@@ -192,9 +208,17 @@ class TestHamiltonianBruteforce:
         assert hamiltonian_cycle_bruteforce(d) is None
         assert time.monotonic() - start < 5
 
+    @pytest.mark.parametrize("d", NON_HAMILTONIAN_HOSTS.values(), ids=NON_HAMILTONIAN_HOSTS)
+    def test_failed_states_remembered(self, d):
+        start = time.monotonic()
+        assert hamiltonian_cycle_bruteforce(d) is None
+        assert time.monotonic() - start < 1
+
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             hamiltonian_cycle_bruteforce(Digraph(37, []))
+        assert hamiltonian_cycle_bruteforce(Digraph(0, [])) is None
+        assert hamiltonian_cycle_bruteforce(Digraph(1, [])) is None
 
     def test_cycle_arcs_helper(self):
         assert cycle_arcs((0, 1, 2)) == [(0, 1), (1, 2), (2, 0)]
