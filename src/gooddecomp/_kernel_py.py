@@ -114,12 +114,11 @@ def _conflict(out, inn, t, h, hbit, bit, outlev, inlev):
     while front:
         nxt = 0
         while front:
-            low = front & -front
-            v = low.bit_length() - 1
+            v = front.bit_length() - 1
             nxt |= out[v]
             outs |= outlev[v]
             ins |= inlev[v]
-            front ^= low
+            front ^= 1 << v
         front = nxt & ~seen
         seen |= front
     return outs & ~ins ^ bit
@@ -175,9 +174,9 @@ def _search_order(n, arcs, budget, rows):
                 near = tbit | rest_out  # t's closure to distance 1
                 mid = 0  # the out-neighbours of t's out-neighbours
                 while rest_out:
-                    low = rest_out & -rest_out
-                    mid |= out2[low.bit_length() - 1]
-                    rest_out ^= low
+                    v = rest_out.bit_length() - 1
+                    mid |= out2[v]
+                    rest_out ^= 1 << v
                 if mid & rest_in or _reaches(out2, in2, near | mid, mid & ~near,
                                              hbit | rest_in, rest_in):
                     i += 1
@@ -200,9 +199,9 @@ def _search_order(n, arcs, budget, rows):
                 near = tbit | rest_out  # t's closure to distance 1
                 mid = 0  # the out-neighbours of t's out-neighbours
                 while rest_out:
-                    low = rest_out & -rest_out
-                    mid |= out1[low.bit_length() - 1]
-                    rest_out ^= low
+                    v = rest_out.bit_length() - 1
+                    mid |= out1[v]
+                    rest_out ^= 1 << v
                 if mid & rest_in or _reaches(out1, in1, near | mid, mid & ~near,
                                              hbit | rest_in, rest_in):
                     i += 1
@@ -272,11 +271,10 @@ def _mcs_order(n, arcs, rows):
         weight[u] = -1
         both = out[u] | inn[u]
         while both:
-            low = both & -both
-            v = low.bit_length() - 1
+            v = both.bit_length() - 1
             if weight[v] >= 0:
                 weight[v] += (out[u] >> v & 1) + (inn[u] >> v & 1)
-            both ^= low
+            both ^= 1 << v
         u = weight.index(max(weight))  # the first of the maxima
 
     def key(arc):

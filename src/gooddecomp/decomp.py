@@ -543,18 +543,20 @@ def _cycle_square_sides(cyc: Sequence[int], k: int) -> tuple[set[Arc], set[Arc]]
     """Two arc-disjoint Hamiltonian cycles partitioning C_n-square-C_n, with
     the cycle's vertices (of an order-k factor) standing in for 1..n."""
     n = len(cyc)
-    g_arc = lambda i, j: (cyc[i] * k + cyc[j % n], cyc[(i + 1) % n] * k + cyc[j % n])
-    h_arc = lambda i, j: (cyc[i % n] * k + cyc[j], cyc[i % n] * k + cyc[(j + 1) % n])
-    all_arcs = _cartesian_arcs(cycle_arcs(cyc), cyc, cycle_arcs(cyc), cyc, k)
+    layer = [x * k for x in cyc]  # id of (cyc[i], 0)
+    steps = list(zip(layer, layer[1:] + layer[:1]))
     side1: set[Arc] = set()
-    for j in range(n):
-        # column j gives up its G-arc at row skip and takes the H-arc there
+    side2: set[Arc] = set()
+    for j, (z, w) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
+        # column j's G-arcs go to side 1 and its H-arcs to side 2, except at
+        # row skip, where the two swap
+        g = [(x + z, y + z) for x, y in steps]
+        h = [(x + z, x + w) for x, _ in steps]
         skip = (n - j - 2) % n
-        for i in range(n):
-            if i != skip:
-                side1.add(g_arc(i, j))
-        side1.add(h_arc(skip, j))
-    return side1, all_arcs - side1
+        g[skip], h[skip] = h[skip], g[skip]
+        side1.update(g)
+        side2.update(h)
+    return side1, side2
 
 
 def decompose_cn_square(n: int) -> Decomposition:
@@ -710,7 +712,8 @@ def decompose_lexicographic(
     arcs that shadow it."""
     _require_strong(g, h)
     if ell_parts is None:
-        parts_h = [frozenset(h.arcs)]  # strong: _require_strong has just shown it
+        # h itself is the one part, strong: _require_strong has just shown it
+        parts_h, h0 = [h.arcs], h
     else:
         parts_h = [frozenset(p) for p in ell_parts]
         if not parts_h:
@@ -724,9 +727,9 @@ def decompose_lexicographic(
             if _unreachable_pair(h.n, *_rows(h.n, part)) is not None:
                 raise ValueError(f"part {k} is not strong spanning")
             claimed |= part
+        h0 = Digraph(h.n, parts_h[0])
 
     host = lexicographic_product(g, h).digraph
-    h0 = Digraph(h.n, parts_h[0])
     out = list(_strong_sides(g, h0, _strong_arcs(g, h0)))
     shadows = [(x, x) for x in range(g.n)] + sorted(g.arcs)  # blocks, then G-arcs
     for part in parts_h[1:]:

@@ -194,12 +194,12 @@ def _closure(rows, v: int) -> int:
     unseen = full ^ (1 << v)
     frontier = 1 << v
     while frontier:
-        if frontier & (frontier - 1):
+        if frontier.bit_count() > 1:
             nxt = 0
             while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
+                w = frontier.bit_length() - 1
+                nxt |= rows[w]
+                frontier ^= 1 << w
         else:
             nxt = rows[frontier.bit_length() - 1]
         frontier = nxt & unseen
@@ -225,9 +225,9 @@ def _reaches(out, inn, a: int, a_front: int, b: int, b_front: int) -> bool:
             a_front, b_front = b_front, a_front
         nxt = 0
         while a_front:
-            low = a_front & -a_front
-            nxt |= a_rows[low.bit_length() - 1]
-            a_front ^= low
+            w = a_front.bit_length() - 1
+            nxt |= a_rows[w]
+            a_front ^= 1 << w
         if nxt & b:
             return True
         a_front = nxt & ~a
@@ -271,14 +271,13 @@ def _two_arc_strong(n: int, out, inn) -> bool:
         while frontier:
             nxt = 0
             while frontier:
-                low = frontier & -frontier
-                w = low.bit_length() - 1
+                w = frontier.bit_length() - 1
                 nxt |= fwd[w]
                 p = back[w] & seen
                 if p.bit_count() == 1:
                     p = p.bit_length() - 1
                     cands.append((p, w) if fwd is out else (w, p))
-                frontier ^= low
+                frontier ^= 1 << w
             frontier = nxt & ~seen
             seen |= frontier
         if seen != (1 << n) - 1:

@@ -35,6 +35,22 @@ def strong_by_closure(d: Digraph) -> bool:
     return all(all(row) for row in reach)
 
 
+def reachable(arcs, start: int) -> set:
+    """Independent reachability: the vertices that start reaches, itself
+    included, by breadth-first search over adjacency lists of arcs."""
+    succ: dict = {}
+    for u, v in arcs:
+        succ.setdefault(u, []).append(v)
+    seen = {start}
+    queue = [start]
+    for u in queue:
+        for v in succ.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
 def arc_connectivity_bruteforce(d: Digraph) -> int:
     """Smallest arc set whose removal destroys strongness (only for tiny m)."""
     if not strong_by_closure(d):

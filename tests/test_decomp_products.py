@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -66,6 +67,27 @@ class TestCnSquare:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             decompose_cn_square(1)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cycle_square_sides_of_a_factor_cycle(self, n):
+        # as _square_sides calls it: a shuffled n-cycle of an order-k factor,
+        # k > n, with vertex (x, z) of the square numbered x * k + z
+        rng = random.Random(n)
+        k = n + rng.randint(1, 5)
+        cyc = rng.sample(range(k), n)
+        steps = list(zip(cyc, cyc[1:] + cyc[:1]))
+        square = {(x * k + z, y * k + z) for x, y in steps for z in cyc}
+        square |= {(x * k + z, x * k + w) for x in cyc for z, w in steps}
+        side1, side2 = decomp._cycle_square_sides(cyc, k)
+        assert side1 | side2 == square and not side1 & side2
+        vertices = {x * k + z for x in cyc for z in cyc}
+        for side in (side1, side2):
+            succ = dict(side)  # one out-arc per vertex, one in-arc per vertex
+            assert len(succ) == len(side) and set(succ) == set(succ.values()) == vertices
+            walk = [min(vertices)]
+            for _ in range(n * n - 1):
+                walk.append(succ[walk[-1]])
+            assert len(set(walk)) == n * n and succ[walk[-1]] == walk[0]
 
 
 class TestCartesianSquare:

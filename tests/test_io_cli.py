@@ -720,6 +720,33 @@ def test_library_has_no_function_level_imports():
     assert found == []
 
 
+def _lowest_bit_step(node) -> bool:
+    """node is x & -x, or -x & x, for one expression x."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    return any(isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.USub)
+               and ast.dump(neg.operand) == ast.dump(x)
+               for x, neg in ((node.left, node.right), (node.right, node.left)))
+
+
+def test_lowest_bit_step_only_where_order_matters():
+    # a bitmask loop pops the highest set bit, v = x.bit_length() - 1 then
+    # x ^= 1 << v, which allocates no negation and no mask; the lowest-bit
+    # step x & -x stays only where a result depends on ascending order: the
+    # parent map of _bfs, the smallest unreachable vertex, the smallest
+    # frontier arc of an ear and the lexicographically first Hamiltonian
+    # cycle.  A step in a nested function counts for its top-level one
+    found = set()
+    for source in sorted(Path(gooddecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for top in tree.body:
+            if any(_lowest_bit_step(node) for node in ast.walk(top)):
+                found.add(f"{source.name}:{getattr(top, 'name', top.lineno)}")
+    assert found == {"digraph.py:_bfs", "digraph.py:_unreachable_pair",
+                     "structure.py:ear_decomposition",
+                     "structure.py:hamiltonian_cycle_bruteforce"}
+
+
 def test_library_imports_no_dataclasses():
     # result records are NamedTuples or __slots__ classes: building
     # dataclasses, and importing dataclasses with inspect, cost about a third

@@ -18,6 +18,7 @@ from gooddecomp import (
     complete,
     compose,
     cycle,
+    decompose_cn_square,
     empty,
     exception_digraph,
     find_isomorphism,
@@ -37,6 +38,7 @@ from conftest import (
     good_decomposition_exists_bruteforce,
     kernel_search_reference,
     random_strong_digraph,
+    reachable,
     semicomplete_class_count,
     shuffled_torus,
 )
@@ -475,6 +477,49 @@ class TestOracle:
                     if da and db:
                         assert _reaches(*d.rows, a, a_front, b, b_front) == expected
         assert answers == {True, False} and met > 100
+
+    def test_reaches_and_closure_on_wide_rows(self):
+        """_closure and _reaches against conftest.reachable on hosts of order
+        65, 130 and 1,024, whose rows span several 30-bit digits: vertex-
+        shuffled cycles, where every layer is one vertex, unions of two such
+        cycles, and both sides and the host of decompose_cn_square(32).  An
+        arc t->h is masked from the rows; for t->h and for sampled pairs s, x,
+        s's closure and x's in-closure to depths 0-2, with their last layers,
+        start the search.  For t->h at depths 1-2 the rows also stay whole,
+        as in _two_arc_strong."""
+        rng = random.Random(0xB17)
+        hosts = []
+        for n in (65, 130, 1024):
+            for copies in (1, 2):
+                arcs = set()
+                for _ in range(copies):
+                    p = rng.sample(range(n), n)
+                    arcs |= {(p[i], p[(i + 1) % n]) for i in range(n)}
+                hosts.append(Digraph(n, arcs))
+        dec = decompose_cn_square(32)
+        hosts += [Digraph(dec.host.n, dec.a1), Digraph(dec.host.n, dec.a2), dec.host]
+        answers = set()
+        for d in hosts:
+            for t, h in rng.sample(d.sorted_arcs(), 3):
+                arcs = d.arcs - {(t, h)}
+                back_arcs = {(v, u) for u, v in arcs}
+                out, inn = _rows(d.n, arcs)
+                for s, x in [(t, h)] + [tuple(rng.sample(range(d.n), 2)) for _ in range(3)]:
+                    fwd, back = reachable(arcs, s), reachable(back_arcs, x)
+                    assert _closure(out, s) == sum(1 << v for v in fwd)
+                    assert _closure(inn, x) == sum(1 << v for v in back)
+                    expected = x in fwd
+                    answers.add(expected)
+                    for da, db in itertools.product(range(3), repeat=2):
+                        a, a_front = _layers(out, s, da)
+                        b, b_front = _layers(inn, x, db)
+                        if a & b:  # the closures have met: s reaches x
+                            assert expected
+                            continue
+                        assert _reaches(out, inn, a, a_front, b, b_front) == expected
+                        if (s, x) == (t, h) and da and db:
+                            assert _reaches(*d.rows, a, a_front, b, b_front) == expected
+        assert answers == {True, False}
 
     def test_kernel_matches_reference_shuffled(self):
         """The kernel's full (status, a1, a2, nodes) against

@@ -178,9 +178,9 @@ class TestHamiltonianBruteforce:
         assert hc is not None and is_cycle_of(d, hc) and len(hc) == 4
 
     def test_first_cycle_in_lexicographic_order(self, rng):
-        # the pruned search still returns the smallest vertex sequence from 0,
-        # and None exactly when no ordering closes a cycle: sparse inputs are
-        # where the dead-end pruning decides
+        # the search with its failed-state memo still returns the smallest
+        # vertex sequence from 0, and None exactly when no ordering closes a
+        # cycle: sparse inputs are where remembered failed states decide
         k34 = {(u, v) for u in range(3) for v in range(3, 7)}
         samples = [Digraph(7, k34 | {(v, u) for u, v in k34})]  # bidirected K_{3,4}
         for trial in range(150):
@@ -202,7 +202,8 @@ class TestHamiltonianBruteforce:
 
     def test_dead_ends_pruned(self):
         # K_13 plus a vertex joined to 0 both ways has no Hamiltonian cycle;
-        # the unpruned search would try every ordering of K_13
+        # a search that remembered no failed (unvisited set, end) state would
+        # try every ordering of K_13
         start = time.monotonic()
         d = Digraph(14, set(complete(13).arcs) | {(0, 13), (13, 0)})
         assert hamiltonian_cycle_bruteforce(d) is None
