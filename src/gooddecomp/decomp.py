@@ -15,7 +15,8 @@ _composition_route names the first that applies, and _finish_composition, the
 one lift and one verification of every route, extends them by twins.  What a
 route reads of the outer digraph alone (its arc strength, whether it is
 semicomplete, a Hamiltonian cycle, part (a)'s skeleton sides) is computed once
-per outer value and kept for the last OUTER_MEMO_SIZE outers.
+per outer value, and the shared skeleton templates once per outer order, each
+kept for the last OUTER_MEMO_SIZE keys.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _checked(host: Digraph, *parts) -> Decomposition:
 # are (position, slot) pairs: position p stands for block order[p] and slot s
 # for that block's vertex kept[p][s].
 
-Skeleton = tuple[Sequence[int], Sequence[Sequence[int]], set, set]
+Skeleton = tuple[Sequence[int], Sequence[Sequence[int]], AbstractSet, AbstractSet]
 
 #: distinct outer digraphs each route memo keeps, least recently used out first
 OUTER_MEMO_SIZE = 64
@@ -209,34 +210,35 @@ def _finish_composition(
     spec: CompositionSpec,
     order: Sequence[int],
     kept: Sequence[Sequence[int]],
-    *sides: set,
+    *sides: AbstractSet,
 ) -> Decomposition:
     """Lift skeleton sides to the composition built from spec by twin
     extension: every non-kept vertex of a block gets the same cross-block
     arcs as the block's slot 0.  Inner arcs are never copied."""
     q, cmap = compose(spec)
-    off = cmap.offsets
+    off, sizes = cmap.offsets, cmap.sizes
     # slots[p][s]: the vertices that slot s of position p stands for; slot 0
-    # also stands for the twins, its block's vertices that are not kept
-    slots = []
+    # also stands for the twins, its block's vertices that are not kept.
+    # alone[p][s] is slot s's kept vertex only, for inner arcs
+    slots, alone = [], []
     for p, b in enumerate(order):
-        first, *rest = (off[b] + j for j in kept[p])
-        twins = [off[b] + j for j in range(cmap.sizes[b]) if j not in kept[p]]
-        slots.append([[first, *twins], *([v] for v in rest)])
+        ks = kept[p]
+        row = [[off[b] + j] for j in ks]
+        alone.append(row)
+        if len(ks) < sizes[b]:
+            row = [row[0] + [off[b] + j for j in range(sizes[b]) if j not in ks], *row[1:]]
+        slots.append(row)
 
     def lift(side) -> set[Arc]:
-        out: set[Arc] = set()
-        for (p1, s1), (p2, s2) in side:
-            if p1 == p2:
-                out.add((slots[p1][s1][0], slots[p2][s2][0]))
-            else:
-                out.update(itertools.product(slots[p1][s1], slots[p2][s2]))
-        return out
+        return {(x, y) for (p1, s1), (p2, s2) in side
+                for table in (alone if p1 == p2 else slots,)
+                for x in table[p1][s1] for y in table[p2][s2]}
 
     return _checked(q, *map(lift, sides))
 
 
-def _eq_sides(t: int) -> tuple[set, set]:
+@functools.lru_cache(maxsize=OUTER_MEMO_SIZE)
+def _eq_sides(t: int) -> tuple[frozenset, frozenset]:
     """Side arc sets on the 2-per-block skeleton.
 
     Side 1 is a single Hamiltonian cycle of the skeleton for every t; side 2
@@ -247,10 +249,11 @@ def _eq_sides(t: int) -> tuple[set, set]:
     side1 |= {((t - 1, 0), (0, 1)), ((t - 1, 1), (0, 0))}
     side2 = {((i, j), (i + 1, 1 - j)) for i in range(t - 1) for j in (0, 1)}
     side2 |= {((t - 1, 0), (0, 0)), ((t - 1, 1), (0, 1))}
-    return side1, side2
+    return frozenset(side1), frozenset(side2)
 
 
-def _case3_sides(t: int) -> tuple[set, set]:
+@functools.lru_cache(maxsize=OUTER_MEMO_SIZE)
+def _case3_sides(t: int) -> tuple[frozenset, frozenset]:
     """Explicit skeleton sides for odd t with block sizes (2, 3, ..., 3)."""
     def chain(rows_slots: list[tuple[int, int]]) -> set:
         return set(zip(rows_slots, rows_slots[1:]))
@@ -280,7 +283,7 @@ def _case3_sides(t: int) -> tuple[set, set]:
     side2 |= zig(1, 0, (last, 1))
     side2 |= zig(2, 1, (last, 0))
     side2 |= zig(1, 2, None)
-    return side1, side2
+    return frozenset(side1), frozenset(side2)
 
 
 def _stitched(

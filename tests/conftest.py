@@ -13,7 +13,15 @@ import random
 
 import pytest
 
-from gooddecomp import Digraph, cartesian_product, cycle, decomp, is_strong
+from gooddecomp import (
+    CompositionSpec,
+    Digraph,
+    cartesian_product,
+    compose,
+    cycle,
+    decomp,
+    is_strong,
+)
 
 
 def strong_by_closure(d: Digraph) -> bool:
@@ -360,11 +368,70 @@ def random_sparse_strong_digraph(rng: random.Random, n: int, max_arcs: int) -> D
     return d
 
 
+def random_composition_spec(rng: random.Random) -> CompositionSpec:
+    """A composition of order t = 3..6 over a strong outer that is
+    semicomplete, random or the directed cycle C_t, with blocks of order
+    1..4 (2..4 in about half the specs, so that the Hamiltonian and
+    remaining routes apply) whose inner arcs are drawn at one density per
+    spec."""
+    t = rng.randint(3, 6)
+    kind = rng.random()
+    while True:
+        if kind < 0.5:  # one of the three semicomplete states per pair
+            arcs = []
+            for u, v in itertools.combinations(range(t), 2):
+                arcs += [((u, v),), ((v, u),), ((u, v), (v, u))][rng.randrange(3)]
+        elif kind < 0.8:
+            arcs = [(u, v) for u in range(t) for v in range(t) if u != v and rng.random() < 0.5]
+        else:
+            arcs = [(u, (u + 1) % t) for u in range(t)]
+        outer = Digraph(t, arcs)
+        if strong_by_closure(outer):
+            break
+    low = rng.choice((1, 2))
+    density = rng.choice((0.0, 0.15, 0.7))
+    inners = []
+    for _ in range(t):
+        n = rng.randint(low, 4)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        inners.append(Digraph(n, [a for a in pairs if rng.random() < density]))
+    return CompositionSpec(outer, tuple(inners))
+
+
+def lift_reference(spec, order, kept, *sides) -> tuple:
+    """Plain reference for the composition lift: each skeleton side as a
+    frozenset of arcs of compose(spec), one skeleton arc at a time.  Slot s
+    of position p stands for vertex kept[p][s] of block order[p]; slot 0
+    also stands for the twins, its block's vertices that are not kept.  An
+    arc within a position joins the two kept vertices only; an arc across
+    positions joins every vertex its tail slot stands for to every vertex its
+    head slot stands for."""
+    _, cmap = compose(spec)
+    off = cmap.offsets
+    slots = []
+    for p, b in enumerate(order):
+        first, *rest = (off[b] + j for j in kept[p])
+        twins = [off[b] + j for j in range(cmap.sizes[b]) if j not in kept[p]]
+        slots.append([[first, *twins], *([v] for v in rest)])
+    lifted = []
+    for side in sides:
+        out = set()
+        for (p1, s1), (p2, s2) in side:
+            if p1 == p2:
+                out.add((slots[p1][s1][0], slots[p2][s2][0]))
+            else:
+                out.update(itertools.product(slots[p1][s1], slots[p2][s2]))
+        lifted.append(frozenset(out))
+    return tuple(lifted)
+
+
 @pytest.fixture(autouse=True)
 def cold_outer_memos():
-    """Every test starts with empty composition-route memos, so a test that
-    counts the route's calls sees them whatever ran before it."""
-    for memo in (decomp._outer_facts, decomp._outer_cycle, decomp._part_a_skeleton):
+    """Every test starts with empty composition-route memos, the skeleton
+    templates' among them, so a test that counts the route's calls sees them
+    whatever ran before it."""
+    for memo in (decomp._outer_facts, decomp._outer_cycle, decomp._part_a_skeleton,
+                 decomp._eq_sides, decomp._case3_sides):
         memo.cache_clear()
 
 

@@ -31,6 +31,7 @@ from gooddecomp import builders as builders_module
 from gooddecomp import decomp as decomp_module
 from gooddecomp.decomp import (
     OUTER_MEMO_SIZE,
+    _case3_sides,
     _composition_route,
     _eq_sides,
     _finish_composition,
@@ -41,7 +42,7 @@ from gooddecomp.decomp import (
     _strong_parts_sides,
 )
 
-from conftest import rotational_tournament
+from conftest import lift_reference, random_composition_spec, rotational_tournament
 from test_acceptance import _all_small_specs
 
 
@@ -480,6 +481,29 @@ class TestTwinLift:
         spec = spec_of(BIDIRECTED_P3, cycle(2), complete(3), cycle(2))
         assert _twins_of_route(spec) == ("composition/strong-parts", 0)
 
+    def test_lift_matches_the_reference(self, rng):
+        """_finish_composition lifts every route's skeleton to the parts the
+        one-arc-at-a-time reference gives: on the criterion-3 specs, S_4
+        with one block doubled, C_4 over four K̄_3, and random specs of
+        order 3..6 whose kept slots include an inner stitch's reversed
+        [1, 0], the remaining cases' [0, 1, 2, 3] and strong parts' range."""
+        randoms = [random_composition_spec(rng) for _ in range(400)]
+        specs = [*_all_small_specs(), spec_of(s4(), empty(3), empty(1), empty(1), empty(1)),
+                 spec_of(cycle(4), *[empty(3)] * 4), *randoms]
+        kept_shapes = set()
+        for k, spec in enumerate(specs):
+            route = _composition_route(spec)
+            if route is None:
+                continue
+            name, skeleton = route
+            assert _finish_composition(spec, *skeleton).parts == lift_reference(spec, *skeleton)
+            if k >= len(specs) - len(randoms):
+                kept_shapes |= {(name, type(ks), tuple(ks)) for ks in skeleton[1]}
+        assert ("composition/hamiltonian", list, (1, 0)) in kept_shapes
+        assert ("composition/remaining", list, (0, 1, 2, 3)) in kept_shapes
+        assert any(name == "composition/strong-parts" and kind is range
+                   for name, kind, _ in kept_shapes)
+
 
 def refuse_outer_work(monkeypatch, outer):
     """Make every computation of a fact of outer raise, and so every part (a)
@@ -498,7 +522,8 @@ def refuse_outer_work(monkeypatch, outer):
 
 
 class TestOuterMemo:
-    """The route facts of an outer digraph are computed once per value."""
+    """The route facts of an outer digraph are computed once per value, and
+    the skeleton templates once per outer order."""
 
     @pytest.mark.parametrize(
         "arcs, inners, route",
@@ -564,9 +589,22 @@ class TestOuterMemo:
         for T in outers:
             _outer_cycle(T)
             _part_a_skeleton(T, (1,) * 5)
-        for memo in (_outer_facts, _outer_cycle, _part_a_skeleton):
+        # the templates are memoized per outer order, odd for case 3
+        for t in range(3, 3 + 2 * (OUTER_MEMO_SIZE + 1), 2):
+            _eq_sides(t)
+            _case3_sides(t)
+        for memo in (_outer_facts, _outer_cycle, _part_a_skeleton, _eq_sides, _case3_sides):
             info = memo.cache_info()
             assert info.maxsize == info.currsize == OUTER_MEMO_SIZE
+
+    @pytest.mark.parametrize("template", [_eq_sides, _case3_sides])
+    @pytest.mark.parametrize("t", [3, 5, 7])
+    def test_templates_are_shared_frozensets(self, template, t):
+        sides = template(t)
+        assert len(sides) == 2 and all(type(side) is frozenset for side in sides)
+        again = template(t)
+        assert all(a is b for a, b in zip(again, sides))
+        assert template.__wrapped__(t) == sides
 
 
 class TestCharacterize:
