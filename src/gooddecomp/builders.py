@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .digraph import POWER_ORDER_BOUND, Arc, Digraph, _Value
 
@@ -75,7 +75,7 @@ class CompositionSpec(_Value):
         return self.outer.n
 
 
-def _built(arcs: set[Arc], cmap: CoordinateMap) -> Built:
+def _built(arcs: frozenset[Arc], cmap: CoordinateMap) -> Built:
     """The digraph on cmap's vertices; cmap alone names vertex (i, j)."""
     return Built(Digraph(cmap.offsets[-1], arcs), cmap)
 
@@ -86,34 +86,36 @@ def compose(spec: CompositionSpec) -> Built:
     if spec._composition is None:
         cmap = CoordinateMap(spec.sizes)
         off, sizes = cmap.offsets, cmap.sizes
-        arcs = {(off[i] + u, off[i] + v) for i, h in enumerate(spec.inners) for u, v in h.arcs}
-        arcs |= {
-            (off[i] + j, off[p] + q)
-            for i, p in spec.outer.arcs
-            for j in range(sizes[i])
-            for q in range(sizes[p])
-        }
+        arcs = frozenset(itertools.chain(
+            ((off[i] + u, off[i] + v) for i, h in enumerate(spec.inners) for u, v in h.arcs),
+            ((off[i] + j, off[p] + q) for i, p in spec.outer.arcs
+             for j in range(sizes[i]) for q in range(sizes[p])),
+        ))
         object.__setattr__(spec, "_composition", _built(arcs, cmap))
     return spec._composition
 
 
-def _cartesian_arcs(g_arcs, xs, h_arcs, zs, k: int) -> set[Arc]:
+def _cartesian_arcs(g_arcs, xs, h_arcs, zs, k: int) -> Iterator[Arc]:
     """Cartesian moves with vertex (x, z) numbered x * k + z: each g-arc x->y
-    at every z in zs, and each h-arc z->w inside every layer x in xs."""
-    arcs = {(x * k + z, y * k + z) for x, y in g_arcs for z in zs}
-    arcs |= {(x * k + z, x * k + w) for x in xs for z, w in h_arcs}
-    return arcs
+    at every z in zs, and each h-arc z->w inside every layer x in xs.  The
+    moves are yielded, for the caller to collect once."""
+    return itertools.chain(
+        ((x * k + z, y * k + z) for x, y in g_arcs for z in zs),
+        ((x * k + z, x * k + w) for x in xs for z, w in h_arcs),
+    )
 
 
-def _strong_arcs(g: Digraph, h: Digraph) -> set[Arc]:
+def _strong_arcs(g: Digraph, h: Digraph) -> frozenset[Arc]:
     k = h.n
-    arcs = _cartesian_arcs(g.arcs, range(g.n), h.arcs, range(k), k)
-    return arcs | {(x * k + z, y * k + w) for x, y in g.arcs for z, w in h.arcs}
+    return frozenset(itertools.chain(
+        _cartesian_arcs(g.arcs, range(g.n), h.arcs, range(k), k),
+        ((x * k + z, y * k + w) for x, y in g.arcs for z, w in h.arcs),
+    ))
 
 
 def cartesian_product(g: Digraph, h: Digraph) -> Built:
     """G box H: move along a G-arc holding the H-coordinate, or vice versa."""
-    arcs = _cartesian_arcs(g.arcs, range(g.n), h.arcs, range(h.n), h.n)
+    arcs = frozenset(_cartesian_arcs(g.arcs, range(g.n), h.arcs, range(h.n), h.n))
     return _built(arcs, CoordinateMap((h.n,) * g.n))
 
 
@@ -126,7 +128,7 @@ def lexicographic_product(g: Digraph, h: Digraph) -> Built:
     """The composition G[H, ..., H]: all arcs between blocks joined in G,
     plus H-arcs within each block."""
     if h.n == 0:  # CompositionSpec refuses order-0 inners
-        return _built(set(), CoordinateMap((0,) * g.n))
+        return _built(frozenset(), CoordinateMap((0,) * g.n))
     return compose(CompositionSpec(g, (h,) * g.n))
 
 
@@ -151,5 +153,5 @@ def cartesian_power(g: Digraph, k: int) -> Built:
         return Built(g, CoordinateMap((1,) * g.n))
     n, arcs = g.n, g.arcs
     for j in range(1, k):
-        arcs = _cartesian_arcs(arcs, range(n**j), g.arcs, range(n), n)
+        arcs = frozenset(_cartesian_arcs(arcs, range(n**j), g.arcs, range(n), n))
     return _built(arcs, CoordinateMap((n,) * n ** (k - 1)))

@@ -633,8 +633,8 @@ def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
             # copies of the current union in the new layers, and of the new
             # cycle in the untouched ones
             new, old_only = cset - vset, vset - cset
-            d1 |= _cartesian_arcs(arcs_so_far, new, arcs_so_far, new, k)
-            d2 |= _cartesian_arcs(cyc_arcs, old_only, cyc_arcs, old_only, k)
+            d1.update(_cartesian_arcs(arcs_so_far, new, arcs_so_far, new, k))
+            d2.update(_cartesian_arcs(cyc_arcs, old_only, cyc_arcs, old_only, k))
         vset |= cset
         arcs_so_far |= cyc_arcs
     return d1, d2
@@ -643,7 +643,7 @@ def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
 def _times_strong(a1: AbstractSet[Arc], h: Digraph) -> set[Arc]:
     """Side 1 of G square H from side 1 of G: the H-copy at G's first vertex
     and copies of a1 in every H-layer; side 2 is the rest, unverified."""
-    return _cartesian_arcs(a1, (0,), h.arcs, range(h.n), h.n)
+    return set(_cartesian_arcs(a1, (0,), h.arcs, range(h.n), h.n))
 
 
 def decompose_cartesian_power(g: Digraph, k: int) -> Decomposition:
@@ -670,7 +670,7 @@ def _boxtimes_base_side1(gcyc: Sequence[int], hcyc: Sequence[int], k: int) -> se
     cycle plus one diagonal arc per H-step threading the layers together."""
     n, m = len(gcyc), len(hcyc)
     layer = [x * k for x in gcyc]  # id of (gcyc[i], 0)
-    side1 = _cartesian_arcs(cycle_arcs(gcyc), (), (), hcyc, k)
+    side1 = set(_cartesian_arcs(cycle_arcs(gcyc), (), (), hcyc, k))
     side1 |= {(layer[n - 1] + hcyc[j], layer[0] + hcyc[j + 1]) for j in range(m - 1)}
     side1.add((layer[0] + hcyc[m - 1], layer[1] + hcyc[0]))
     return side1
@@ -686,8 +686,8 @@ def _strong_sides(g: Digraph, h: Digraph, arcs: AbstractSet[Arc]) -> tuple[set[A
     set of G strong-times H; unverified, for the callers' one _checked."""
     p0, q0 = _some_cycle(g), _some_cycle(h)
     a1 = _boxtimes_base_side1(p0, q0, h.n)
-    a1 |= _cartesian_arcs(g.arcs - set(cycle_arcs(p0)), range(g.n),
-                          h.arcs - set(cycle_arcs(q0)), q0, h.n)
+    a1.update(_cartesian_arcs(g.arcs - set(cycle_arcs(p0)), range(g.n),
+                              h.arcs - set(cycle_arcs(q0)), q0, h.n))
     return a1, arcs - a1
 
 

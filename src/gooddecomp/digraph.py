@@ -69,9 +69,11 @@ class Digraph(_Value):
             raise ValueError(f"order {n!r} is not an int")
         if n < 0:
             raise ValueError("order must be nonnegative")
-        # built by insertion, not copied: a copied set keeps the source's
-        # table size, which can be twice what insertion needs
-        arcset = frozenset(iter(arcs))
+        # an exact frozenset is kept as given: it is immutable, and the
+        # builders size theirs by insertion.  Anything else is inserted into
+        # a new frozenset, not copied: a copied set keeps the source's table
+        # size, which can be twice what insertion needs
+        arcset = arcs if type(arcs) is frozenset else frozenset(iter(arcs))
         for u, v in arcset:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"arc ({u!r},{v!r}) has an endpoint that is not an int")

@@ -182,6 +182,12 @@ def hamiltonian_cycle_bruteforce(d: Digraph) -> Optional[Cycle]:
     Depth-first from 0, successors ascending.  Whether a walk closes depends
     only on its (unvisited mask, end) pair; failed pairs are remembered, so
     at most 2^(n-1)*n states are searched.
+
+    The failed set can hold as many pairs, so on an input with no
+    Hamiltonian cycle its memory doubles with each order: K_16 plus a digon
+    to a 17th vertex peaks at about 31 MB.  Orders near 25 to 36, which
+    HAMILTON_BRUTE_BOUND admits, can exhaust memory on such inputs; the
+    composition route calls this only up to order 14.
     """
     if d.n > HAMILTON_BRUTE_BOUND:
         raise ValueError(f"order above brute-force bound {HAMILTON_BRUTE_BOUND}")

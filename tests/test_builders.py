@@ -112,11 +112,18 @@ class TestCompose:
                 )
                 for n in sizes
             )
-            q, _ = compose(CompositionSpec(outer, inners))
+            q, cmap = compose(CompositionSpec(outer, inners))
             expect = sum(h.m for h in inners) + sum(
                 sizes[i] * sizes[p] for i, p in outer.arcs
             )
             assert q.m == expect
+            # A(Q) from the definition over (block, vertex) coordinates: an
+            # arc of H_i inside block i, or any pair of blocks joined in T
+            verts = [(i, j) for i in range(t) for j in range(sizes[i])]
+            want = {(a, b) for a in verts for b in verts
+                    if (a[0] == b[0] and (a[1], b[1]) in inners[a[0]].arcs)
+                    or (a[0], b[0]) in outer.arcs}
+            assert q.arcs == {(cmap.vid(*a), cmap.vid(*b)) for a, b in want}
 
     def test_mismatched_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -182,8 +189,8 @@ class TestProducts:
         assert (d.n, d.m) == (6, 18)
 
     def test_products_match_definition(self, rng):
-        # every arc and coordinate of G box H and G strong-times H, from the
-        # definitions over coordinate pairs (x, z), numbered row by row
+        # every arc and coordinate of G box H, G strong-times H and G[H], from
+        # the definitions over coordinate pairs (x, z), numbered row by row
         def random_digraph(n):
             return Digraph(n, {(u, v) for u in range(n) for v in range(n)
                                if u != v and rng.random() < 0.4})
@@ -199,7 +206,12 @@ class TestProducts:
                         or (a[1] == b[1] and (a[0], b[0]) in g.arcs)}
                 diag = {(a, b) for a, b in pairs
                         if (a[0], b[0]) in g.arcs and (a[1], b[1]) in h.arcs}
-                for build, want in ((cartesian_product, cart), (strong_product, cart | diag)):
+                # G[H, ..., H]: any pair of layers joined in G, or an H-arc
+                # inside one layer
+                lex = {(a, b) for a, b in pairs
+                       if (a[0], b[0]) in g.arcs or (a[0] == b[0] and (a[1], b[1]) in h.arcs)}
+                for build, want in ((cartesian_product, cart), (strong_product, cart | diag),
+                                    (lexicographic_product, lex)):
                     d, cmap = build(g, h)
                     assert d.n == len(verts)
                     assert [cmap.coord(v) for v in range(d.n)] == verts

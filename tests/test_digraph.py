@@ -103,15 +103,27 @@ class TestConstruction:
              "float", "str", "short", "int"],
     )
     def test_input_contract(self, n, arcs, exc, message):
-        with pytest.raises(exc) as info:
-            Digraph(n, arcs)
-        assert str(info.value) == message
+        # every container is validated, a kept frozenset too; each case has
+        # one bad arc at most, so the message does not depend on set order
+        for container in (list, set, frozenset, lambda a: (x for x in a)):
+            with pytest.raises(exc) as info:
+                Digraph(n, container(arcs))
+            assert str(info.value) == message, container
 
     def test_any_iterable_of_int_pairs(self):
         arcs = [(0, 1), (1, 2), (2, 0), (0, 2)]
         built = [Digraph(3, arcs), Digraph(3, set(arcs)), Digraph(3, frozenset(arcs)),
                  Digraph(3, (a for a in arcs))]
         assert all(d == built[0] for d in built)
+        # an exact frozenset is kept as given; a set is inserted into a new
+        # frozenset, so mutating it afterwards leaves the digraph unchanged
+        fs = frozenset(arcs)
+        assert Digraph(3, fs).arcs is fs
+        source = set(arcs)
+        d = Digraph(3, source)
+        source.add((1, 0))
+        source.discard((0, 1))
+        assert d.arcs == frozenset(arcs) and d == built[0] and d.m == 4
 
     def test_opposite_arcs_coexist(self):
         d = Digraph(2, [(0, 1), (1, 0)])
