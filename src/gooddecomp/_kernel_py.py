@@ -226,11 +226,12 @@ def _search_order(n, arcs, budget, rows):
             if not s:
                 return NONE, [], [], nodes
             # jump to the deepest level k of the conflict: unassign levels
-            # i to k + 1, restoring the side that lacks each arc
+            # i to k + 1 and restore levels i - 1 to k, giving each arc back
+            # to the side that lacks it
             k = s.bit_length() - 1
             assign[i] = conf[i] = 0
-            i -= 1
-            while i > k:
+            while True:
+                i -= 1
                 t, h, tbit, hbit, bit = levels[i]
                 if assign[i] == 1:
                     out2[t] ^= hbit
@@ -238,18 +239,13 @@ def _search_order(n, arcs, budget, rows):
                 else:
                     out1[t] ^= hbit
                     in1[h] ^= tbit
+                if i == k:
+                    break
                 assign[i] = conf[i] = 0
-                i -= 1
-            t, h, tbit, hbit, bit = levels[k]
             conf[k] |= s ^ bit
-            if assign[k] == 1:  # give side 2 its arc back and try side 2
-                out2[t] ^= hbit
-                in2[h] ^= tbit
+            if assign[k] == 1:  # try side 2
                 break
-            # level k on side 2 is exhausted too
-            out1[t] ^= hbit
-            in1[h] ^= tbit
-            s = conf[k]
+            s = conf[k]  # level k on side 2 is exhausted too
 
     a1 = [k for k, side in enumerate(assign) if side == 1]
     a2 = [k for k, side in enumerate(assign) if side == 2]

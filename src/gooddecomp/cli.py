@@ -274,7 +274,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         if ref.detail:
             print(ref.detail)
         return REFUSED
-    except (ParseError, ValueError, OSError, ConstructionError, RecursionError) as exc:
+    except (ValueError, OSError, ConstructionError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except MemoryError:  # its message is empty

@@ -254,35 +254,26 @@ def _eq_sides(t: int) -> tuple[frozenset, frozenset]:
 
 @functools.lru_cache(maxsize=OUTER_MEMO_SIZE)
 def _case3_sides(t: int) -> tuple[frozenset, frozenset]:
-    """Explicit skeleton sides for odd t with block sizes (2, 3, ..., 3)."""
-    def chain(rows_slots: list[tuple[int, int]]) -> set:
-        return set(zip(rows_slots, rows_slots[1:]))
-
+    """Skeleton sides for odd t with block sizes (2, 3, ..., 3), each the
+    union of walks from a row-0 slot through the middle rows and back."""
     last = t - 1
-    side1 = {
-        ((0, 0), (1, 0)), ((last, 0), (0, 0)), ((0, 1), (1, 1)),
-        ((0, 1), (1, 2)), ((last, 1), (0, 1)), ((last, 2), (0, 1)),
-    }
-    # straight paths through every middle row, one per slot
-    side1 |= chain([(r, 0) for r in range(1, last)] + [(last, 1)])
-    side1 |= chain([(r, 1) for r in range(1, last)] + [(last, 0)])
-    side1 |= chain([(r, 2) for r in range(1, last)] + [(last, 2)])
 
-    side2 = {
-        ((0, 0), (1, 1)), ((0, 0), (1, 2)), ((last, 1), (0, 0)),
-        ((last, 2), (0, 0)), ((0, 1), (1, 0)), ((last, 0), (0, 1)),
-    }
-    # zigzag paths alternating between two slots through the middle rows
-    def zig(s_odd: int, s_even: int, final: Optional[tuple[int, int]]) -> set:
-        seq = [(r, s_odd if r % 2 == 1 else s_even) for r in range(1, last)]
-        if final is not None:
-            seq.append(final)
-        return chain(seq)
+    def rows(s_odd: int, s_even: int) -> list[tuple[int, int]]:
+        # the middle rows, at slot s_odd in odd rows and s_even in even ones
+        return [(r, s_odd if r % 2 else s_even) for r in range(1, last)]
 
-    side2 |= zig(0, 1, (last, 2))
-    side2 |= zig(1, 0, (last, 1))
-    side2 |= zig(2, 1, (last, 0))
-    side2 |= zig(1, 2, None)
+    def walk(*seq: tuple[int, int]) -> set:
+        return set(zip(seq, seq[1:]))
+
+    # side 1 runs straight through the middle rows; side 2 zigzags, once
+    # without a return to row 0
+    side1 = (walk((0, 0), *rows(0, 0), (last, 1), (0, 1))
+             | walk((0, 1), *rows(1, 1), (last, 0), (0, 0))
+             | walk((0, 1), *rows(2, 2), (last, 2), (0, 1)))
+    side2 = (walk((0, 1), *rows(0, 1), (last, 2), (0, 0))
+             | walk((0, 0), *rows(1, 0), (last, 1), (0, 0))
+             | walk((0, 0), *rows(2, 1), (last, 0), (0, 1))
+             | walk(*rows(1, 2)))
     return frozenset(side1), frozenset(side2)
 
 
@@ -573,20 +564,6 @@ def _normalize_cycle(cyc: Sequence[int]) -> tuple[int, ...]:
     return cyc[k:] + cyc[:k]
 
 
-def _order_cover(cover: CycleCover) -> list[tuple[int, ...]]:
-    cycles = sorted(_normalize_cycle(c) for c in cover.cycles)
-    ordered = [cycles.pop(0)]
-    touched = set(ordered[0])
-    while cycles:
-        nxt = next((c for c in cycles if touched & set(c)), None)
-        if nxt is None:
-            raise Refusal("not-covered", "cover union disconnected; construction not defined")
-        cycles.remove(nxt)
-        ordered.append(nxt)
-        touched |= set(nxt)
-    return ordered
-
-
 def decompose_cartesian_square(g: Digraph, cover: CycleCover) -> Decomposition:
     """G square G via induction over an arc-disjoint cycle cover whose union
     is connected."""
@@ -611,22 +588,21 @@ def _square_sides(g: Digraph, cover: CycleCover) -> tuple[set[Arc], set[Arc]]:
     if seen_vertices != set(range(g.n)):
         raise ValueError("cover does not cover all vertices")
 
-    ordered = _order_cover(cover)
+    # take each cycle once the union meets it, the first while it is empty
+    cycles = sorted(_normalize_cycle(c) for c in cover.cycles)
     k = g.n
-
-    first = ordered[0]
-    d1, d2 = _cycle_square_sides(first, k)
-    vset = set(first)
-    arcs_so_far = set(cycle_arcs(first))
-
-    for cyc in ordered[1:]:
+    vset: set[int] = set()
+    arcs_so_far: set[Arc] = set()
+    while cycles:
+        cyc = next((c for c in cycles if not vset or vset & set(c)), None)
+        if cyc is None:
+            raise Refusal("not-covered", "cover union disconnected; construction not defined")
+        cycles.remove(cyc)
         cyc_arcs = set(cycle_arcs(cyc))
         cset = set(cyc)
         if vset <= cset:
             d1, d2 = _cycle_square_sides(cyc, k)
-        elif cset <= vset:
-            pass
-        else:
+        elif not cset <= vset:
             p1, p2 = _cycle_square_sides(cyc, k)
             d1 |= p1
             d2 |= p2

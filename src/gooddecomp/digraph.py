@@ -154,7 +154,7 @@ def s4() -> Digraph:
 # ---------------------------------------------------------------------------
 # predicates
 
-def _bfs(rows, start: int, stop: Container[int] = ()) -> dict[int, int]:
+def _bfs(rows, start: int, stop: Container[int]) -> dict[int, int]:
     """Parent map of the vertices reached from start along rows, in discovery
     order, with start mapped to itself.
 

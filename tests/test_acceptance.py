@@ -203,21 +203,25 @@ def test_criterion_5_strong_products(rng):
 def test_criterion_6_cartesian_machinery(rng):
     """Cartesian squares and powers verify for 100 random strong digraphs of
     order <= 6 whose cycle covers have connected union, and the two-triangles
-    digraph yields an infeasibility certificate; under 10 min."""
+    digraph yields an infeasibility certificate; under 10 min.  The SHA-256
+    of every decomposition's sorted parts is pinned, so a change in the
+    cover induction's sides shows even where they still verify."""
     start = time.monotonic()
-    done = 0
-    while done < 100:
+    parts = []
+    while len(parts) < 100:
         g = random_strong_digraph(rng, 6, density=0.45)
         cov = cycle_cover(g)
         if cov is None:
             continue
         try:
-            assert verify_decomposition(decompose_cartesian_square(g, cov)).ok
+            decs = (decompose_cartesian_square(g, cov),)
         except ValueError:
             continue  # cover union disconnected: outside this criterion
-        assert verify_decomposition(decompose_cartesian_power(g, 2)).ok
-        assert verify_decomposition(decompose_cartesian_power(g, 3)).ok
-        done += 1
+        decs += (decompose_cartesian_power(g, 2), decompose_cartesian_power(g, 3))
+        assert all(verify_decomposition(dec).ok for dec in decs)
+        parts.append(tuple(tuple(sorted(p)) for dec in decs for p in dec.parts))
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+        "84866c7da4413cdaead97bafe90503223ff3e6602f12e7d2d6612fffb0417cba")
     two_triangles = Digraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0)])
     with pytest.raises(CycleCoverInfeasible) as exc:
         decompose_cartesian_power(two_triangles, 2)

@@ -178,6 +178,10 @@ class TestHamiltonianCases:
         dec = decompose_comp_hamiltonian(spec, (0, 1, 2))
         assert dec is not None
         assert len(dec.a1) == 9 and len(dec.a2) == 9  # 9 arcs each
+        # the SHA-256 of the skeleton sides for every odd t from 3 to 41
+        sides = [(t, sorted(a), sorted(b)) for t in range(3, 42, 2) for a, b in [_case3_sides(t)]]
+        assert hashlib.sha256(repr(sides).encode()).hexdigest() == (
+            "f8a1083f5a0ff1d5362b217fb0a2a094656f7d76314d99f5eb3d1edee256e768")
 
     @pytest.mark.parametrize("t", [5, 7])
     def test_case3_general_odd(self, t):

@@ -117,6 +117,11 @@ class TestCartesianSquare:
             decompose_cartesian_square(cycle(3), CycleCover(((0, 1, 2), (1, 2, 0))))
         with pytest.raises(ValueError, match="does not cover all vertices"):
             decompose_cartesian_square(complete(3), CycleCover(((0, 1),)))
+        # disconnected and short of vertex 4: the cover's checks come first
+        g = Digraph(5, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (2, 1), (3, 4), (4, 3)])
+        with pytest.raises(ValueError, match="does not cover all vertices") as exc:
+            decompose_cartesian_square(g, CycleCover(((0, 1), (2, 3))))
+        assert not isinstance(exc.value, Refusal)
 
     def test_random_covers(self, rng):
         done = 0
